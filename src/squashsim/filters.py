@@ -232,15 +232,23 @@ class PerfectFilter:
         for pc in rec.pcs:
             self._live[pc] = self._live.get(pc, 0) + 1
 
-    def on_handle_safe(self, safe_seq: int, dyn_count: int) -> None:
+    def on_handle_safe(self, safe_seq: int, dyn_count: int) -> bool:
+        """Expire the records of handles up to safe_seq; True if any expired."""
         q = self._handle_records
+        dropped = False
         while q and q[0].expire_seq <= safe_seq:
             self._drop(q.popleft())
+            dropped = True
+        return dropped
 
-    def on_dispatch(self, dyn_count: int) -> None:
+    def on_dispatch(self, dyn_count: int) -> bool:
+        """Expire the records whose deadline has passed; True if any expired."""
         q = self._timed_records
+        dropped = False
         while q and dyn_count >= q[0].deadline:
             self._drop(q.popleft())
+            dropped = True
+        return dropped
 
     def _drop(self, rec: _Record) -> None:
         for pc in rec.pcs:

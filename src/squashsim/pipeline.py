@@ -12,6 +12,18 @@ actually issued are recorded with the policy, and the front end restarts
 right after the misspeculating instruction, which itself stays put and
 re-executes.  Hash indices for the Bloom filters are computed once per PC
 at dispatch and kept in the entry.
+
+A delayed entry is asked about again every cycle, but the answer can only
+change when the policy state it reads does.  ``PolicyState.version`` goes
+up on every squash record, on a pop of the oldest queued handle under
+delay-all, on a Bloom filter bulk clear and when the exact filter drops a
+record (by handle or by deadline).  Each entry keeps the version of its
+last delay and the ``fp_count`` increment that decision made; while the
+version holds, the entry counts as delayed without a new decision and
+adds what a new decision would have.  That is one ``delayed_issues`` and,
+under ``fp_counting="evaluation"``, the cached false positive; under
+``"entry"`` the episode's one false positive is already counted.  A delay
+never adds to ``perfect_only_count``, so there is nothing to repeat there.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ class RobEntry:
     __slots__ = (
         "seq", "instr", "state", "issue_cycle", "exec_done_cycle",
         "resolved", "resolve_ready", "res_count", "gen", "hashes", "mask",
-        "fp_counted",
+        "fp_counted", "delay_version", "delay_fp",
     )
 
     def __init__(self, seq: int, instr: Instruction, hashes: tuple[int, ...], mask: int) -> None:
@@ -71,6 +83,8 @@ class RobEntry:
         self.hashes = hashes
         self.mask = mask
         self.fp_counted = False  # one FP per delay episode in "entry" counting
+        self.delay_version = -1  # PolicyState.version at the last delay decision
+        self.delay_fp = 0        # what a repeat of that decision adds to fp_count
 
     def __repr__(self) -> str:  # diagnostics only
         return (
@@ -220,9 +234,14 @@ class Pipeline:
         return retired
 
     def _pop_safe_handles(self) -> None:
-        for seq in self.hq.pop_safe():
-            self.policy.on_handle_safe(seq)
-            if self.observer is not None:
+        popped = self.hq.pop_safe()
+        if not popped:
+            return
+        # both filters expire everything up to the given seq, and dyn_count
+        # is fixed within a cycle, so one call for the youngest pop is exact
+        self.policy.on_handle_safe(popped[-1])
+        if self.observer is not None:
+            for seq in popped:
                 self.observer.on_handle_safe(seq)
 
     def try_issue(self) -> list[int]:
@@ -230,32 +249,35 @@ class Pipeline:
         policy; returns the seqs issued this cycle."""
         if not self.pending:
             return []
-        width = self.config.width
         policy = self.policy
+        version = policy.version
         head_seq = self.rob[0].seq if self.rob else None
         fp_entry_mode = self._fp_entry_mode
-        consulted = 0
+        m = self.metrics
         removed: list[int] = []
-        for i, seq in enumerate(self.pending):
-            if consulted >= width:
-                break
-            consulted += 1
+        for i, seq in enumerate(self.pending[:self.config.width]):
             e = self.alive[seq]
-            if seq == head_seq:
-                reason = None  # the ROB head is never delayed
-            elif fp_entry_mode:
+            if seq != head_seq:  # the ROB head is never delayed
+                if e.delay_version == version:
+                    # nothing the last decision read has changed: same delay
+                    m.delayed_issues += 1
+                    policy.fp_count += e.delay_fp
+                    continue
                 before = policy.fp_count
-                reason = policy.issue_decision(seq, e.instr.pc, e.mask,
-                                               count_fp=not e.fp_counted)
-                if policy.fp_count != before:
-                    e.fp_counted = True
-            else:
-                reason = policy.issue_decision(seq, e.instr.pc, e.mask)
-            if reason is None:
-                self._issue(e)
-                removed.append(i)
-            else:
-                self.metrics.delayed_issues += 1
+                reason = policy.issue_decision(seq, e.instr.pc, e.mask, not e.fp_counted)
+                if reason is not None:
+                    m.delayed_issues += 1
+                    fp = policy.fp_count - before
+                    e.delay_version = version
+                    if fp_entry_mode:
+                        e.delay_fp = 0  # the episode's one false positive is counted once
+                        if fp:
+                            e.fp_counted = True
+                    else:
+                        e.delay_fp = fp
+                    continue
+            self._issue(e)
+            removed.append(i)
         issued = [self.pending[i] for i in removed]
         for i in reversed(removed):
             del self.pending[i]

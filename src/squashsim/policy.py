@@ -91,6 +91,8 @@ class PolicyState:
         # lockstep accounting (dos-bloom with oracle)
         self.fp_count = 0
         self.perfect_only_count = 0
+        # goes up whenever something issue_decision reads changes
+        self.version = 0
 
     # -- issue-time decision ------------------------------------------------
 
@@ -125,23 +127,36 @@ class PolicyState:
 
     def on_squash(self, pcs: frozenset[int], masks: list[int], youngest_handle: int | None) -> None:
         """Record the issued-and-squashed PCs of one squash event."""
+        self.version += 1
         if self.filters is not None:
             self.filters.record_squash(masks, youngest_handle, self.dyn_count)
         if self.perfect is not None:
             self.perfect.record(pcs, youngest_handle, self.dyn_count)
 
     def on_handle_safe(self, seq: int) -> None:
-        if self.filters is not None:
-            self.filters.on_handle_safe(seq, self.dyn_count)
-        if self.perfect is not None:
-            self.perfect.on_handle_safe(seq, self.dyn_count)
+        """Every queued handle up to ``seq`` has just been popped."""
+        if self.kind is PolicyKind.DELAY_ALL:
+            self.version += 1  # the oldest queued handle changed
+            return
+        rf = self.filters
+        if rf is not None:
+            clears = rf.clears
+            rf.on_handle_safe(seq, self.dyn_count)
+            if rf.clears != clears:
+                self.version += 1
+        if self.perfect is not None and self.perfect.on_handle_safe(seq, self.dyn_count):
+            self.version += 1
 
     def on_dispatch(self) -> None:
         self.dyn_count += 1
-        if self.filters is not None:
-            self.filters.on_dispatch(self.dyn_count)
-        if self.perfect is not None:
-            self.perfect.on_dispatch(self.dyn_count)
+        rf = self.filters
+        if rf is not None:
+            clears = rf.clears
+            rf.on_dispatch(self.dyn_count)
+            if rf.clears != clears:
+                self.version += 1
+        if self.perfect is not None and self.perfect.on_dispatch(self.dyn_count):
+            self.version += 1
 
     @property
     def rotations(self) -> int:
@@ -267,6 +282,8 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
     (n_hq,) = r.take("<I")
     for _ in range(n_hq):
         seq, shadow_code, flags = r.take("<QBB")
+        if shadow_code not in _CODE_SHADOW:
+            raise ContextBlobError(f"unknown shadow code {shadow_code}")
         state.handle_queue.push_handle(seq, _CODE_SHADOW[shadow_code])
         if flags & 1:
             state.handle_queue.mark_resolved(seq)
@@ -277,6 +294,8 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
         m, k, count, active, threshold, window = r.take("<IIIIII")
         if (m, k) != (state.filters.m, state.filters.k) or count != len(state.filters.filters):
             raise ContextBlobError("filter geometry mismatch between blob and config")
+        if active >= count:
+            raise ContextBlobError(f"active filter {active} out of range for {count} filters")
         seeds = r.take(f"<{k}Q")
         if tuple(seeds) != state.hash_seeds:
             raise ContextBlobError("hash seed mismatch between blob and config")

@@ -29,7 +29,7 @@ class HandleQueueError(RuntimeError):
     """Raised on FIFO invariant breaches (out-of-order push, unknown seq)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class HandleEntry:
     seq: int
     kind: ShadowKind
@@ -60,7 +60,7 @@ class HandleQueue:
             raise HandleQueueError(
                 f"push_handle out of order: seq {seq} <= tail {self._entries[-1].seq}"
             )
-        entry = HandleEntry(seq, ShadowKind(kind))
+        entry = HandleEntry(seq, kind if isinstance(kind, ShadowKind) else ShadowKind(kind))
         self._entries.append(entry)
         self._by_seq[seq] = entry
         self._live_unresolved.append(seq)

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from squashsim.config import MachineConfig, PolicyKind
@@ -6,6 +8,7 @@ from squashsim.policy import (
     DELAY_BLOOM_HIT,
     DELAY_PERFECT_HIT,
     DELAY_UNSAFE_HANDLE,
+    ContextBlob,
     ContextBlobError,
     PolicyState,
     restore_context,
@@ -72,6 +75,80 @@ def test_oracle_lockstep_counts_false_positives():
     assert st.perfect_only_count == 0
     assert st.issue_decision(8, 0x400, mask) == DELAY_BLOOM_HIT
     assert st.fp_count == 1  # exact hit as well: not a false positive
+
+
+def test_squash_raises_version():
+    for policy in PolicyKind:
+        st = _state(policy)
+        st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=None)
+        assert st.version == 1, policy
+
+
+def test_delay_all_pop_raises_version_and_dispatch_does_not():
+    st = _state(PolicyKind.DELAY_ALL)
+    st.handle_queue.push_handle(1, ShadowKind.E)
+    for _ in range(100):
+        st.on_dispatch()  # nothing is ever due under delay-all
+    assert st.version == 0
+    st.handle_queue.mark_resolved(1)
+    st.on_handle_safe(st.handle_queue.pop_safe()[-1])
+    assert st.version == 1
+
+
+def test_bloom_clear_on_dispatch_raises_version():
+    st = _state(PolicyKind.DOS_BLOOM, window_len=4)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=None)
+    for _ in range(3):
+        st.on_dispatch()
+    assert (st.filter_clears, st.version) == (0, 1)
+    st.on_dispatch()  # the deferred clear falls due
+    assert (st.filter_clears, st.version) == (1, 2)
+    st.on_dispatch()
+    assert st.version == 2
+
+
+def test_bloom_clear_on_handle_safe_raises_version():
+    st = _state(PolicyKind.DOS_BLOOM, window_len=0)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    st.on_handle_safe(2)
+    assert st.version == 1
+    st.on_handle_safe(3)  # a zero window clears right away
+    assert (st.filter_clears, st.version) == (1, 2)
+
+
+def test_bloom_arming_without_a_clear_keeps_version():
+    st = _state(PolicyKind.DOS_BLOOM, window_len=4)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    st.on_handle_safe(3)  # only arms the deferred clear
+    assert (st.filter_clears, st.version) == (0, 1)
+
+
+def test_exact_record_dropped_by_handle_raises_version():
+    st = _state(PolicyKind.DOS_PERFECT)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    st.on_handle_safe(2)
+    assert st.version == 1
+    st.on_handle_safe(3)
+    assert st.version == 2
+    assert st.issue_decision(9, 0x400, 0) is None
+
+
+def test_exact_record_dropped_by_deadline_raises_version():
+    st = _state(PolicyKind.DOS_PERFECT, window_len=2)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=None)
+    st.on_dispatch()
+    assert st.version == 1
+    st.on_dispatch()
+    assert st.version == 2
+    assert st.issue_decision(9, 0x400, 0) is None
+
+
+def test_oracle_record_drop_raises_version():
+    # the Bloom filter keeps the PC, but the exact verdict behind fp_count moves
+    st = _state(PolicyKind.DOS_BLOOM, oracle=True, window_len=4)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    st.on_handle_safe(3)
+    assert (st.filter_clears, st.version) == (0, 2)
 
 
 def _exercise(state):
@@ -152,6 +229,27 @@ def test_restore_rejects_corrupt_blob():
     blob.data = b"XXXX" + blob.data[4:]
     with pytest.raises(ContextBlobError):
         restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM))
+
+
+def test_restore_rejects_unknown_shadow_code():
+    st = _state(PolicyKind.DOS_BLOOM)
+    st.handle_queue.push_handle(1, ShadowKind.E)
+    data = bytearray(save_context(st).data)
+    # 32-byte header, handle count u32, then the first handle's seq u64 and code u8
+    assert data[44] == 0
+    data[44] = 9
+    with pytest.raises(ContextBlobError, match="shadow code"):
+        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
+
+
+def test_restore_rejects_active_filter_out_of_range():
+    st = _state(PolicyKind.DOS_BLOOM)
+    data = bytearray(save_context(st).data)
+    # 32-byte header, zero handles, then m, k, count, active as u32
+    assert struct.unpack_from("<4I", data, 36) == (64, 2, 2, 0)
+    struct.pack_into("<I", data, 48, 7)
+    with pytest.raises(ContextBlobError, match="active filter"):
+        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
 
 
 def test_restore_rejects_policy_mismatch():
