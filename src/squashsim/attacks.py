@@ -22,13 +22,13 @@ ending the attack after a single unsafe epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import MachineConfig
+from .experiment import run_segmented
 from .metrics import Metrics
-from .pipeline import LivelockError, Pipeline, RobEntry, SquashRecord
-from .policy import PolicyState, restore_context, save_context
+from .pipeline import LivelockError, RobEntry, SquashRecord
 from .shadows import ShadowKind
 from .trace import Instruction, InstructionKind, Trace
 
@@ -333,14 +333,13 @@ class ScenarioResolver:
     def __init__(self, force: dict[int, ForceMisspeculate]) -> None:
         self.force = force
         self.finished: set[int] = set()
-        self.offset = 0  # trace positions are segment-local after a context switch
         self._inner: dict[int, list[int]] = {}
         for fm in force.values():
             if fm.outer_slot is not None:
                 self._inner.setdefault(fm.outer_slot, []).append(fm.slot)
 
     def __call__(self, entry: RobEntry) -> bool:
-        pos = entry.instr.seq + self.offset
+        pos = entry.instr.seq
         fm = self.force.get(pos)
         if fm is None:
             return False  # victim instructions resolve correctly
@@ -418,12 +417,8 @@ def run_scenario(scenario: Scenario, config: MachineConfig,
     resolver = ScenarioResolver(force)
     livelock = False
     try:
-        if switches:
-            metrics = _run_with_switches(scenario, config, resolver, observer,
-                                         switches, context_id)
-        else:
-            metrics = Pipeline(scenario.trace, config, resolver=resolver,
-                               observer=observer).run()
+        metrics = run_segmented(scenario.trace, config, switches, context_id,
+                                resolver=resolver, observer=observer)
     except LivelockError as err:
         metrics = err.metrics
         livelock = True
@@ -443,24 +438,3 @@ def run_scenario(scenario: Scenario, config: MachineConfig,
         metrics=metrics,
     )
 
-
-def _run_with_switches(scenario, config, resolver, observer, switches, context_id):
-    """Split the victim trace at context-switch points; drain, save, and
-    restore the policy state around each boundary."""
-    bounds = [b for b in switches if 0 < b < len(scenario.trace.instructions)]
-    starts = [0] + bounds
-    ends = bounds + [len(scenario.trace.instructions)]
-    state = PolicyState(config, context_id=context_id)
-    total: Metrics | None = None
-    for lo, hi in zip(starts, ends):
-        seg = [replace(ins, seq=i) for i, ins in enumerate(scenario.trace.instructions[lo:hi])]
-        trace = Trace(name=f"{scenario.trace.name}[{lo}:{hi}]", seed=scenario.trace.seed,
-                      instructions=seg)
-        resolver.offset = lo  # budgets stay keyed by whole-trace positions
-        pipe = Pipeline(trace, config, policy=state, resolver=resolver, observer=observer)
-        m = pipe.run()
-        total = m if total is None else total.merge(m)
-        blob = save_context(state)
-        state = restore_context(blob, config, context_id)
-    total.trace_id = scenario.trace.trace_id
-    return total

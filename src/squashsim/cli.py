@@ -24,24 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_LIVELOCK = 3
 
-_MACHINE_FLAGS = {
-    # flag dest -> MachineConfig field
-    "policy": "policy",
-    "bits": "bits",
-    "hashes": "hashes",
-    "filters": "filters",
-    "threshold": "threshold",
-    "rob": "rob_size",
-    "width": "width",
-    "seed": "seed",
-    "oracle": "oracle",
-    "window_len": "window_len",
-    "budget": "livelock_budget",
-    "recovery": "squash_recovery",
-    "fp_counting": "fp_counting",
-}
-
-
 def _add_machine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--policy", choices=[str(k) for k in PolicyKind])
@@ -49,15 +31,16 @@ def _add_machine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hashes", type=int, help="hash functions k per filter")
     p.add_argument("--filters", type=int, help="rolling filter count")
     p.add_argument("--threshold", type=int, help="saturation threshold in set bits")
-    p.add_argument("--rob", type=int, help="reorder buffer entries")
+    p.add_argument("--rob", type=int, dest="rob_size", help="reorder buffer entries")
     p.add_argument("--width", type=int, help="issue/commit width")
     p.add_argument("--seed", type=int)
     p.add_argument("--oracle", action="store_true", default=None,
                    help="run the exact-set oracle in lockstep (false-positive accounting)")
     p.add_argument("--window-len", type=int, dest="window_len",
                    help="deferred-clear window in dynamic instructions")
-    p.add_argument("--budget", type=int, help="livelock cycle budget")
-    p.add_argument("--recovery", type=int, help="front-end stall cycles after a squash")
+    p.add_argument("--budget", type=int, dest="livelock_budget", help="livelock cycle budget")
+    p.add_argument("--recovery", type=int, dest="squash_recovery",
+                   help="front-end stall cycles after a squash")
     p.add_argument("--fp-counting", choices=["evaluation", "entry"], dest="fp_counting",
                    help="count a false positive per delayed check or per delay episode")
 
@@ -68,19 +51,23 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "table")
 
 
 def build_config(args: argparse.Namespace) -> MachineConfig:
+    """Config file values, overridden by the machine flags (each flag's
+    dest is its MachineConfig field)."""
+    names = [f.name for f in dataclass_fields(MachineConfig)]
     values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        known = {f.name for f in dataclass_fields(MachineConfig)}
-        unknown = set(file_cfg) - known
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(file_cfg) - set(names)
         if unknown:
             raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
         values.update(file_cfg)
-    for flag, field in _MACHINE_FLAGS.items():
-        v = getattr(args, flag, None)
+    for name in names:
+        v = getattr(args, name, None)
         if v is not None:
-            values[field] = v
+            values[name] = v
     return MachineConfig(**values).validate()
 
 

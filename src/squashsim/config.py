@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 
@@ -51,6 +51,17 @@ class MachineConfig:
         self.policy = PolicyKind(self.policy)
 
     def validate(self) -> "MachineConfig":
+        for name, typ in _FIELD_TYPES:
+            value = getattr(self, name)
+            if typ == "bool":
+                ok = isinstance(value, bool)
+            elif typ.startswith("int"):
+                ok = (isinstance(value, int) and not isinstance(value, bool)
+                      or value is None and typ == "int | None")
+            else:
+                continue  # policy is coerced on construction, fp_counting checked below
+            if not ok:
+                raise ConfigError(f"{name} must be {typ}, got {value!r}")
         if self.rob_size < 1:
             raise ConfigError(f"rob_size must be >= 1, got {self.rob_size}")
         if self.width < 1:
@@ -87,3 +98,7 @@ class MachineConfig:
 
     def with_policy(self, policy: PolicyKind | str) -> "MachineConfig":
         return replace(self, policy=PolicyKind(policy))
+
+
+# (name, annotation) per field; annotations are strings under postponed evaluation
+_FIELD_TYPES = tuple((f.name, f.type) for f in fields(MachineConfig))

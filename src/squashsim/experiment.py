@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import product
+from itertools import product, repeat, zip_longest
 
 from .config import MachineConfig, PolicyKind
 from .metrics import Metrics
-from .pipeline import Pipeline
+from .pipeline import LivelockError, Pipeline
 from .policy import PolicyState, restore_context, save_context
 from .trace import Trace
 
@@ -27,30 +28,37 @@ def run_policies(trace: Trace, config: MachineConfig,
 
 
 def _segments(trace: Trace, boundaries: list[int]) -> list[Trace]:
-    cuts = sorted({b for b in boundaries if 0 < b < len(trace.instructions)})
-    starts = [0] + cuts
-    ends = cuts + [len(trace.instructions)]
-    segs = []
-    for lo, hi in zip(starts, ends):
-        ins = [replace(i, seq=n) for n, i in enumerate(trace.instructions[lo:hi])]
-        segs.append(Trace(name=f"{trace.name}[{lo}:{hi}]", seed=trace.seed, instructions=ins))
-    return segs
+    n = len(trace.instructions)
+    cuts = sorted({b for b in boundaries if 0 < b < n})
+    return [Trace(name=f"{trace.name}[{lo}:{hi}]", seed=trace.seed,
+                  instructions=trace.instructions[lo:hi])
+            for lo, hi in zip([0] + cuts, cuts + [n])]
 
 
 def run_segmented(trace: Trace, config: MachineConfig, boundaries: list[int],
-                  context_id: int = 0) -> Metrics:
+                  context_id: int = 0, resolver=None, observer=None) -> Metrics:
     """Run a trace in segments, draining and save/restoring the policy state
-    at every boundary, and merge the per-segment metrics."""
+    at every boundary, and merge the per-segment metrics.
+
+    A segment is a plain slice of the trace, so every instruction keeps its
+    whole-trace ``seq``: a resolver keyed by trace position sees the same
+    positions as in an unsegmented run, and the pipeline restarts a squash
+    relative to the segment's first ``seq``.  A livelock in any segment
+    re-raises with the merged metrics of every segment run so far, under
+    the whole trace's id.
+    """
     config.validate()
+    total = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
     state = PolicyState(config, context_id=context_id)
-    total: Metrics | None = None
-    for seg in _segments(trace, boundaries):
-        m = Pipeline(seg, config, policy=state).run()
-        total = m if total is None else total.merge(m)
-        state = restore_context(save_context(state), config, context_id)
-    if total is None:
-        total = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
-    total.trace_id = trace.trace_id
+    for i, seg in enumerate(_segments(trace, boundaries)):
+        if i:
+            state = restore_context(save_context(state), config, context_id)
+        pipe = Pipeline(seg, config, policy=state, resolver=resolver, observer=observer)
+        try:
+            total.merge(pipe.run())
+        except LivelockError as err:
+            err.metrics = total.merge(err.metrics)
+            raise
     return total
 
 
@@ -63,31 +71,18 @@ def run_interleaved(workloads: dict[int, tuple[Trace, list[int]]],
     across its own segments only.
     """
     config.validate()
-    schedule: list[tuple[int, Trace]] = []
-    per_ctx_segments = {
-        cid: _segments(trace, bounds) for cid, (trace, bounds) in workloads.items()
-    }
-    max_len = max(len(s) for s in per_ctx_segments.values())
-    order = sorted(per_ctx_segments)
-    for i in range(max_len):
-        for cid in order:
-            segs = per_ctx_segments[cid]
-            if i < len(segs):
-                schedule.append((cid, segs[i]))
-
-    blobs = {cid: save_context(PolicyState(config, context_id=cid)) for cid in order}
-    totals: dict[int, Metrics | None] = {cid: None for cid in order}
-    for cid, seg in schedule:
-        state = restore_context(blobs[cid], config, cid)
-        m = Pipeline(seg, config, policy=state).run()
-        totals[cid] = m if totals[cid] is None else totals[cid].merge(m)
-        blobs[cid] = save_context(state)
-    out = {}
-    for cid in order:
-        total = totals[cid] or Metrics(policy=str(config.policy))
-        total.trace_id = workloads[cid][0].trace_id
-        out[cid] = total
-    return out
+    segments = {cid: _segments(*workloads[cid]) for cid in sorted(workloads)}
+    blobs = {cid: save_context(PolicyState(config, context_id=cid)) for cid in segments}
+    totals = {cid: Metrics(trace_id=workloads[cid][0].trace_id, policy=str(config.policy))
+              for cid in segments}
+    for round_ in zip_longest(*segments.values()):
+        for cid, seg in zip(segments, round_):
+            if seg is None:
+                continue  # this context has run all its segments
+            state = restore_context(blobs[cid], config, cid)
+            totals[cid].merge(Pipeline(seg, config, policy=state).run())
+            blobs[cid] = save_context(state)
+    return totals
 
 
 # -- parameter sweeps -----------------------------------------------------------
@@ -102,18 +97,14 @@ def sweep_points(base: MachineConfig, bits: list[int], hashes: list[int],
     return points
 
 
-def _sweep_one(args: tuple[Trace, MachineConfig]) -> Metrics:
-    trace, config = args
-    return run_workload(trace, config)
-
-
 def run_sweep(trace: Trace, points: list[MachineConfig], jobs: int = 1) -> list[dict]:
     """One run per point; rows keep the point order regardless of workers."""
     for p in points:
         p.validate()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_one, [(trace, p) for p in points]))
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_workload, repeat(trace), points))
     else:
         results = [run_workload(trace, p) for p in points]
     rows = []

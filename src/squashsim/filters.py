@@ -68,26 +68,14 @@ class BloomFilter:
     def set_count(self) -> int:
         return self.bits.bit_count()
 
-    def insert(self, indices: tuple[int, ...]) -> None:
-        self.insert_mask(indices_to_mask(indices))
-
     def insert_mask(self, mask: int) -> None:
         self.bits |= mask
-
-    def query(self, indices: tuple[int, ...]) -> bool:
-        return self.query_mask(indices_to_mask(indices))
 
     def query_mask(self, mask: int) -> bool:
         return (self.bits & mask) == mask
 
     def clear(self) -> None:
         self.bits = 0
-
-    def to_bytes(self) -> bytes:
-        return self.bits.to_bytes(max(1, self.m // 8), "little")
-
-    def load_bytes(self, data: bytes) -> None:
-        self.bits = int.from_bytes(data, "little")
 
 
 class RollingFilters:
@@ -122,9 +110,6 @@ class RollingFilters:
             if (f.bits & mask) == mask:
                 return True
         return False
-
-    def query_hashes(self, indices: tuple[int, ...]) -> bool:
-        return self.query(indices_to_mask(indices))
 
     def record_squash(self, masks: list[int], youngest_handle: int | None, dyn_count: int) -> None:
         """Insert squashed-PC masks and (re-)associate the active filter.

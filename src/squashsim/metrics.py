@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+_OFF_ROW = {"row": False}  # field metadata: left out of the report row
 
 
 @dataclass
@@ -23,45 +25,32 @@ class Metrics:
     squashed_executions: int = 0
     delayed_issues: int = 0
     fp_count: int = 0
-    perfect_only_count: int = 0  # exact-oracle hits the Bloom filters missed (must stay 0)
+    # exact-oracle hits the Bloom filters missed (must stay 0)
+    perfect_only_count: int = field(default=0, metadata=_OFF_ROW)
     filter_clears: int = 0
     rotations: int = 0
-    per_pc_spec_issues: dict[int, int] = field(default_factory=dict)
-    per_pc_issues: dict[int, int] = field(default_factory=dict)
+    per_pc_spec_issues: dict[int, int] = field(default_factory=dict, metadata=_OFF_ROW)
+    per_pc_issues: dict[int, int] = field(default_factory=dict, metadata=_OFF_ROW)
 
     def merge(self, other: "Metrics") -> "Metrics":
-        """Accumulate a later segment of the same context into this one."""
-        self.cycles += other.cycles
-        self.dynamic_executed += other.dynamic_executed
-        self.committed += other.committed
-        self.squashes += other.squashes
-        self.squashed_executions += other.squashed_executions
-        self.delayed_issues += other.delayed_issues
-        self.fp_count += other.fp_count
-        self.perfect_only_count += other.perfect_only_count
-        self.filter_clears += other.filter_clears
-        self.rotations += other.rotations
-        for pc, n in other.per_pc_spec_issues.items():
-            self.per_pc_spec_issues[pc] = self.per_pc_spec_issues.get(pc, 0) + n
-        for pc, n in other.per_pc_issues.items():
-            self.per_pc_issues[pc] = self.per_pc_issues.get(pc, 0) + n
+        """Accumulate a later segment of the same context into this one.
+
+        Counters add up and the per-PC dicts add per PC; the id strings
+        stay this run's."""
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if isinstance(mine, dict):
+                for pc, n in getattr(other, f.name).items():
+                    mine[pc] = mine.get(pc, 0) + n
+            elif isinstance(mine, int):
+                setattr(self, f.name, mine + getattr(other, f.name))
         return self
 
     def as_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "policy": self.policy,
-            "cycles": self.cycles,
-            "dynamic_executed": self.dynamic_executed,
-            "committed": self.committed,
-            "squashes": self.squashes,
-            "squashed_executions": self.squashed_executions,
-            "delayed_issues": self.delayed_issues,
-            "fp_count": self.fp_count,
-            "filter_clears": self.filter_clears,
-            "rotations": self.rotations,
-            "fp_rate": fp_rate(self),
-        }
+        """The report row: every field not marked off-row, then ``fp_rate``."""
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata.get("row", True)}
+        row["fp_rate"] = fp_rate(self)
+        return row
 
 
 def fp_rate(metrics: Metrics) -> float | None:

@@ -10,8 +10,8 @@ every policy.
 On a squash, every younger entry is drained, the PCs of the ones that had
 actually issued are recorded with the policy, and the front end restarts
 right after the misspeculating instruction, which itself stays put and
-re-executes.  Hash indices for the Bloom filters are computed once per PC
-at dispatch and kept in the entry.
+re-executes.  Each PC's Bloom filter bit mask is computed once per run,
+cached by PC, and kept in the entry at dispatch.
 
 A delayed entry is asked about again every cycle, but the answer can only
 change when the policy state it reads does.  ``PolicyState.version`` goes
@@ -65,22 +65,18 @@ class SquashRecord:
 
 class RobEntry:
     __slots__ = (
-        "seq", "instr", "state", "issue_cycle", "exec_done_cycle",
-        "resolved", "resolve_ready", "res_count", "gen", "hashes", "mask",
-        "fp_counted", "delay_version", "delay_fp",
+        "seq", "instr", "state", "resolved", "resolve_ready", "res_count", "gen",
+        "mask", "fp_counted", "delay_version", "delay_fp",
     )
 
-    def __init__(self, seq: int, instr: Instruction, hashes: tuple[int, ...], mask: int) -> None:
+    def __init__(self, seq: int, instr: Instruction, mask: int) -> None:
         self.seq = seq
         self.instr = instr
         self.state = DISPATCHED
-        self.issue_cycle: int | None = None
-        self.exec_done_cycle: int | None = None
         self.resolved = False
         self.resolve_ready: int | None = None
         self.res_count = 0
         self.gen = 0
-        self.hashes = hashes
         self.mask = mask
         self.fp_counted = False  # one FP per delay episode in "entry" counting
         self.delay_version = -1  # PolicyState.version at the last delay decision
@@ -136,7 +132,7 @@ class Pipeline:
         self.pending: list[int] = []  # dispatched, not yet issued; sorted by seq
         self._exec_events: list[tuple[int, int, int]] = []     # (cycle, seq, gen)
         self._resolve_events: list[tuple[int, int, int]] = []  # (cycle, seq, gen)
-        self._pc_cache: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._pc_masks: dict[int, int] = {}
         self._fp_entry_mode = config.fp_counting == "entry"
         self._last_commit_cycle = 0
         self._dispatch_resume = 0
@@ -188,7 +184,6 @@ class Pipeline:
             e = self.alive.get(seq)
             if e is not None and e.gen == gen and e.state == ISSUED:
                 e.state = EXECUTED
-                e.exec_done_cycle = self.cycle
 
     def _fire_resolutions(self) -> None:
         events = self._resolve_events
@@ -244,11 +239,11 @@ class Pipeline:
             for seq in popped:
                 self.observer.on_handle_safe(seq)
 
-    def try_issue(self) -> list[int]:
+    def try_issue(self) -> None:
         """Consult up to `width` of the oldest dispatched entries against the
-        policy; returns the seqs issued this cycle."""
+        policy and issue the ones it allows."""
         if not self.pending:
-            return []
+            return
         policy = self.policy
         version = policy.version
         head_seq = self.rob[0].seq if self.rob else None
@@ -278,14 +273,11 @@ class Pipeline:
                     continue
             self._issue(e)
             removed.append(i)
-        issued = [self.pending[i] for i in removed]
         for i in reversed(removed):
             del self.pending[i]
-        return issued
 
     def _issue(self, e: RobEntry) -> None:
         e.state = ISSUED
-        e.issue_cycle = self.cycle
         heapq.heappush(self._exec_events, (self.cycle + e.instr.exec_latency, e.seq, e.gen))
         shadow = e.instr.shadow_class
         if shadow is not None:
@@ -320,8 +312,7 @@ class Pipeline:
                 break  # handle queue full; stall until zombies drain
             seq = self.next_seq
             self.next_seq += 1
-            hashes, mask = self._hash_pc(rec.pc)
-            e = RobEntry(seq, rec, hashes, mask)
+            e = RobEntry(seq, rec, self._pc_mask(rec.pc))
             self.rob.append(e)
             self.alive[seq] = e
             self.pending.append(seq)  # seq is monotonic, list stays sorted
@@ -362,13 +353,12 @@ class Pipeline:
             self.metrics.squashed_executions += 1
         cause.state = DISPATCHED
         cause.gen += 1
-        cause.issue_cycle = None
-        cause.exec_done_cycle = None
         cause.resolve_ready = None
         cause.fp_counted = False
         bisect.insort(self.pending, cause_seq)
 
-        self.cursor = cause.instr.seq + 1
+        # records may be a slice of a longer trace that keeps its seqs
+        self.cursor = cause.instr.seq - self.records[0].seq + 1
         self._dispatch_resume = self.cycle + self.config.squash_recovery
         if self.observer is not None:
             self.observer.on_squash(record, [h.seq for h in self.hq.entries()])
@@ -376,13 +366,12 @@ class Pipeline:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _hash_pc(self, pc: int) -> tuple[tuple[int, ...], int]:
-        cached = self._pc_cache.get(pc)
-        if cached is None:
+    def _pc_mask(self, pc: int) -> int:
+        mask = self._pc_masks.get(pc)
+        if mask is None:
             hashes = compute_hashes(pc, self.policy.hash_seeds, self.config.bits)
-            cached = (hashes, indices_to_mask(hashes))
-            self._pc_cache[pc] = cached
-        return cached
+            mask = self._pc_masks[pc] = indices_to_mask(hashes)
+        return mask
 
 
 def run(trace: Trace, config: MachineConfig, policy: PolicyState | None = None,

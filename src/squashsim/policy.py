@@ -280,10 +280,14 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
         raise ContextBlobError("oracle flag mismatch between blob and config")
 
     (n_hq,) = r.take("<I")
+    prev_seq = -1
     for _ in range(n_hq):
         seq, shadow_code, flags = r.take("<QBB")
         if shadow_code not in _CODE_SHADOW:
             raise ContextBlobError(f"unknown shadow code {shadow_code}")
+        if seq <= prev_seq:
+            raise ContextBlobError(f"handle seq {seq} not after {prev_seq}")
+        prev_seq = seq
         state.handle_queue.push_handle(seq, _CODE_SHADOW[shadow_code])
         if flags & 1:
             state.handle_queue.mark_resolved(seq)
@@ -296,6 +300,8 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
             raise ContextBlobError("filter geometry mismatch between blob and config")
         if active >= count:
             raise ContextBlobError(f"active filter {active} out of range for {count} filters")
+        if not 1 <= threshold <= m:
+            raise ContextBlobError(f"threshold {threshold} out of range for {m} bits")
         seeds = r.take(f"<{k}Q")
         if tuple(seeds) != state.hash_seeds:
             raise ContextBlobError("hash seed mismatch between blob and config")
@@ -318,10 +324,7 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
             (n_pc,) = r.take("<I")
             pcs = frozenset(r.take(f"<{n_pc}Q")) if n_pc else frozenset()
             rec_dyn = (deadline - window) if deadline is not None else state.dyn_count
-            if expire_seq is not None:
-                state.perfect.record(pcs, expire_seq, rec_dyn)
-            else:
-                state.perfect.record(pcs, None, rec_dyn)
+            state.perfect.record(pcs, expire_seq, rec_dyn)
 
     if r.off != len(blob.data):
         raise ContextBlobError(f"{len(blob.data) - r.off} trailing bytes in blob")

@@ -67,6 +67,8 @@ class Instruction:
     misspeculate: bool = False
 
     def __post_init__(self) -> None:
+        if self.pc < 0:
+            raise ValueError(f"pc must be >= 0, got {self.pc}")
         if self.exec_latency < 1:
             raise ValueError(f"exec_latency must be >= 1, got {self.exec_latency}")
         if self.resolve_latency < 1:
@@ -77,10 +79,6 @@ class Instruction:
             raise ValueError(f"{self.kind} cannot cast an {self.shadow_class}-shadow")
         if self.misspeculate and self.shadow_class is None:
             raise ValueError("only shadow-casting instructions can misspeculate")
-
-    @property
-    def is_handle(self) -> bool:
-        return self.shadow_class is not None
 
 
 @dataclass

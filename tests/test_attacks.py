@@ -165,6 +165,20 @@ def test_context_switch_mid_scenario_preserves_counts():
         assert a.squashes == b.squashes
 
 
+def test_livelock_after_context_switch_keeps_earlier_segments():
+    sc = build_serial(2, 1, window_pad=40)
+    second = sc.handle_slots[1]
+    # release the first handle, switch, then hold the second one forever
+    sc.actions = [AcquireHandle(0), ReleaseHandle(0, after_replays=1),
+                  ContextSwitch(second), AcquireHandle(second)]
+    for policy in PolicyKind:
+        rep = run_scenario(sc, MachineConfig(policy=policy, livelock_budget=200))
+        assert rep.livelock
+        assert rep.metrics.committed == second  # the whole first segment
+        assert rep.cycles > 201  # the first segment's cycles plus the livelocked ones
+        assert rep.metrics.trace_id == sc.trace.trace_id
+
+
 def test_scenario_pattern_metadata():
     sc = build_nested(2, 1)
     assert sc.pattern is ScenarioPattern.NESTED

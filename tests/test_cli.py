@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from squashsim.cli import EXIT_CONFIG, EXIT_LIVELOCK, EXIT_OK, main
+from squashsim.cli import EXIT_CONFIG, EXIT_LIVELOCK, EXIT_OK, build_config, main, make_parser
 from squashsim.trace import gen_loop_trace, save_trace
 
 
@@ -182,6 +182,34 @@ def test_config_file_unknown_key(capsys, tmp_path, loop_trace):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nonsense": 1}))
     assert main(["simulate", "--trace", loop_trace, "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("content,field", [
+    ({"bits": "64"}, "bits"),
+    ({"oracle": "no"}, "oracle"),
+    ({"rob_size": True}, "rob_size"),
+    (5, "JSON object"),
+])
+def test_config_file_mistyped_value(capsys, tmp_path, loop_trace, content, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    assert main(["simulate", "--trace", loop_trace, "--config", str(cfg)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+def test_machine_flags_store_under_config_field_names():
+    args = make_parser().parse_args(["simulate", "--rob", "16", "--budget", "99",
+                                     "--recovery", "2", "--window-len", "5"])
+    config = build_config(args)
+    assert (config.rob_size, config.livelock_budget, config.squash_recovery,
+            config.window_len) == (16, 99, 2, 5)
+
+
+def test_negative_pc_trace_rejected_with_line_number(capsys, tmp_path):
+    path = tmp_path / "neg.tr"
+    path.write_text("0 0x10 PLAIN - 1 1\n1 -0x4 PLAIN - 1 1\n")
+    assert main(["simulate", "--trace", str(path)]) == EXIT_CONFIG
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_out_file_written(capsys, tmp_path, loop_trace):

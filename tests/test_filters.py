@@ -59,15 +59,15 @@ def test_insert_then_query_hits():
     f = BloomFilter(64, 2)
     seeds = derive_hash_seeds(0, 2)
     h = compute_hashes(0x1234, seeds, 64)
-    f.insert(h)
-    assert f.query(h)
+    f.insert_mask(indices_to_mask(h))
+    assert f.query_mask(indices_to_mask(h))
     assert f.set_count == len(set(h))
 
 
 def test_insert_into_full_filter_is_idempotent():
     f = BloomFilter(8, 2)
     f.bits = (1 << 8) - 1
-    f.insert((0, 5))
+    f.insert_mask(indices_to_mask((0, 5)))
     assert f.set_count == 8
 
 
@@ -85,12 +85,12 @@ def test_empirical_fp_rate_matches_load():
     f = BloomFilter(m, k)
     rng = random.Random(5)
     for _ in range(60):
-        f.insert(compute_hashes(rng.getrandbits(64), seeds, m))
+        f.insert_mask(_mask(rng.getrandbits(64), seeds, m))
     load = f.set_count / m
     expected = load**k
     trials = 20_000
     hits = sum(
-        f.query(compute_hashes(rng.getrandbits(64), seeds, m)) for _ in range(trials)
+        f.query_mask(_mask(rng.getrandbits(64), seeds, m)) for _ in range(trials)
     )
     rate = hits / trials
     assert abs(rate - expected) < 0.02
@@ -251,12 +251,3 @@ def test_perfect_hits_subset_of_pair_hits():
         if pf.query(probe):
             assert rf.query(_mask(probe, seeds, m)), "exact hit missed by the pair"
 
-
-def test_query_hashes_matches_mask_query():
-    rf = RollingFilters(m=64, k=2)
-    seeds = derive_hash_seeds(0, 2)
-    from squashsim.filters import compute_hashes as ch
-    idx = ch(0x1234, seeds, 64)
-    rf.filters[0].insert(idx)
-    assert rf.query_hashes(idx)
-    assert rf.query(indices_to_mask(idx))

@@ -36,7 +36,7 @@ def test_dispatch_pushes_handles_on_queue():
     p.dispatch()
     assert len(p.rob) == 2
     assert [e.seq for e in p.hq.entries()] == [0]
-    assert p.rob[0].hashes  # precomputed at dispatch
+    assert p.rob[0].mask  # precomputed at dispatch
 
 
 def test_dispatch_stalls_when_rob_full():

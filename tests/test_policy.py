@@ -252,6 +252,29 @@ def test_restore_rejects_active_filter_out_of_range():
         restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
 
 
+def test_restore_rejects_handle_seqs_out_of_order():
+    st = _state(PolicyKind.DOS_BLOOM)
+    st.handle_queue.push_handle(1, ShadowKind.E)
+    st.handle_queue.push_handle(5, ShadowKind.C)
+    data = bytearray(save_context(st).data)
+    # 32-byte header, handle count u32, then seq u64, code u8, flags u8 per handle
+    assert struct.unpack_from("<Q", data, 46) == (5,)
+    struct.pack_into("<Q", data, 46, 1)
+    with pytest.raises(ContextBlobError, match="handle seq"):
+        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
+
+
+@pytest.mark.parametrize("threshold", [0, 999])
+def test_restore_rejects_threshold_out_of_range(threshold):
+    st = _state(PolicyKind.DOS_BLOOM)
+    data = bytearray(save_context(st).data)
+    # 32-byte header, zero handles, then m, k, count, active, threshold as u32
+    assert struct.unpack_from("<5I", data, 36) == (64, 2, 2, 0, 32)
+    struct.pack_into("<I", data, 52, threshold)
+    with pytest.raises(ContextBlobError, match="threshold"):
+        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
+
+
 def test_restore_rejects_policy_mismatch():
     blob = save_context(PolicyState(MachineConfig(policy=PolicyKind.BASELINE)))
     with pytest.raises(ContextBlobError):

@@ -113,6 +113,7 @@ def test_roundtrip_generated_file():
         ("0 0x400 LOAD E x 10", "latency"),
         ("5 0x400 LOAD E 1 10", "out of order"),
         ("0 0x400 LOAD E 1 10 WAT", "trailing"),
+        ("0 -0x4 LOAD E 1 10", "pc must"),
     ],
 )
 def test_parse_errors_name_line_and_field(line, fragment):
@@ -123,6 +124,8 @@ def test_parse_errors_name_line_and_field(line, fragment):
 
 
 def test_instruction_invariants():
+    with pytest.raises(ValueError):
+        Instruction(0, -4, InstructionKind.PLAIN)
     with pytest.raises(ValueError):
         Instruction(0, 0x10, InstructionKind.TRANSMIT, ShadowKind.C)
     with pytest.raises(ValueError):
