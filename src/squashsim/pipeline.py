@@ -10,8 +10,17 @@ every policy.
 On a squash, every younger entry is drained, the PCs of the ones that had
 actually issued are recorded with the policy, and the front end restarts
 right after the misspeculating instruction, which itself stays put and
-re-executes.  Each PC's Bloom filter bit mask is computed once per run,
-cached by PC, and kept in the entry at dispatch.
+re-executes.
+
+Dispatch does only the work some policy reads.  A PC's Bloom filter bit
+mask is computed only when the policy holds Bloom filters (dos-bloom),
+once per run and PC, and kept in the entry; under every other policy the
+mask is 0, since only the rolling filters read it.  The policy's dispatch
+hook runs once per cycle with the number dispatched rather than once per
+instruction.  That is exact: every dispatch of a cycle happens in the last
+phase, and nothing in it reads the dynamic-instruction count, the filters
+or the exact records (the resolve, commit, pop and issue phases do), so a
+deferred clear or an exact-record expiry lands in the same cycle either way.
 
 A delayed entry is asked about again every cycle, but the answer can only
 change when the policy state it reads does.  ``PolicyState.version`` goes
@@ -132,7 +141,8 @@ class Pipeline:
         self.pending: list[int] = []  # dispatched, not yet issued; sorted by seq
         self._exec_events: list[tuple[int, int, int]] = []     # (cycle, seq, gen)
         self._resolve_events: list[tuple[int, int, int]] = []  # (cycle, seq, gen)
-        self._pc_masks: dict[int, int] = {}
+        # Bloom filter bit mask per PC, for the one policy that reads masks
+        self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
         self._last_commit_cycle = 0
         self._dispatch_resume = 0
@@ -318,9 +328,10 @@ class Pipeline:
             self.pending.append(seq)  # seq is monotonic, list stays sorted
             if rec.shadow_class is not None:
                 self.hq.push_handle(seq, rec.shadow_class)
-            self.policy.on_dispatch()
             self.cursor += 1
             n += 1
+        if n:  # an empty cycle sweeps nothing, so clears land on the same cycles
+            self.policy.on_dispatch(n)
         return n
 
     # -- squash ----------------------------------------------------------------
@@ -367,10 +378,13 @@ class Pipeline:
     # -- helpers ----------------------------------------------------------------
 
     def _pc_mask(self, pc: int) -> int:
-        mask = self._pc_masks.get(pc)
+        masks = self._pc_masks
+        if masks is None:
+            return 0
+        mask = masks.get(pc)
         if mask is None:
             hashes = compute_hashes(pc, self.policy.hash_seeds, self.config.bits)
-            mask = self._pc_masks[pc] = indices_to_mask(hashes)
+            mask = masks[pc] = indices_to_mask(hashes)
         return mask
 
 

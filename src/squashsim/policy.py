@@ -147,8 +147,17 @@ class PolicyState:
         if self.perfect is not None and self.perfect.on_handle_safe(seq, self.dyn_count):
             self.version += 1
 
-    def on_dispatch(self) -> None:
-        self.dyn_count += 1
+    def on_dispatch(self, n: int = 1) -> None:
+        """``n`` more instructions have been dispatched.
+
+        One call for a whole dispatch group is the same as ``n`` calls of
+        one: each sweep clears or drops whatever fell due by the new
+        ``dyn_count``, and the clears of a group land in its one cycle
+        either way, because nothing reads the filters, the exact records
+        or ``dyn_count`` between two dispatches of one cycle.  ``version``
+        still moves if and only if something was cleared or dropped.
+        """
+        self.dyn_count += n
         rf = self.filters
         if rf is not None:
             clears = rf.clears

@@ -72,14 +72,10 @@ class HandleQueue:
     def oldest_seq(self) -> int | None:
         return self._entries[0].seq if self._entries else None
 
-    def oldest_live_unresolved(self) -> int | None:
-        """Oldest entry that still casts a shadow (not resolved, not squashed)."""
-        return self._live_unresolved[0] if self._live_unresolved else None
-
     def shadows(self, seq: int) -> bool:
         """True if some live unresolved entry older than seq exists."""
-        oldest = self.oldest_live_unresolved()
-        return oldest is not None and oldest < seq
+        live = self._live_unresolved
+        return bool(live) and live[0] < seq
 
     def mark_resolved(self, seq: int) -> None:
         entry = self._by_seq.get(seq)

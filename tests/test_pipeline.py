@@ -1,6 +1,8 @@
 import pytest
 
+from squashsim import pipeline
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
+from squashsim.filters import compute_hashes
 from squashsim.pipeline import ISSUED, LivelockError, Pipeline, run
 from squashsim.shadows import ShadowKind
 from squashsim.trace import Instruction, InstructionKind, Trace, gen_loop_trace
@@ -36,7 +38,37 @@ def test_dispatch_pushes_handles_on_queue():
     p.dispatch()
     assert len(p.rob) == 2
     assert [e.seq for e in p.hq.entries()] == [0]
+    assert p.rob[0].mask == 0  # only the Bloom filters read masks
+    p = Pipeline(t, MachineConfig(policy=PolicyKind.DOS_BLOOM))
+    p.cycle = 1
+    p.dispatch()
     assert p.rob[0].mask  # precomputed at dispatch
+
+
+def _no_hashing(*args):
+    raise AssertionError("compute_hashes called without Bloom filters")
+
+
+@pytest.mark.parametrize(
+    "policy", [PolicyKind.BASELINE, PolicyKind.DELAY_ALL, PolicyKind.DOS_PERFECT])
+def test_no_hashing_without_bloom_filters(monkeypatch, policy):
+    monkeypatch.setattr(pipeline, "compute_hashes", _no_hashing)
+    m = run(gen_loop_trace(6, 30, 0.2, 3), MachineConfig(policy=policy))
+    assert m.committed == 180 and m.squashes > 0
+
+
+def test_bloom_policy_hashes_each_pc_once_per_run(monkeypatch):
+    calls = []
+
+    def counting(pc, seeds, bits):
+        calls.append(pc)
+        return compute_hashes(pc, seeds, bits)
+
+    monkeypatch.setattr(pipeline, "compute_hashes", counting)
+    trace = gen_loop_trace(6, 30, 0.2, 3)
+    m = run(trace, MachineConfig(policy=PolicyKind.DOS_BLOOM))
+    assert m.squashes > 0
+    assert sorted(calls) == sorted({i.pc for i in trace.instructions})
 
 
 def test_dispatch_stalls_when_rob_full():

@@ -1,9 +1,11 @@
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from squashsim.config import MachineConfig, PolicyKind
 from squashsim.filters import compute_hashes, indices_to_mask
+from squashsim.pipeline import Pipeline
 from squashsim.policy import (
     DELAY_BLOOM_HIT,
     DELAY_PERFECT_HIT,
@@ -15,6 +17,7 @@ from squashsim.policy import (
     save_context,
 )
 from squashsim.shadows import ShadowKind
+from squashsim.trace import gen_loop_trace
 
 
 def _state(policy, **kw):
@@ -151,6 +154,46 @@ def test_oracle_record_drop_raises_version():
     assert (st.filter_clears, st.version) == (0, 2)
 
 
+_BATCH_PCS = (0x400, 0x404, 0x500)
+
+
+def _batch_state(**kw):
+    # two timed squash records, due at dyn_count 6 and 7; with threshold 1
+    # the first squash rotates, so each Bloom filter holds one deadline
+    st = _state(window_len=4, threshold=1, **kw)
+    st.on_dispatch(2)
+    st.on_squash(frozenset({0x400, 0x404}), [_mask(st, 0x400), _mask(st, 0x404)], None)
+    st.on_dispatch(1)
+    st.on_squash(frozenset({0x500}), [_mask(st, 0x500)], None)
+    return st
+
+
+def _batch_snapshot(st, version_before):
+    out = [st.dyn_count, st.filter_clears, st.version != version_before]
+    if st.filters is not None:
+        rf = st.filters
+        out += [[f.bits for f in rf.filters], list(rf.assoc), list(rf.deadline)]
+    pf = st.perfect
+    out += [[pf.query(pc) for pc in _BATCH_PCS],
+            [(r.pcs, r.expire_seq, r.deadline) for r in pf.records()]]
+    return out
+
+
+@pytest.mark.parametrize("kw", [dict(policy=PolicyKind.DOS_BLOOM, oracle=True),
+                                dict(policy=PolicyKind.DOS_PERFECT)])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_on_dispatch_batch_matches_single_steps(kw, n):
+    batched, stepped = _batch_state(**kw), _batch_state(**kw)
+    assert [r.deadline for r in batched.perfect.records()] == [6, 7]
+    if batched.filters is not None:
+        assert batched.filters.deadline == [6, 7]
+    v0 = batched.version
+    batched.on_dispatch(n)
+    for _ in range(n):
+        stepped.on_dispatch()
+    assert _batch_snapshot(batched, v0) == _batch_snapshot(stepped, v0)
+
+
 def _exercise(state):
     """Feed a fixed event stream; return the decision trail."""
     out = []
@@ -211,6 +254,39 @@ def test_save_restore_midstream(policy):
     assert trail_a == trail_b
     again = restore_context(save_context(restored), MachineConfig(policy=policy))
     assert save_context(again).data == save_context(restored).data
+
+
+def _mid_run(policy, stop):
+    """Config and policy state of a small squashing run after `stop` cycles."""
+    config = MachineConfig(policy=policy, oracle=True, window_len=8)
+    p = Pipeline(gen_loop_trace(8, 12, 0.2, 5), config)
+    while p.cycle < stop and (p.cursor < len(p.records) or p.rob):
+        p.cycle += 1
+        p.tick()
+    return config, p.policy
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.sampled_from(list(PolicyKind)), hs.integers(0, 240))
+def test_save_restore_save_is_byte_identical(policy, stop):
+    config, state = _mid_run(policy, stop)
+    data = save_context(state).data
+    assert save_context(restore_context(ContextBlob(0, data), config)).data == data
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.integers(0, 160), hs.data())
+def test_mutated_blob_restores_or_raises_blob_error(stop, draw):
+    config, state = _mid_run(PolicyKind.DOS_BLOOM, stop)
+    data = bytearray(save_context(state).data)
+    edits = draw.draw(hs.lists(hs.tuples(hs.integers(0, len(data) - 1), hs.integers(0, 255)),
+                               min_size=1, max_size=3))
+    for pos, value in edits:
+        data[pos] = value
+    try:
+        restore_context(ContextBlob(0, bytes(data)), config)
+    except ContextBlobError:
+        pass
 
 
 def test_restore_rejects_wrong_context():
