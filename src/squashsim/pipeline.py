@@ -12,6 +12,14 @@ actually issued are recorded with the policy, and the front end restarts
 right after the misspeculating instruction, which itself stays put and
 re-executes.
 
+The ``RobEntry`` is the one handle on an in-flight instruction: the
+reorder buffer, the not-yet-issued list and the event heap all hold
+entries.  An event is ``(cycle, kind, seq, gen, entry)``; ``kind`` puts a
+cycle's completions before its resolutions, and ``seq`` orders each of
+the two by age.  A squash bumps ``gen`` on the cause and on every victim,
+so an event is stale exactly when ``entry.gen != gen``.  Latencies are at
+least 1, so every event fires in the first tick of its own cycle.
+
 Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
 once per run and PC, and kept in the entry; under every other policy the
@@ -37,7 +45,6 @@ never adds to ``perfect_only_count``, so there is nothing to repeat there.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -53,6 +60,10 @@ ISSUED = 1
 EXECUTED = 2
 
 _STATE_NAMES = {DISPATCHED: "Dispatched", ISSUED: "Issued", EXECUTED: "Executed"}
+
+# event kinds, in the order they fire within one cycle
+_COMPLETE = 0
+_RESOLVE = 1
 
 
 class LivelockError(RuntimeError):
@@ -137,20 +148,14 @@ class Pipeline:
         self.cursor = 0
         self.next_seq = self.policy.next_seq
         self.rob: list[RobEntry] = []
-        self.alive: dict[int, RobEntry] = {}
-        self.pending: list[int] = []  # dispatched, not yet issued; sorted by seq
-        self._exec_events: list[tuple[int, int, int]] = []     # (cycle, seq, gen)
-        self._resolve_events: list[tuple[int, int, int]] = []  # (cycle, seq, gen)
+        self.pending: list[RobEntry] = []  # dispatched, not yet issued; in seq order
+        # heap of (cycle, kind, seq, gen, entry)
+        self._events: list[tuple[int, int, int, int, RobEntry]] = []
         # Bloom filter bit mask per PC, for the one policy that reads masks
         self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
         self._last_commit_cycle = 0
         self._dispatch_resume = 0
-        # policy counters are cumulative across context segments
-        self._fp_base = self.policy.fp_count
-        self._po_base = self.policy.perfect_only_count
-        self._rot_base = self.policy.rotations
-        self._clr_base = self.policy.filter_clears
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -172,14 +177,13 @@ class Pipeline:
 
     def _finalize(self) -> None:
         self.metrics.cycles = self.cycle
-        self.metrics.fp_count = self.policy.fp_count - self._fp_base
-        self.metrics.perfect_only_count = self.policy.perfect_only_count - self._po_base
-        self.metrics.rotations = self.policy.rotations - self._rot_base
-        self.metrics.filter_clears = self.policy.filter_clears - self._clr_base
+        self.metrics.fp_count = self.policy.fp_count
+        self.metrics.perfect_only_count = self.policy.perfect_only_count
+        self.metrics.rotations = self.policy.rotations
+        self.metrics.filter_clears = self.policy.filter_clears
 
     def tick(self) -> None:
-        self._complete_executions()
-        self._fire_resolutions()
+        self._fire_events()
         self.commit()
         self._pop_safe_handles()
         self.try_issue()
@@ -187,28 +191,23 @@ class Pipeline:
 
     # -- phases ----------------------------------------------------------------
 
-    def _complete_executions(self) -> None:
-        events = self._exec_events
+    def _fire_events(self) -> None:
+        """Complete the executions, then fire the resolutions, due now."""
+        events = self._events
         while events and events[0][0] <= self.cycle:
-            _, seq, gen = heapq.heappop(events)
-            e = self.alive.get(seq)
-            if e is not None and e.gen == gen and e.state == ISSUED:
+            _, kind, _, gen, e = heapq.heappop(events)
+            if e.gen != gen:
+                continue  # squashed since the event was scheduled
+            if kind == _COMPLETE:
                 e.state = EXECUTED
-
-    def _fire_resolutions(self) -> None:
-        events = self._resolve_events
-        while events and events[0][0] <= self.cycle:
-            _, seq, gen = heapq.heappop(events)
-            e = self.alive.get(seq)
-            if e is None or e.gen != gen or e.resolved or e.state == DISPATCHED:
-                continue
-            self._resolve(e)
+            else:
+                self._resolve(e)
 
     def _resolve(self, e: RobEntry) -> None:
         e.res_count += 1
         if self.resolver(e):
             self.metrics.squashes += 1
-            self.squash_from(e.seq)
+            self.squash_from(e)
         else:
             e.resolved = True
             self.hq.mark_resolved(e.seq)
@@ -223,7 +222,6 @@ class Pipeline:
             shadow = head.instr.shadow_class
             if shadow is None or head.resolved:
                 self.rob.pop(0)
-                del self.alive[head.seq]
                 self.metrics.committed += 1
                 self._last_commit_cycle = self.cycle
                 retired += 1
@@ -256,20 +254,19 @@ class Pipeline:
             return
         policy = self.policy
         version = policy.version
-        head_seq = self.rob[0].seq if self.rob else None
+        head = self.rob[0]
         fp_entry_mode = self._fp_entry_mode
         m = self.metrics
         removed: list[int] = []
-        for i, seq in enumerate(self.pending[:self.config.width]):
-            e = self.alive[seq]
-            if seq != head_seq:  # the ROB head is never delayed
+        for i, e in enumerate(self.pending[:self.config.width]):
+            if e is not head:  # the ROB head is never delayed
                 if e.delay_version == version:
                     # nothing the last decision read has changed: same delay
                     m.delayed_issues += 1
                     policy.fp_count += e.delay_fp
                     continue
                 before = policy.fp_count
-                reason = policy.issue_decision(seq, e.instr.pc, e.mask, not e.fp_counted)
+                reason = policy.issue_decision(e.seq, e.instr.pc, e.mask, not e.fp_counted)
                 if reason is not None:
                     m.delayed_issues += 1
                     fp = policy.fp_count - before
@@ -288,16 +285,15 @@ class Pipeline:
 
     def _issue(self, e: RobEntry) -> None:
         e.state = ISSUED
-        heapq.heappush(self._exec_events, (self.cycle + e.instr.exec_latency, e.seq, e.gen))
+        events = self._events
+        heapq.heappush(events, (self.cycle + e.instr.exec_latency, _COMPLETE, e.seq, e.gen, e))
         shadow = e.instr.shadow_class
         if shadow is not None:
             if shadow is ShadowKind.E:
                 e.resolve_ready = self.cycle + e.instr.resolve_latency
             else:
                 heapq.heappush(
-                    self._resolve_events,
-                    (self.cycle + e.instr.resolve_latency, e.seq, e.gen),
-                )
+                    events, (self.cycle + e.instr.resolve_latency, _RESOLVE, e.seq, e.gen, e))
         m = self.metrics
         m.dynamic_executed += 1
         pc = e.instr.pc
@@ -324,8 +320,7 @@ class Pipeline:
             self.next_seq += 1
             e = RobEntry(seq, rec, self._pc_mask(rec.pc))
             self.rob.append(e)
-            self.alive[seq] = e
-            self.pending.append(seq)  # seq is monotonic, list stays sorted
+            self.pending.append(e)  # seq is monotonic, the list stays in order
             if rec.shadow_class is not None:
                 self.hq.push_handle(seq, rec.shadow_class)
             self.cursor += 1
@@ -336,44 +331,39 @@ class Pipeline:
 
     # -- squash ----------------------------------------------------------------
 
-    def squash_from(self, cause_seq: int) -> SquashRecord:
-        """Drain everything younger than cause_seq; the cause re-executes."""
-        cause = self.alive.get(cause_seq)
-        if cause is None:
-            raise KeyError(f"squash_from: seq {cause_seq} not in the ROB")
-
+    def squash_from(self, cause: RobEntry) -> None:
+        """Drain every entry younger than the issued ``cause``, which
+        re-executes."""
         victims: list[RobEntry] = []
-        while self.rob and self.rob[-1].seq > cause_seq:
+        while self.rob and self.rob[-1].seq > cause.seq:
             victims.append(self.rob.pop())
         issued = [v for v in victims if v.state != DISPATCHED]
         for v in victims:
-            del self.alive[v.seq]
-        cut = bisect.bisect_right(self.pending, cause_seq)
-        del self.pending[cut:]
+            v.gen += 1  # their queued events are stale now
+        pending = self.pending
+        while pending and pending[-1].seq > cause.seq:
+            pending.pop()
 
-        self.hq.mark_squashed_after(cause_seq)
+        self.hq.mark_squashed_after(cause.seq)
         youngest = self.hq.youngest_handle()
+        # the policy reads the PCs (exact records) and the masks (Bloom filters)
         pcs = frozenset(v.instr.pc for v in issued)
-        masks = [v.mask for v in issued]
-        record = SquashRecord(cause_seq, pcs, youngest)
-        self.policy.on_squash(pcs, masks, youngest)
+        self.policy.on_squash(pcs, [v.mask for v in issued], youngest)
 
-        self.metrics.squashed_executions += len(issued)
-        if cause.state != DISPATCHED:
-            # the misspeculated execution of the cause itself is discarded
-            self.metrics.squashed_executions += 1
+        # the misspeculated execution of the cause itself is discarded too
+        self.metrics.squashed_executions += len(issued) + 1
         cause.state = DISPATCHED
         cause.gen += 1
         cause.resolve_ready = None
         cause.fp_counted = False
-        bisect.insort(self.pending, cause_seq)
+        pending.append(cause)  # every entry still pending is older
 
         # records may be a slice of a longer trace that keeps its seqs
         self.cursor = cause.instr.seq - self.records[0].seq + 1
         self._dispatch_resume = self.cycle + self.config.squash_recovery
         if self.observer is not None:
-            self.observer.on_squash(record, [h.seq for h in self.hq.entries()])
-        return record
+            self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest),
+                                    [h.seq for h in self.hq.entries()])
 
     # -- helpers ----------------------------------------------------------------
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .config import MachineConfig, PolicyKind
 from .filters import PerfectFilter, RollingFilters, derive_hash_seeds
-from .shadows import HandleEntry, HandleQueue, ShadowKind
+from .shadows import HandleQueue, ShadowKind
 
 BLOB_MAGIC = b"SQSM"
 BLOB_VERSION = 1
@@ -224,10 +224,7 @@ def save_context(state: PolicyState) -> ContextBlob:
             1 if state.oracle else 0,
         )
     ]
-    if state.kind is PolicyKind.BASELINE:
-        hq_entries: list[HandleEntry] = []
-    else:
-        hq_entries = state.handle_queue.entries()
+    hq_entries = state.handle_queue.entries()
     parts.append(struct.pack("<I", len(hq_entries)))
     for e in hq_entries:
         flags = (1 if e.resolved else 0) | (2 if e.squashed else 0)

@@ -9,7 +9,6 @@ reach the head, which is what defeats serial and nested replay patterns.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -43,8 +42,6 @@ class HandleQueue:
     def __init__(self) -> None:
         self._entries: deque[HandleEntry] = deque()
         self._by_seq: dict[int, HandleEntry] = {}
-        # live = neither resolved nor squashed; kept sorted (pushes are monotonic)
-        self._live_unresolved: list[int] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,7 +60,6 @@ class HandleQueue:
         entry = HandleEntry(seq, kind if isinstance(kind, ShadowKind) else ShadowKind(kind))
         self._entries.append(entry)
         self._by_seq[seq] = entry
-        self._live_unresolved.append(seq)
 
     def youngest_handle(self) -> int | None:
         """Tail seq, counting squashed-but-present entries; None when empty."""
@@ -73,27 +69,31 @@ class HandleQueue:
         return self._entries[0].seq if self._entries else None
 
     def shadows(self, seq: int) -> bool:
-        """True if some live unresolved entry older than seq exists."""
-        live = self._live_unresolved
-        return bool(live) and live[0] < seq
+        """True if some live entry (neither resolved nor squashed) older
+        than seq exists.
+
+        Only the oldest live entry matters, and the scan stops at it.  The
+        pipeline asks in its issue phase, just after ``pop_safe`` has taken
+        every resolved or squashed entry off the head, so there the head is
+        live (or the queue empty) and the scan reads one entry.
+        """
+        for entry in self._entries:
+            if not (entry.resolved or entry.squashed):
+                return entry.seq < seq
+        return False
 
     def mark_resolved(self, seq: int) -> None:
         entry = self._by_seq.get(seq)
         if entry is None:
             raise HandleQueueError(f"mark_resolved: unknown seq {seq}")
-        if not entry.resolved:
-            entry.resolved = True
-            self._drop_live(seq)
+        entry.resolved = True
 
     def mark_squashed_after(self, seq: int) -> None:
         """Flag every entry younger than seq; the causing entry stays live."""
         for entry in reversed(self._entries):
             if entry.seq <= seq:
                 break
-            if not entry.squashed:
-                entry.squashed = True
-                if not entry.resolved:
-                    self._drop_live(entry.seq)
+            entry.squashed = True
 
     def pop_safe(self) -> list[int]:
         """Remove the head while it is resolved or squashed; return popped seqs."""
@@ -106,8 +106,3 @@ class HandleQueue:
             del self._by_seq[head.seq]
             popped.append(head.seq)
         return popped
-
-    def _drop_live(self, seq: int) -> None:
-        i = bisect.bisect_left(self._live_unresolved, seq)
-        if i < len(self._live_unresolved) and self._live_unresolved[i] == seq:
-            del self._live_unresolved[i]

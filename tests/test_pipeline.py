@@ -233,7 +233,7 @@ def test_commit_width_and_head_blocking():
     p.cycle = 2
     p.try_issue()
     p.cycle = 3
-    p._complete_executions()
+    p._fire_events()
     assert p.commit() == 3  # full width of Executed entries at the head
     assert p.metrics.committed == 3
 
@@ -243,17 +243,24 @@ def test_squash_completeness():
         (InstructionKind.BRANCH, ShadowKind.C, 0x100, 1, 30),
         *_plains(5),
     )
-    p = Pipeline(t, MachineConfig())
+    records = []
+
+    class Obs:
+        def on_issue(self, e, speculative, cycle): pass
+        def on_handle_safe(self, seq): pass
+        def on_squash(self, record, hq): records.append(record)
+
+    p = Pipeline(t, MachineConfig(), observer=Obs())
     p.cycle = 1
     p.dispatch()
     p.cycle = 2
     p.try_issue()
-    record = p.squash_from(0)
+    p.squash_from(p.rob[0])
+    (record,) = records
     assert record.cause_seq == 0
     assert all(e.seq <= 0 for e in p.rob)
+    assert p.pending == p.rob  # the cause waits to re-issue
     assert record.squashed_issued_pcs  # younger entries had issued
-    with pytest.raises(KeyError):
-        p.squash_from(99)
 
 
 def test_head_with_filtered_pc_still_issues():

@@ -357,6 +357,21 @@ def test_restore_rejects_policy_mismatch():
         restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM))
 
 
+def test_baseline_blob_keeps_its_handle_queue():
+    # under baseline the queue still drives shadows() and the dispatch stall
+    config = MachineConfig(policy=PolicyKind.BASELINE)
+    st = PolicyState(config)
+    hq = st.handle_queue
+    for seq, kind in ((1, ShadowKind.E), (4, ShadowKind.C), (6, ShadowKind.D), (9, ShadowKind.M)):
+        hq.push_handle(seq, kind)
+    hq.mark_resolved(4)
+    hq.mark_squashed_after(4)
+    hq.mark_resolved(9)
+    restored = restore_context(save_context(st), config).handle_queue
+    assert restored.entries() == hq.entries()
+    assert restored.shadows(2) and not restored.shadows(1)
+
+
 def test_baseline_blob_is_minimal():
     base = save_context(PolicyState(MachineConfig(policy=PolicyKind.BASELINE)))
     bloom = save_context(PolicyState(MachineConfig(policy=PolicyKind.DOS_BLOOM)))

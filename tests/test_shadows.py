@@ -98,22 +98,33 @@ def test_fifo_discipline_property(ops):
     hq = HandleQueue()
     pushed: list[int] = []
     popped: list[int] = []
-    next_seq = 0
-    live: list[int] = []
+    queued: dict[int, list[bool]] = {}  # model: seq -> [resolved, squashed]
     for op, arg in ops:
+        seqs = list(queued)
         if op == "push":
-            hq.push_handle(next_seq, ShadowKind.C)
-            pushed.append(next_seq)
-            live.append(next_seq)
-            next_seq += 1
-        elif op == "resolve" and live:
-            hq.mark_resolved(live[arg % len(live)])
-        elif op == "squash" and live:
-            hq.mark_squashed_after(live[arg % len(live)])
+            seq = len(pushed)
+            hq.push_handle(seq, ShadowKind.C)
+            pushed.append(seq)
+            queued[seq] = [False, False]
+        elif op == "resolve" and seqs:
+            seq = seqs[arg % len(seqs)]
+            hq.mark_resolved(seq)
+            queued[seq][0] = True
+        elif op == "squash" and seqs:
+            seq = seqs[arg % len(seqs)]
+            hq.mark_squashed_after(seq)
+            for s in seqs:
+                if s > seq:
+                    queued[s][1] = True
         elif op == "pop":
             got = hq.pop_safe()
             popped.extend(got)
-            live = [s for s in live if s not in got]
+            for s in got:
+                del queued[s]
+        oldest_live = min((s for s, (res, sq) in queued.items() if not (res or sq)),
+                          default=None)
+        for s in range(len(pushed) + 1):
+            assert hq.shadows(s) == (oldest_live is not None and oldest_live < s)
     popped.extend(hq.pop_safe())
     # popped seqs are always a prefix of pushed seqs, in insertion order
     assert popped == pushed[: len(popped)]
