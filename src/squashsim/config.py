@@ -82,6 +82,10 @@ class MachineConfig:
             raise ConfigError(f"squash_recovery must be >= 0, got {self.squash_recovery}")
         if self.fp_counting not in ("evaluation", "entry"):
             raise ConfigError(f"fp_counting must be 'evaluation' or 'entry', got {self.fp_counting}")
+        for name in ("bits", "hashes", "filters", "effective_threshold", "effective_window"):
+            value = getattr(self, name)
+            if value >= 1 << 32:  # the context blob packs it as u32
+                raise ConfigError(f"{name} must be < 2**32, got {value}")
         return self
 
     @property

@@ -141,30 +141,32 @@ class RollingFilters:
         return True
 
     def on_handle_safe(self, safe_seq: int, dyn_count: int) -> list[int]:
-        """Arm clear deadlines for filters whose handle is now safe."""
-        armed = []
+        """Arm clear deadlines for filters whose handle is now safe; return
+        the filters this cleared (a zero window clears right away)."""
+        armed = False
         for i, assoc in enumerate(self.assoc):
             if assoc is not None and assoc <= safe_seq:
                 self.assoc[i] = None
                 self.deadline[i] = dyn_count + self.window_len
-                armed.append(i)
-        if armed:
-            self._sweep(dyn_count)  # window_len 0 clears right away
-        return armed
+                armed = True
+        return self._sweep(dyn_count) if armed else []
 
     def on_dispatch(self, dyn_count: int) -> list[int]:
-        """Bulk-reset filters whose deferred clear deadline has passed."""
+        """Bulk-reset filters whose deferred clear deadline has passed;
+        return the filters this cleared."""
         return self._sweep(dyn_count)
 
     def _sweep(self, dyn_count: int) -> list[int]:
+        """Reset every filter whose deadline has passed and return the ones
+        that held bits; an empty filter only drops its deadline."""
         cleared = []
         for i, dl in enumerate(self.deadline):
             if dl is not None and dyn_count >= dl:
                 if self.filters[i].bits != 0:
                     self.filters[i].clear()
                     self.clears += 1
+                    cleared.append(i)
                 self.deadline[i] = None
-                cleared.append(i)
         return cleared
 
 

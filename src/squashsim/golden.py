@@ -111,7 +111,7 @@ def run_golden() -> list[GoldenStep]:
     c = _Check()
     for _ in range(6):
         state.on_dispatch()
-    hq.push_handle(_SEQ_H1, ShadowKind.E)
+    h1 = hq.push_handle(_SEQ_H1, ShadowKind.E)
     hq.push_handle(_SEQ_H2, ShadowKind.E)
     hq.push_handle(_SEQ_H3, ShadowKind.C)
     c.expect([e.seq for e in hq.entries()] == [_SEQ_H1, _SEQ_H2, _SEQ_H3],
@@ -178,7 +178,7 @@ def run_golden() -> list[GoldenStep]:
 
     # Step 6: H1 resolves; the queue drains and the filters clear.
     c = _Check()
-    hq.mark_resolved(_SEQ_H1)
+    hq.mark_resolved(h1)
     popped = hq.pop_safe()
     for seq in popped:
         state.on_handle_safe(seq)

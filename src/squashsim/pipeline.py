@@ -14,9 +14,11 @@ re-executes.
 
 The ``RobEntry`` is the one handle on an in-flight instruction: the
 reorder buffer, the not-yet-issued list and the event heap all hold
-entries.  An event is ``(cycle, kind, seq, gen, entry)``; ``kind`` puts a
-cycle's completions before its resolutions, and ``seq`` orders each of
-the two by age.  A squash bumps ``gen`` on the cause and on every victim,
+entries.  A shadow-casting entry keeps the ``HandleEntry`` that
+``push_handle`` returned, and only that entry records its resolution.
+An event is ``(cycle, kind, seq, gen, entry)``; ``kind`` puts a cycle's
+completions before its resolutions, and ``seq`` orders each of the two
+by age.  A squash bumps ``gen`` on the cause and on every victim,
 so an event is stale exactly when ``entry.gen != gen``.  Latencies are at
 least 1, so every event fires in the first tick of its own cycle.
 
@@ -34,13 +36,15 @@ A delayed entry is asked about again every cycle, but the answer can only
 change when the policy state it reads does.  ``PolicyState.version`` goes
 up on every squash record, on a pop of the oldest queued handle under
 delay-all, on a Bloom filter bulk clear and when the exact filter drops a
-record (by handle or by deadline).  Each entry keeps the version of its
-last delay and the ``fp_count`` increment that decision made; while the
-version holds, the entry counts as delayed without a new decision and
-adds what a new decision would have.  That is one ``delayed_issues`` and,
-under ``fp_counting="evaluation"``, the cached false positive; under
-``"entry"`` the episode's one false positive is already counted.  A delay
-never adds to ``perfect_only_count``, so there is nothing to repeat there.
+record (by handle or by deadline).  Each entry caches the version and the
+reason of its last decision; while the version holds, the cached reason
+stands in for a new decision.  A delay, fresh or cached, adds one
+``delayed_issues``.  The pipeline alone counts false positives: a
+``bloom-false-positive`` delay adds one to ``fp_count`` unless the entry's
+``fp_counted`` is set, and sets it under ``fp_counting="entry"``, so that
+mode counts one per delay episode and ``"evaluation"`` one per cycle.  A
+delay never adds to ``perfect_only_count``, so there is nothing to repeat
+there.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from dataclasses import dataclass
 from .config import MachineConfig
 from .filters import compute_hashes, indices_to_mask
 from .metrics import Metrics
-from .policy import PolicyState
-from .shadows import ShadowKind
+from .policy import DELAY_BLOOM_FP, PolicyState
+from .shadows import HandleEntry, ShadowKind
 from .trace import Instruction, Trace
 
 DISPATCHED = 0
@@ -85,27 +89,28 @@ class SquashRecord:
 
 class RobEntry:
     __slots__ = (
-        "seq", "instr", "state", "resolved", "resolve_ready", "res_count", "gen",
-        "mask", "fp_counted", "delay_version", "delay_fp",
+        "seq", "instr", "state", "handle", "resolve_ready", "res_count", "gen",
+        "mask", "fp_counted", "delay_version", "delay_reason",
     )
 
     def __init__(self, seq: int, instr: Instruction, mask: int) -> None:
         self.seq = seq
         self.instr = instr
         self.state = DISPATCHED
-        self.resolved = False
+        self.handle: HandleEntry | None = None  # set for a shadow-casting instruction
         self.resolve_ready: int | None = None
         self.res_count = 0
         self.gen = 0
         self.mask = mask
         self.fp_counted = False  # one FP per delay episode in "entry" counting
-        self.delay_version = -1  # PolicyState.version at the last delay decision
-        self.delay_fp = 0        # what a repeat of that decision adds to fp_count
+        self.delay_version = -1  # PolicyState.version at the last decision
+        self.delay_reason: str | None = None  # what that decision returned
 
     def __repr__(self) -> str:  # diagnostics only
+        resolved = self.handle is not None and self.handle.resolved
         return (
             f"RobEntry(seq={self.seq}, pc=0x{self.instr.pc:x}, "
-            f"state={_STATE_NAMES[self.state]}, resolved={self.resolved})"
+            f"state={_STATE_NAMES[self.state]}, resolved={resolved})"
         )
 
 
@@ -177,7 +182,6 @@ class Pipeline:
 
     def _finalize(self) -> None:
         self.metrics.cycles = self.cycle
-        self.metrics.fp_count = self.policy.fp_count
         self.metrics.perfect_only_count = self.policy.perfect_only_count
         self.metrics.rotations = self.policy.rotations
         self.metrics.filter_clears = self.policy.filter_clears
@@ -209,8 +213,7 @@ class Pipeline:
             self.metrics.squashes += 1
             self.squash_from(e)
         else:
-            e.resolved = True
-            self.hq.mark_resolved(e.seq)
+            self.hq.mark_resolved(e.handle)
 
     def commit(self) -> int:
         """Retire up to `width` executed entries from the head, in order."""
@@ -219,18 +222,18 @@ class Pipeline:
             head = self.rob[0]
             if head.state != EXECUTED:
                 break
-            shadow = head.instr.shadow_class
-            if shadow is None or head.resolved:
+            handle = head.handle
+            if handle is None or handle.resolved:
                 self.rob.pop(0)
                 self.metrics.committed += 1
                 self._last_commit_cycle = self.cycle
                 retired += 1
                 continue
-            if shadow is ShadowKind.E:
+            if handle.kind is ShadowKind.E:
                 # fault handling happens only at the head of the ROB
                 if self.cycle >= head.resolve_ready:
                     self._resolve(head)
-                    if not head.resolved:
+                    if not handle.resolved:
                         break  # squashed and re-executing
                     continue
             break
@@ -261,22 +264,15 @@ class Pipeline:
         for i, e in enumerate(self.pending[:self.config.width]):
             if e is not head:  # the ROB head is never delayed
                 if e.delay_version == version:
-                    # nothing the last decision read has changed: same delay
-                    m.delayed_issues += 1
-                    policy.fp_count += e.delay_fp
-                    continue
-                before = policy.fp_count
-                reason = policy.issue_decision(e.seq, e.instr.pc, e.mask, not e.fp_counted)
+                    reason = e.delay_reason  # nothing the last decision read has changed
+                else:
+                    reason = e.delay_reason = policy.issue_decision(e.seq, e.instr.pc, e.mask)
+                    e.delay_version = version
                 if reason is not None:
                     m.delayed_issues += 1
-                    fp = policy.fp_count - before
-                    e.delay_version = version
-                    if fp_entry_mode:
-                        e.delay_fp = 0  # the episode's one false positive is counted once
-                        if fp:
-                            e.fp_counted = True
-                    else:
-                        e.delay_fp = fp
+                    if reason == DELAY_BLOOM_FP and not e.fp_counted:
+                        m.fp_count += 1
+                        e.fp_counted = fp_entry_mode
                     continue
             self._issue(e)
             removed.append(i)
@@ -322,7 +318,7 @@ class Pipeline:
             self.rob.append(e)
             self.pending.append(e)  # seq is monotonic, the list stays in order
             if rec.shadow_class is not None:
-                self.hq.push_handle(seq, rec.shadow_class)
+                e.handle = self.hq.push_handle(seq, rec.shadow_class)
             self.cursor += 1
             n += 1
         if n:  # an empty cycle sweeps nothing, so clears land on the same cycles

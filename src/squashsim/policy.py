@@ -1,14 +1,18 @@
 """Issue policies and per-context save/restore of defense state.
 
-Four policies decide whether a dispatched instruction may issue:
+Four policies decide whether a dispatched instruction may issue, and a
+delay names one of four reasons:
 
 * ``baseline``    -- always allow (insecure reference machine).
-* ``delay-all``   -- delay while any potential handle older than the
-  instruction is still queued; the non-speculative lower bound.
-* ``dos-perfect`` -- delay while the PC is in a live exact squash record.
-* ``dos-bloom``   -- delay while the PC hits the rolling Bloom filters.
-  With the oracle enabled, the exact filter runs in lockstep and a Bloom
-  hit without an exact hit counts as a false positive.
+* ``delay-all``   -- delay (``unsafe-older-handle``) while any potential
+  handle older than the instruction is still queued; the non-speculative
+  lower bound.
+* ``dos-perfect`` -- delay (``perfect-hit``) while the PC is in a live
+  exact squash record.
+* ``dos-bloom``   -- delay (``bloom-hit``) while the PC hits the rolling
+  Bloom filters.  With the oracle enabled, the exact filter runs in
+  lockstep, and a Bloom hit without an exact hit is a false positive
+  (``bloom-false-positive``), which the pipeline counts.
 
 Context blob layout (little-endian, versioned)::
 
@@ -49,6 +53,7 @@ _CODE_SHADOW = {i: k for i, k in enumerate(ShadowKind)}
 DELAY_UNSAFE_HANDLE = "unsafe-older-handle"
 DELAY_BLOOM_HIT = "bloom-hit"
 DELAY_PERFECT_HIT = "perfect-hit"
+DELAY_BLOOM_FP = "bloom-false-positive"
 
 
 class ContextBlobError(ValueError):
@@ -88,20 +93,15 @@ class PolicyState:
         if self.kind is PolicyKind.DOS_PERFECT or self.oracle:
             self.perfect = PerfectFilter(window_len=config.effective_window)
 
-        # lockstep accounting (dos-bloom with oracle)
-        self.fp_count = 0
+        # lockstep accounting (dos-bloom with oracle): exact hits the Bloom filters miss
         self.perfect_only_count = 0
         # goes up whenever something issue_decision reads changes
         self.version = 0
 
     # -- issue-time decision ------------------------------------------------
 
-    def issue_decision(self, seq: int, pc: int, mask: int, count_fp: bool = True) -> str | None:
-        """Reason to delay, or None to allow.  The ROB head never gets here.
-
-        ``count_fp`` gates false-positive accounting so the pipeline can
-        count one FP per delay episode instead of one per evaluation.
-        """
+    def issue_decision(self, seq: int, pc: int, mask: int) -> str | None:
+        """Reason to delay, or None to allow.  The ROB head never gets here."""
         kind = self.kind
         if kind is PolicyKind.BASELINE:
             return None
@@ -117,9 +117,8 @@ class PolicyState:
         if self.oracle:
             exact = self.perfect.query(pc)
             if hit and not exact:
-                if count_fp:
-                    self.fp_count += 1
-            elif exact and not hit:
+                return DELAY_BLOOM_FP
+            if exact and not hit:
                 self.perfect_only_count += 1
         return DELAY_BLOOM_HIT if hit else None
 
@@ -138,12 +137,8 @@ class PolicyState:
         if self.kind is PolicyKind.DELAY_ALL:
             self.version += 1  # the oldest queued handle changed
             return
-        rf = self.filters
-        if rf is not None:
-            clears = rf.clears
-            rf.on_handle_safe(seq, self.dyn_count)
-            if rf.clears != clears:
-                self.version += 1
+        if self.filters is not None and self.filters.on_handle_safe(seq, self.dyn_count):
+            self.version += 1
         if self.perfect is not None and self.perfect.on_handle_safe(seq, self.dyn_count):
             self.version += 1
 
@@ -158,12 +153,8 @@ class PolicyState:
         still moves if and only if something was cleared or dropped.
         """
         self.dyn_count += n
-        rf = self.filters
-        if rf is not None:
-            clears = rf.clears
-            rf.on_dispatch(self.dyn_count)
-            if rf.clears != clears:
-                self.version += 1
+        if self.filters is not None and self.filters.on_dispatch(self.dyn_count):
+            self.version += 1
         if self.perfect is not None and self.perfect.on_dispatch(self.dyn_count):
             self.version += 1
 
@@ -294,9 +285,9 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
         if seq <= prev_seq:
             raise ContextBlobError(f"handle seq {seq} not after {prev_seq}")
         prev_seq = seq
-        state.handle_queue.push_handle(seq, _CODE_SHADOW[shadow_code])
+        entry = state.handle_queue.push_handle(seq, _CODE_SHADOW[shadow_code])
         if flags & 1:
-            state.handle_queue.mark_resolved(seq)
+            state.handle_queue.mark_resolved(entry)
         if flags & 2:
             state.handle_queue.mark_squashed_after(seq - 1)
 

@@ -25,7 +25,7 @@ class ShadowKind(str, Enum):
 
 
 class HandleQueueError(RuntimeError):
-    """Raised on FIFO invariant breaches (out-of-order push, unknown seq)."""
+    """Raised on a FIFO invariant breach (an out-of-order push)."""
 
 
 @dataclass(slots=True)
@@ -41,7 +41,6 @@ class HandleQueue:
 
     def __init__(self) -> None:
         self._entries: deque[HandleEntry] = deque()
-        self._by_seq: dict[int, HandleEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -52,14 +51,15 @@ class HandleQueue:
     def entries(self) -> list[HandleEntry]:
         return list(self._entries)
 
-    def push_handle(self, seq: int, kind: ShadowKind) -> None:
+    def push_handle(self, seq: int, kind: ShadowKind) -> HandleEntry:
+        """Queue a handle; the caller keeps the entry to mark it resolved."""
         if self._entries and seq <= self._entries[-1].seq:
             raise HandleQueueError(
                 f"push_handle out of order: seq {seq} <= tail {self._entries[-1].seq}"
             )
         entry = HandleEntry(seq, kind if isinstance(kind, ShadowKind) else ShadowKind(kind))
         self._entries.append(entry)
-        self._by_seq[seq] = entry
+        return entry
 
     def youngest_handle(self) -> int | None:
         """Tail seq, counting squashed-but-present entries; None when empty."""
@@ -82,10 +82,7 @@ class HandleQueue:
                 return entry.seq < seq
         return False
 
-    def mark_resolved(self, seq: int) -> None:
-        entry = self._by_seq.get(seq)
-        if entry is None:
-            raise HandleQueueError(f"mark_resolved: unknown seq {seq}")
+    def mark_resolved(self, entry: HandleEntry) -> None:
         entry.resolved = True
 
     def mark_squashed_after(self, seq: int) -> None:
@@ -103,6 +100,5 @@ class HandleQueue:
             if not (head.resolved or head.squashed):
                 break
             self._entries.popleft()
-            del self._by_seq[head.seq]
             popped.append(head.seq)
         return popped

@@ -79,6 +79,12 @@ def test_simulate_bad_config_value(capsys, loop_trace):
     assert main(["simulate", "--trace", loop_trace, "--bits", "48"]) == EXIT_CONFIG
 
 
+def test_simulate_window_beyond_u32_is_config_error(capsys, loop_trace):
+    code = main(["simulate", "--trace", loop_trace, "--policy", "dos-bloom",
+                 "--window-len", "8589934592"])
+    assert code == EXIT_CONFIG
+
+
 def test_simulate_livelock_exit_code(capsys, tmp_path):
     path = tmp_path / "slow.tr"
     path.write_text("0 0x10 LOAD - 40 1\n")

@@ -170,6 +170,22 @@ def test_handle_safe_arms_deferred_clear():
     assert rf.clears == 1
 
 
+def test_sweeps_report_only_the_filters_they_cleared():
+    rf = RollingFilters(m=64, k=2, count=3, window_len=0)
+    rf.filters[1].bits = 0b1
+    rf.assoc[0] = rf.assoc[1] = 3
+    assert rf.on_handle_safe(3, dyn_count=0) == [1]  # filter 0 was already empty
+    rf.assoc[2] = 4
+    assert rf.on_handle_safe(4, dyn_count=0) == []
+    rf.window_len = 5
+    rf.filters[0].bits = 0b10
+    rf.assoc[0] = 6
+    assert rf.on_handle_safe(6, dyn_count=0) == []  # only armed
+    assert rf.on_dispatch(4) == []
+    assert rf.on_dispatch(5) == [0]
+    assert rf.clears == 2
+
+
 def test_handle_safe_ignores_younger_assoc():
     rf = RollingFilters(m=64, k=2, window_len=0)
     rf.filters[0].bits = 0b1

@@ -1,7 +1,9 @@
 import pytest
 
 from squashsim import pipeline
+from squashsim.attacks import ScenarioResolver, build_unbounded, compile_actions
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
+from squashsim.experiment import run_segmented
 from squashsim.filters import compute_hashes
 from squashsim.pipeline import ISSUED, LivelockError, Pipeline, run
 from squashsim.shadows import ShadowKind
@@ -212,6 +214,19 @@ def test_livelock_guard_raises():
         run(t, MachineConfig(livelock_budget=10))
 
 
+def test_livelock_message_names_the_unresolved_head():
+    # under baseline the replayed E handle sits executed at the head, never resolved
+    scenario = build_unbounded()
+    force, _ = compile_actions(scenario.actions)
+    pipe = Pipeline(scenario.trace, MachineConfig(livelock_budget=400),
+                    resolver=ScenarioResolver(force))
+    with pytest.raises(LivelockError) as info:
+        pipe.run()
+    assert str(info.value) == (
+        "no commit for 400 cycles at cycle 401 "
+        "(head=RobEntry(seq=0, pc=0x4000, state=Executed, resolved=False))")
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         MachineConfig(bits=48).validate()
@@ -222,6 +237,23 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MachineConfig(fp_counting="sometimes").validate()
     MachineConfig().validate()
+
+
+@pytest.mark.parametrize("name, largest, too_big", [
+    ("bits", 2**31, 2**32), ("hashes", 2**32 - 1, 2**32), ("filters", 2**32 - 1, 2**32),
+    ("window_len", 2**32 - 1, 2**33),
+    ("rob_size", 2**32 - 1, 2**33),  # the window defaults to rob_size
+])
+def test_config_bounds_what_the_blob_packs_as_u32(name, largest, too_big):
+    MachineConfig(**{name: largest}).validate()  # validation allocates nothing
+    with pytest.raises(ConfigError, match=r"< 2\*\*32"):
+        MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, **{name: too_big}).validate()
+
+
+def test_oversized_window_fails_before_a_context_switch():
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, window_len=2**33)
+    with pytest.raises(ConfigError):
+        run_segmented(gen_loop_trace(8, 10, 0.1, 1), config, [40])
 
 
 def test_commit_width_and_head_blocking():

@@ -7,6 +7,7 @@ from squashsim.config import MachineConfig, PolicyKind
 from squashsim.filters import compute_hashes, indices_to_mask
 from squashsim.pipeline import Pipeline
 from squashsim.policy import (
+    DELAY_BLOOM_FP,
     DELAY_BLOOM_HIT,
     DELAY_PERFECT_HIT,
     DELAY_UNSAFE_HANDLE,
@@ -36,10 +37,10 @@ def test_baseline_always_allows():
 
 def test_delay_all_blocks_younger_than_any_queued_handle():
     st = _state(PolicyKind.DELAY_ALL)
-    st.handle_queue.push_handle(3, ShadowKind.C)
+    handle = st.handle_queue.push_handle(3, ShadowKind.C)
     assert st.issue_decision(5, 0x400, 0) == DELAY_UNSAFE_HANDLE
     assert st.issue_decision(2, 0x300, 0) is None  # older than the handle
-    st.handle_queue.mark_resolved(3)
+    st.handle_queue.mark_resolved(handle)
     # resolved but still queued: unsafe by definition until popped
     assert st.issue_decision(5, 0x400, 0) == DELAY_UNSAFE_HANDLE
     st.handle_queue.pop_safe()
@@ -73,11 +74,9 @@ def test_oracle_lockstep_counts_false_positives():
         pc for pc in range(0x1000, 0x8000, 4)
         if _mask(st, pc) | mask == mask and pc != 0x400
     )
-    assert st.issue_decision(7, collider, _mask(st, collider)) == DELAY_BLOOM_HIT
-    assert st.fp_count == 1
+    assert st.issue_decision(7, collider, _mask(st, collider)) == DELAY_BLOOM_FP
+    assert st.issue_decision(8, 0x400, mask) == DELAY_BLOOM_HIT  # exact hit as well
     assert st.perfect_only_count == 0
-    assert st.issue_decision(8, 0x400, mask) == DELAY_BLOOM_HIT
-    assert st.fp_count == 1  # exact hit as well: not a false positive
 
 
 def test_squash_raises_version():
@@ -89,11 +88,11 @@ def test_squash_raises_version():
 
 def test_delay_all_pop_raises_version_and_dispatch_does_not():
     st = _state(PolicyKind.DELAY_ALL)
-    st.handle_queue.push_handle(1, ShadowKind.E)
+    handle = st.handle_queue.push_handle(1, ShadowKind.E)
     for _ in range(100):
         st.on_dispatch()  # nothing is ever due under delay-all
     assert st.version == 0
-    st.handle_queue.mark_resolved(1)
+    st.handle_queue.mark_resolved(handle)
     st.on_handle_safe(st.handle_queue.pop_safe()[-1])
     assert st.version == 1
 
@@ -198,13 +197,13 @@ def _exercise(state):
     """Feed a fixed event stream; return the decision trail."""
     out = []
     hq = state.handle_queue
-    hq.push_handle(10, ShadowKind.E)
+    handle = hq.push_handle(10, ShadowKind.E)
     state.on_dispatch()
     state.on_squash(frozenset({0x400, 0x404}),
                     [_mask(state, 0x400), _mask(state, 0x404)], youngest_handle=10)
     for seq, pc in ((11, 0x400), (12, 0x404), (13, 0x500)):
         out.append(state.issue_decision(seq, pc, _mask(state, pc)))
-    hq.mark_resolved(10)
+    hq.mark_resolved(handle)
     for s in hq.pop_safe():
         state.on_handle_safe(s)
     for _ in range(80):
@@ -222,11 +221,11 @@ def test_save_restore_reproduces_decisions(policy):
 
 
 def _phase_one(state):
-    state.handle_queue.push_handle(10, ShadowKind.E)
+    handle = state.handle_queue.push_handle(10, ShadowKind.E)
     state.on_dispatch()
     state.on_squash(frozenset({0x400, 0x404}),
                     [_mask(state, 0x400), _mask(state, 0x404)], youngest_handle=10)
-    state.handle_queue.mark_resolved(10)
+    state.handle_queue.mark_resolved(handle)
     for s in state.handle_queue.pop_safe():
         state.on_handle_safe(s)
 
@@ -362,11 +361,11 @@ def test_baseline_blob_keeps_its_handle_queue():
     config = MachineConfig(policy=PolicyKind.BASELINE)
     st = PolicyState(config)
     hq = st.handle_queue
-    for seq, kind in ((1, ShadowKind.E), (4, ShadowKind.C), (6, ShadowKind.D), (9, ShadowKind.M)):
-        hq.push_handle(seq, kind)
-    hq.mark_resolved(4)
+    handles = {seq: hq.push_handle(seq, kind) for seq, kind in
+               ((1, ShadowKind.E), (4, ShadowKind.C), (6, ShadowKind.D), (9, ShadowKind.M))}
+    hq.mark_resolved(handles[4])
     hq.mark_squashed_after(4)
-    hq.mark_resolved(9)
+    hq.mark_resolved(handles[9])
     restored = restore_context(save_context(st), config).handle_queue
     assert restored.entries() == hq.entries()
     assert restored.shadows(2) and not restored.shadows(1)

@@ -5,26 +5,26 @@ from squashsim.shadows import HandleQueue, HandleQueueError, ShadowKind
 
 
 def _queue_with(*seqs):
+    """A queue of C handles and each seq's entry."""
     hq = HandleQueue()
-    for s in seqs:
-        hq.push_handle(s, ShadowKind.C)
-    return hq
+    return hq, {s: hq.push_handle(s, ShadowKind.C) for s in seqs}
 
 
 def test_push_keeps_fifo_order():
-    hq = _queue_with(1, 3, 5)
+    hq, handles = _queue_with(1, 3, 5)
+    assert hq.entries() == [handles[1], handles[3], handles[5]]
     assert [e.seq for e in hq.entries()] == [1, 3, 5]
     assert hq.oldest_seq() == 1
     assert hq.youngest_handle() == 5
 
 
 def test_push_into_empty_is_head_and_tail():
-    hq = _queue_with(7)
+    hq, _ = _queue_with(7)
     assert hq.oldest_seq() == hq.youngest_handle() == 7
 
 
 def test_push_out_of_order_rejected():
-    hq = _queue_with(4)
+    hq, _ = _queue_with(4)
     with pytest.raises(HandleQueueError):
         hq.push_handle(3, ShadowKind.E)
     with pytest.raises(HandleQueueError):
@@ -32,7 +32,7 @@ def test_push_out_of_order_rejected():
 
 
 def test_youngest_counts_squashed_entries():
-    hq = _queue_with(1, 3, 5)
+    hq, _ = _queue_with(1, 3, 5)
     hq.mark_squashed_after(1)
     assert hq.youngest_handle() == 5
     assert hq.oldest_seq() == 1
@@ -43,49 +43,44 @@ def test_youngest_of_empty_is_none():
 
 
 def test_mark_squashed_after_flags_only_younger():
-    hq = _queue_with(1, 3, 5, 8)
+    hq, _ = _queue_with(1, 3, 5, 8)
     hq.mark_squashed_after(3)
     flags = {e.seq: e.squashed for e in hq.entries()}
     assert flags == {1: False, 3: False, 5: True, 8: True}
 
 
-def test_mark_resolved_unknown_seq_errors():
-    hq = _queue_with(1)
-    with pytest.raises(HandleQueueError):
-        hq.mark_resolved(99)
-
-
 def test_resolved_head_pops():
-    hq = _queue_with(1, 3)
-    hq.mark_resolved(1)
+    hq, handles = _queue_with(1, 3)
+    hq.mark_resolved(handles[1])
+    assert handles[1].resolved
     assert hq.pop_safe() == [1]
     assert hq.oldest_seq() == 3
 
 
 def test_resolved_mid_queue_waits_for_head():
-    hq = _queue_with(1, 3, 5)
-    hq.mark_resolved(3)
-    hq.mark_resolved(5)
+    hq, handles = _queue_with(1, 3, 5)
+    hq.mark_resolved(handles[3])
+    hq.mark_resolved(handles[5])
     assert hq.pop_safe() == []  # unresolved head blocks everything
-    hq.mark_resolved(1)
+    hq.mark_resolved(handles[1])
     assert hq.pop_safe() == [1, 3, 5]
 
 
 def test_squashed_entries_drain_behind_resolved_head():
-    hq = _queue_with(1, 3, 5, 8)
+    hq, handles = _queue_with(1, 3, 5, 8)
     hq.mark_squashed_after(1)
     assert hq.pop_safe() == []
-    hq.mark_resolved(1)
+    hq.mark_resolved(handles[1])
     assert hq.pop_safe() == [1, 3, 5, 8]
     assert len(hq) == 0
 
 
 def test_shadows_predicate_ignores_resolved_and_squashed():
-    hq = _queue_with(1, 3, 5)
+    hq, handles = _queue_with(1, 3, 5)
     assert hq.shadows(2)
     assert hq.shadows(99)
     assert not hq.shadows(1)  # nothing older than the oldest handle
-    hq.mark_resolved(1)
+    hq.mark_resolved(handles[1])
     assert not hq.shadows(2)
     assert hq.shadows(4)  # 3 still unresolved
     hq.mark_squashed_after(1)
@@ -99,16 +94,17 @@ def test_fifo_discipline_property(ops):
     pushed: list[int] = []
     popped: list[int] = []
     queued: dict[int, list[bool]] = {}  # model: seq -> [resolved, squashed]
+    handles = {}  # seq -> the entry push_handle returned
     for op, arg in ops:
         seqs = list(queued)
         if op == "push":
             seq = len(pushed)
-            hq.push_handle(seq, ShadowKind.C)
+            handles[seq] = hq.push_handle(seq, ShadowKind.C)
             pushed.append(seq)
             queued[seq] = [False, False]
         elif op == "resolve" and seqs:
             seq = seqs[arg % len(seqs)]
-            hq.mark_resolved(seq)
+            hq.mark_resolved(handles[seq])
             queued[seq][0] = True
         elif op == "squash" and seqs:
             seq = seqs[arg % len(seqs)]
@@ -121,6 +117,7 @@ def test_fifo_discipline_property(ops):
             popped.extend(got)
             for s in got:
                 del queued[s]
+        assert {e.seq: [e.resolved, e.squashed] for e in hq.entries()} == queued
         oldest_live = min((s for s, (res, sq) in queued.items() if not (res or sq)),
                           default=None)
         for s in range(len(pushed) + 1):
