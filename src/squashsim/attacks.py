@@ -411,7 +411,6 @@ class AttackObserver:
 def run_scenario(scenario: Scenario, config: MachineConfig,
                  context_id: int = 0) -> AttackReport:
     """Drive the pipeline with the attacker script; exact counts, deterministic."""
-    config.validate()
     force, switches = compile_actions(scenario.actions)
     observer = AttackObserver(scenario.transmit_pcs)
     resolver = ScenarioResolver(force)

@@ -68,7 +68,7 @@ def build_config(args: argparse.Namespace) -> MachineConfig:
         v = getattr(args, name, None)
         if v is not None:
             values[name] = v
-    return MachineConfig(**values).validate()
+    return MachineConfig(**values)
 
 
 # -- report rendering -----------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Machine configuration shared by the pipeline, policies, and filters."""
+"""Machine configuration shared by the pipeline, policies, and filters.
+
+A ``MachineConfig`` is checked when it is made (a rejected value raises
+``ConfigError``) and cannot be changed afterwards, so no layer checks
+the one it is handed.  ``with_policy`` and ``dataclasses.replace`` make
+a new config, which is checked in turn.
+"""
 
 from __future__ import annotations
 
@@ -20,11 +26,7 @@ class ConfigError(ValueError):
     """Raised for invalid machine configurations."""
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass
+@dataclass(frozen=True)
 class MachineConfig:
     """Parameters of the simulated machine.
 
@@ -48,9 +50,11 @@ class MachineConfig:
                                      # "entry": at most one per entry per delay episode
 
     def __post_init__(self) -> None:
-        self.policy = PolicyKind(self.policy)
-
-    def validate(self) -> "MachineConfig":
+        try:
+            object.__setattr__(self, "policy", PolicyKind(self.policy))
+        except ValueError:
+            raise ConfigError(f"policy must be one of {', '.join(PolicyKind)}, "
+                              f"got {self.policy!r}") from None
         for name, typ in _FIELD_TYPES:
             value = getattr(self, name)
             if typ == "bool":
@@ -59,14 +63,14 @@ class MachineConfig:
                 ok = (isinstance(value, int) and not isinstance(value, bool)
                       or value is None and typ == "int | None")
             else:
-                continue  # policy is coerced on construction, fp_counting checked below
+                continue  # policy is coerced above, fp_counting checked below
             if not ok:
                 raise ConfigError(f"{name} must be {typ}, got {value!r}")
         if self.rob_size < 1:
             raise ConfigError(f"rob_size must be >= 1, got {self.rob_size}")
         if self.width < 1:
             raise ConfigError(f"width must be >= 1, got {self.width}")
-        if not _is_pow2(self.bits) or self.bits < 2:
+        if self.bits < 2 or self.bits & (self.bits - 1):
             raise ConfigError(f"bits must be a power of two >= 2, got {self.bits}")
         if self.hashes < 1:
             raise ConfigError(f"hashes must be >= 1, got {self.hashes}")
@@ -86,7 +90,6 @@ class MachineConfig:
             value = getattr(self, name)
             if value >= 1 << 32:  # the context blob packs it as u32
                 raise ConfigError(f"{name} must be < 2**32, got {value}")
-        return self
 
     @property
     def effective_threshold(self) -> int:
@@ -101,7 +104,7 @@ class MachineConfig:
         return 100 * self.rob_size if self.livelock_budget is None else self.livelock_budget
 
     def with_policy(self, policy: PolicyKind | str) -> "MachineConfig":
-        return replace(self, policy=PolicyKind(policy))
+        return replace(self, policy=policy)
 
 
 # (name, annotation) per field; annotations are strings under postponed evaluation

@@ -15,7 +15,7 @@ from .trace import Trace
 
 
 def run_workload(trace: Trace, config: MachineConfig) -> Metrics:
-    return Pipeline(trace, config.validate()).run()
+    return Pipeline(trace, config).run()
 
 
 def run_policies(trace: Trace, config: MachineConfig,
@@ -47,7 +47,6 @@ def run_segmented(trace: Trace, config: MachineConfig, boundaries: list[int],
     re-raises with the merged metrics of every segment run so far, under
     the whole trace's id.
     """
-    config.validate()
     total = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
     state = PolicyState(config, context_id=context_id)
     for i, seg in enumerate(_segments(trace, boundaries)):
@@ -70,7 +69,6 @@ def run_interleaved(workloads: dict[int, tuple[Trace, list[int]]],
     restored when it is scheduled again; per-context metrics accumulate
     across its own segments only.
     """
-    config.validate()
     segments = {cid: _segments(*workloads[cid]) for cid in sorted(workloads)}
     blobs = {cid: save_context(PolicyState(config, context_id=cid)) for cid in segments}
     totals = {cid: Metrics(trace_id=workloads[cid][0].trace_id, policy=str(config.policy))
@@ -99,8 +97,6 @@ def sweep_points(base: MachineConfig, bits: list[int], hashes: list[int],
 
 def run_sweep(trace: Trace, points: list[MachineConfig], jobs: int = 1) -> list[dict]:
     """One run per point; rows keep the point order regardless of workers."""
-    for p in points:
-        p.validate()
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

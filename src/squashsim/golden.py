@@ -86,7 +86,7 @@ def golden_config() -> MachineConfig:
     return MachineConfig(
         policy=PolicyKind.DOS_BLOOM, bits=_M, hashes=_K, filters=2,
         window_len=0, seed=find_golden_seed(),
-    ).validate()
+    )
 
 
 def run_golden() -> list[GoldenStep]:

@@ -140,7 +140,6 @@ class Pipeline:
         resolver=None,
         observer=None,
     ) -> None:
-        config.validate()
         self.config = config
         self.records = trace.instructions
         self.policy = policy if policy is not None else PolicyState(config)
@@ -374,7 +373,6 @@ class Pipeline:
         return mask
 
 
-def run(trace: Trace, config: MachineConfig, policy: PolicyState | None = None,
-        resolver=None, observer=None) -> Metrics:
+def run(trace: Trace, config: MachineConfig, resolver=None, observer=None) -> Metrics:
     """Simulate a trace to completion and return its metrics."""
-    return Pipeline(trace, config, policy=policy, resolver=resolver, observer=observer).run()
+    return Pipeline(trace, config, resolver=resolver, observer=observer).run()

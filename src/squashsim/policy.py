@@ -70,7 +70,6 @@ class PolicyState:
     """Per-context defense state: handle queue plus policy-specific filters."""
 
     def __init__(self, config: MachineConfig, context_id: int = 0) -> None:
-        config.validate()
         self.kind = config.policy
         self.config = config
         self.context_id = context_id
@@ -78,11 +77,12 @@ class PolicyState:
         self.dyn_count = 0       # dynamic instructions dispatched in this context
         self.next_seq = 0        # pipeline seq continuity across context switches
         self.oracle = config.oracle and self.kind is PolicyKind.DOS_BLOOM
-        self.hash_seeds = derive_hash_seeds(config.seed, config.hashes)
 
+        self.hash_seeds: tuple[int, ...] = ()  # read only by the Bloom masks
         self.filters: RollingFilters | None = None
         self.perfect: PerfectFilter | None = None
         if self.kind is PolicyKind.DOS_BLOOM:
+            self.hash_seeds = derive_hash_seeds(config.seed, config.hashes)
             self.filters = RollingFilters(
                 m=config.bits,
                 k=config.hashes,

@@ -45,9 +45,6 @@ class HandleQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
     def entries(self) -> list[HandleEntry]:
         return list(self._entries)
 
@@ -57,7 +54,7 @@ class HandleQueue:
             raise HandleQueueError(
                 f"push_handle out of order: seq {seq} <= tail {self._entries[-1].seq}"
             )
-        entry = HandleEntry(seq, kind if isinstance(kind, ShadowKind) else ShadowKind(kind))
+        entry = HandleEntry(seq, kind)
         self._entries.append(entry)
         return entry
 

@@ -67,6 +67,9 @@ class Instruction:
     misspeculate: bool = False
 
     def __post_init__(self) -> None:
+        shadow = self.shadow_class
+        if shadow is not None and shadow.__class__ is not ShadowKind:
+            object.__setattr__(self, "shadow_class", ShadowKind(shadow))
         if self.pc < 0:
             raise ValueError(f"pc must be >= 0, got {self.pc}")
         if self.exec_latency < 1:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from squashsim import pipeline
@@ -227,16 +229,41 @@ def test_livelock_message_names_the_unresolved_head():
         "(head=RobEntry(seq=0, pc=0x4000, state=Executed, resolved=False))")
 
 
+def test_string_shadow_class_runs_like_the_enum():
+    def trace(shadow):
+        return _trace((InstructionKind.LOAD, shadow, 0x400, 1, 10, True), *_plains(3))
+
+    as_str = trace("E")
+    assert as_str.instructions[0].shadow_class is ShadowKind.E
+    for policy in PolicyKind:
+        config = MachineConfig(policy=policy)
+        assert run(as_str, config) == run(trace(ShadowKind.E), config)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
-        MachineConfig(bits=48).validate()
+        MachineConfig(bits=48)
     with pytest.raises(ConfigError):
-        MachineConfig(rob_size=0).validate()
+        MachineConfig(rob_size=0)
     with pytest.raises(ConfigError):
-        MachineConfig(hashes=0).validate()
+        MachineConfig(hashes=0)
     with pytest.raises(ConfigError):
-        MachineConfig(fp_counting="sometimes").validate()
-    MachineConfig().validate()
+        MachineConfig(fp_counting="sometimes")
+    with pytest.raises(ConfigError):
+        MachineConfig(policy=3)
+    with pytest.raises(ConfigError):
+        MachineConfig(policy="nope")
+    config = MachineConfig()
+    # a derived config is checked like a new one
+    with pytest.raises(ConfigError):
+        replace(config, bits=48)
+    with pytest.raises(ConfigError):
+        config.with_policy("nope")
+    assert config.with_policy("dos-bloom").policy is PolicyKind.DOS_BLOOM
+    # and a checked config cannot be changed afterwards
+    with pytest.raises(FrozenInstanceError):
+        config.bits = 48
+    assert config == MachineConfig()
 
 
 @pytest.mark.parametrize("name, largest, too_big", [
@@ -245,14 +272,14 @@ def test_config_validation():
     ("rob_size", 2**32 - 1, 2**33),  # the window defaults to rob_size
 ])
 def test_config_bounds_what_the_blob_packs_as_u32(name, largest, too_big):
-    MachineConfig(**{name: largest}).validate()  # validation allocates nothing
+    MachineConfig(**{name: largest})  # the checks allocate nothing
     with pytest.raises(ConfigError, match=r"< 2\*\*32"):
-        MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, **{name: too_big}).validate()
+        MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, **{name: too_big})
 
 
 def test_oversized_window_fails_before_a_context_switch():
-    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, window_len=2**33)
     with pytest.raises(ConfigError):
+        config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, window_len=2**33)
         run_segmented(gen_loop_trace(8, 10, 0.1, 1), config, [40])
 
 

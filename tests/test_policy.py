@@ -29,6 +29,12 @@ def _mask(state, pc):
     return indices_to_mask(compute_hashes(pc, state.hash_seeds, state.config.bits))
 
 
+@pytest.mark.parametrize("policy", [PolicyKind.BASELINE, PolicyKind.DELAY_ALL,
+                                    PolicyKind.DOS_PERFECT])
+def test_only_dos_bloom_derives_hash_seeds(policy):
+    assert _state(policy, hashes=2**20).hash_seeds == ()
+
+
 def test_baseline_always_allows():
     st = _state(PolicyKind.BASELINE)
     st.handle_queue.push_handle(1, ShadowKind.E)
