@@ -90,6 +90,11 @@ class MachineConfig:
             value = getattr(self, name)
             if value >= 1 << 32:  # the context blob packs it as u32
                 raise ConfigError(f"{name} must be < 2**32, got {value}")
+        if self.policy is PolicyKind.DOS_BLOOM and self.hashes > self.bits:
+            # a filter of m bits has at most m distinct indices, while each
+            # hash costs a derived seed and a hash of every PC
+            raise ConfigError(f"hashes must be <= bits ({self.bits}) under dos-bloom, "
+                              f"got {self.hashes}")
 
     @property
     def effective_threshold(self) -> int:

@@ -32,25 +32,45 @@ phase, and nothing in it reads the dynamic-instruction count, the filters
 or the exact records (the resolve, commit, pop and issue phases do), so a
 deferred clear or an exact-record expiry lands in the same cycle either way.
 
+The issue phase asks the policy only what its rule can answer.  Under
+baseline (``PolicyState.never_delays``) the window issues without a
+decision.  Under delay-all (``PolicyState.delay_covers_younger``) the
+first delayed non-head entry of the window, fresh or cached, ends the
+walk and adds one ``delayed_issues`` for itself and one for each younger
+window entry:
+``pending`` is in seq order and the ROB head, when pending, is
+``pending[0]``, so every entry after it is a non-head entry that the seq
+bound delays too.  Under the two filter policies every non-head window
+entry is decided, each delay adding one.  The entries the walk lets
+through then issue in seq order.
+
 A delayed entry is asked about again every cycle, but the answer can only
 change when the policy state it reads does.  ``PolicyState.version`` goes
 up on every squash record, on a pop of the oldest queued handle under
 delay-all, on a Bloom filter bulk clear and when the exact filter drops a
 record (by handle or by deadline).  Each entry caches the version and the
 reason of its last decision; while the version holds, the cached reason
-stands in for a new decision.  A delay, fresh or cached, adds one
-``delayed_issues``.  The pipeline alone counts false positives: a
+stands in for a new decision.  The pipeline alone counts false positives: a
 ``bloom-false-positive`` delay adds one to ``fp_count`` unless the entry's
 ``fp_counted`` is set, and sets it under ``fp_counting="entry"``, so that
 mode counts one per delay episode and ``"evaluation"`` one per cycle.  A
 delay never adds to ``perfect_only_count``, so there is nothing to repeat
 there.
+
+Each phase is one method with its hot attributes bound to locals once per
+call: ``tick`` fires the due events and pops the safe handles itself, and
+calls ``commit``, ``try_issue`` (which also issues) and ``dispatch``
+(which also computes the Bloom masks).  The benchmark's tracer
+(``perfbench/tracing.py``) wraps these methods, ``squash_from``, the
+``HandleQueue`` and ``PolicyState`` methods and this module's
+``compute_hashes`` by name, so each is looked up when it is called, not
+bound at import.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .config import MachineConfig
 from .filters import compute_hashes, indices_to_mask
@@ -158,6 +178,8 @@ class Pipeline:
         # Bloom filter bit mask per PC, for the one policy that reads masks
         self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
+        self._never_delays = self.policy.never_delays
+        self._delay_covers_younger = self.policy.delay_covers_younger
         self._last_commit_cycle = 0
         self._dispatch_resume = 0
 
@@ -165,9 +187,11 @@ class Pipeline:
 
     def run(self) -> Metrics:
         budget = self.config.effective_budget
-        while self.cursor < len(self.records) or self.rob:
+        n_records = len(self.records)
+        tick = self.tick
+        while self.cursor < n_records or self.rob:
             self.cycle += 1
-            self.tick()
+            tick()
             if self.cycle - self._last_commit_cycle > budget:
                 self._finalize()
                 head = f" (head={self.rob[0]!r})" if self.rob else ""
@@ -186,25 +210,32 @@ class Pipeline:
         self.metrics.filter_clears = self.policy.filter_clears
 
     def tick(self) -> None:
-        self._fire_events()
-        self.commit()
-        self._pop_safe_handles()
-        self.try_issue()
-        self.dispatch()
-
-    # -- phases ----------------------------------------------------------------
-
-    def _fire_events(self) -> None:
-        """Complete the executions, then fire the resolutions, due now."""
+        """One cycle: complete the executions, then fire the resolutions,
+        due now; commit; pop the safe handles; issue; dispatch."""
+        cycle = self.cycle
         events = self._events
-        while events and events[0][0] <= self.cycle:
-            _, kind, _, gen, e = heapq.heappop(events)
+        while events and events[0][0] <= cycle:
+            _, kind, _, gen, e = heappop(events)
             if e.gen != gen:
                 continue  # squashed since the event was scheduled
             if kind == _COMPLETE:
                 e.state = EXECUTED
             else:
                 self._resolve(e)
+        self.commit()
+        popped = self.hq.pop_safe()
+        if popped:
+            # both filters expire everything up to the given seq, and dyn_count
+            # is fixed within a cycle, so one call for the youngest pop is exact
+            self.policy.on_handle_safe(popped[-1])
+            observer = self.observer
+            if observer is not None:
+                for seq in popped:
+                    observer.on_handle_safe(seq)
+        self.try_issue()
+        self.dispatch()
+
+    # -- phases ----------------------------------------------------------------
 
     def _resolve(self, e: RobEntry) -> None:
         e.res_count += 1
@@ -216,16 +247,16 @@ class Pipeline:
 
     def commit(self) -> int:
         """Retire up to `width` executed entries from the head, in order."""
+        rob = self.rob
+        width = self.config.width
         retired = 0
-        while self.rob and retired < self.config.width:
-            head = self.rob[0]
+        while rob and retired < width:
+            head = rob[0]
             if head.state != EXECUTED:
                 break
             handle = head.handle
             if handle is None or handle.resolved:
-                self.rob.pop(0)
-                self.metrics.committed += 1
-                self._last_commit_cycle = self.cycle
+                del rob[0]
                 retired += 1
                 continue
             if handle.kind is ShadowKind.E:
@@ -236,91 +267,115 @@ class Pipeline:
                         break  # squashed and re-executing
                     continue
             break
+        if retired:
+            self.metrics.committed += retired
+            self._last_commit_cycle = self.cycle
         return retired
-
-    def _pop_safe_handles(self) -> None:
-        popped = self.hq.pop_safe()
-        if not popped:
-            return
-        # both filters expire everything up to the given seq, and dyn_count
-        # is fixed within a cycle, so one call for the youngest pop is exact
-        self.policy.on_handle_safe(popped[-1])
-        if self.observer is not None:
-            for seq in popped:
-                self.observer.on_handle_safe(seq)
 
     def try_issue(self) -> None:
         """Consult up to `width` of the oldest dispatched entries against the
         policy and issue the ones it allows."""
-        if not self.pending:
+        pending = self.pending
+        if not pending:
             return
-        policy = self.policy
-        version = policy.version
-        head = self.rob[0]
-        fp_entry_mode = self._fp_entry_mode
+        window = pending[:self.config.width]
         m = self.metrics
-        removed: list[int] = []
-        for i, e in enumerate(self.pending[:self.config.width]):
-            if e is not head:  # the ROB head is never delayed
-                if e.delay_version == version:
-                    reason = e.delay_reason  # nothing the last decision read has changed
-                else:
-                    reason = e.delay_reason = policy.issue_decision(e.seq, e.instr.pc, e.mask)
-                    e.delay_version = version
-                if reason is not None:
-                    m.delayed_issues += 1
-                    if reason == DELAY_BLOOM_FP and not e.fp_counted:
-                        m.fp_count += 1
-                        e.fp_counted = fp_entry_mode
-                    continue
-            self._issue(e)
-            removed.append(i)
-        for i in reversed(removed):
-            del self.pending[i]
-
-    def _issue(self, e: RobEntry) -> None:
-        e.state = ISSUED
+        if self._never_delays:
+            del pending[:len(window)]
+            ready = window
+        else:
+            policy = self.policy
+            decide = policy.issue_decision
+            version = policy.version
+            head = self.rob[0]
+            covers_younger = self._delay_covers_younger
+            ready = []
+            held = []
+            for i, e in enumerate(window):
+                if e is not head:  # the ROB head is never delayed
+                    if e.delay_version == version:
+                        reason = e.delay_reason  # nothing the last decision read has changed
+                    else:
+                        reason = e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
+                        e.delay_version = version
+                    if reason is not None:
+                        if covers_younger:  # so is every younger window entry
+                            m.delayed_issues += len(window) - i
+                            held += window[i:]
+                            break
+                        m.delayed_issues += 1
+                        if reason == DELAY_BLOOM_FP and not e.fp_counted:
+                            m.fp_count += 1
+                            e.fp_counted = self._fp_entry_mode
+                        held.append(e)
+                        continue
+                ready.append(e)
+            if not ready:
+                return
+            pending[:len(window)] = held
+        cycle = self.cycle
         events = self._events
-        heapq.heappush(events, (self.cycle + e.instr.exec_latency, _COMPLETE, e.seq, e.gen, e))
-        shadow = e.instr.shadow_class
-        if shadow is not None:
-            if shadow is ShadowKind.E:
-                e.resolve_ready = self.cycle + e.instr.resolve_latency
-            else:
-                heapq.heappush(
-                    events, (self.cycle + e.instr.resolve_latency, _RESOLVE, e.seq, e.gen, e))
-        m = self.metrics
-        m.dynamic_executed += 1
-        pc = e.instr.pc
-        m.per_pc_issues[pc] = m.per_pc_issues.get(pc, 0) + 1
-        speculative = self.hq.shadows(e.seq)
-        if speculative:
-            m.per_pc_spec_issues[pc] = m.per_pc_spec_issues.get(pc, 0) + 1
-        if self.observer is not None:
-            self.observer.on_issue(e, speculative, self.cycle)
+        issues = m.per_pc_issues
+        spec_issues = m.per_pc_spec_issues
+        shadows = self.hq.shadows
+        observer = self.observer
+        for e in ready:
+            e.state = ISSUED
+            instr = e.instr
+            seq = e.seq
+            heappush(events, (cycle + instr.exec_latency, _COMPLETE, seq, e.gen, e))
+            shadow = instr.shadow_class
+            if shadow is not None:
+                if shadow is ShadowKind.E:
+                    e.resolve_ready = cycle + instr.resolve_latency
+                else:
+                    heappush(events, (cycle + instr.resolve_latency, _RESOLVE, seq, e.gen, e))
+            pc = instr.pc
+            issues[pc] = issues.get(pc, 0) + 1
+            speculative = shadows(seq)
+            if speculative:
+                spec_issues[pc] = spec_issues.get(pc, 0) + 1
+            if observer is not None:
+                observer.on_issue(e, speculative, cycle)
+        m.dynamic_executed += len(ready)
 
     def dispatch(self) -> int:
         """Bring in up to `width` instructions; stalls when the ROB or the
         handle queue is full.  Returns the count dispatched."""
         if self.cycle < self._dispatch_resume:
             return 0
-        n = 0
-        width = self.config.width
+        rob = self.rob
         rob_size = self.config.rob_size
-        while self.cursor < len(self.records) and n < width and len(self.rob) < rob_size:
-            rec = self.records[self.cursor]
-            if rec.shadow_class is not None and len(self.hq) >= rob_size:
+        cursor = self.cursor
+        records = self.records
+        room = min(self.config.width, rob_size - len(rob), len(records) - cursor)
+        if room <= 0:
+            return 0
+        pending = self.pending
+        hq = self.hq
+        masks = self._pc_masks
+        seq = self.next_seq
+        for rec in records[cursor:cursor + room]:
+            shadow = rec.shadow_class
+            if shadow is not None and len(hq) >= rob_size:
                 break  # handle queue full; stall until zombies drain
-            seq = self.next_seq
-            self.next_seq += 1
-            e = RobEntry(seq, rec, self._pc_mask(rec.pc))
-            self.rob.append(e)
-            self.pending.append(e)  # seq is monotonic, the list stays in order
-            if rec.shadow_class is not None:
-                e.handle = self.hq.push_handle(seq, rec.shadow_class)
-            self.cursor += 1
-            n += 1
+            if masks is None:
+                mask = 0
+            else:
+                mask = masks.get(rec.pc)
+                if mask is None:
+                    mask = masks[rec.pc] = indices_to_mask(
+                        compute_hashes(rec.pc, self.policy.hash_seeds, self.config.bits))
+            e = RobEntry(seq, rec, mask)
+            rob.append(e)
+            pending.append(e)  # seq is monotonic, the list stays in order
+            if shadow is not None:
+                e.handle = hq.push_handle(seq, shadow)
+            seq += 1
+        n = seq - self.next_seq
         if n:  # an empty cycle sweeps nothing, so clears land on the same cycles
+            self.next_seq = seq
+            self.cursor = cursor + n
             self.policy.on_dispatch(n)
         return n
 
@@ -359,18 +414,6 @@ class Pipeline:
         if self.observer is not None:
             self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest),
                                     [h.seq for h in self.hq.entries()])
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _pc_mask(self, pc: int) -> int:
-        masks = self._pc_masks
-        if masks is None:
-            return 0
-        mask = masks.get(pc)
-        if mask is None:
-            hashes = compute_hashes(pc, self.policy.hash_seeds, self.config.bits)
-            mask = masks[pc] = indices_to_mask(hashes)
-        return mask
 
 
 def run(trace: Trace, config: MachineConfig, resolver=None, observer=None) -> Metrics:

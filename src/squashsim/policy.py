@@ -14,6 +14,16 @@ delay names one of four reasons:
   lockstep, and a Bloom hit without an exact hit is a false positive
   (``bloom-false-positive``), which the pipeline counts.
 
+The rule lives in ``PolicyState.issue_decision`` alone.  Two facts about
+it are set from the policy kind when the state is made, so that the
+pipeline asks only what the rule can answer:
+
+* ``never_delays`` -- baseline's rule allows every instruction, so there
+  is nothing to ask.
+* ``delay_covers_younger`` -- delay-all's rule is a seq bound (delay iff
+  the oldest queued handle is older than the instruction), so a delay of
+  one instruction is also a delay of every younger one.
+
 Context blob layout (little-endian, versioned)::
 
     magic   4s   b"SQSM"
@@ -97,6 +107,9 @@ class PolicyState:
         self.perfect_only_count = 0
         # goes up whenever something issue_decision reads changes
         self.version = 0
+        # what the rule implies, for callers that can skip asking (module docstring)
+        self.never_delays = self.kind is PolicyKind.BASELINE
+        self.delay_covers_younger = self.kind is PolicyKind.DELAY_ALL
 
     # -- issue-time decision ------------------------------------------------
 

@@ -85,6 +85,13 @@ def test_simulate_window_beyond_u32_is_config_error(capsys, loop_trace):
     assert code == EXIT_CONFIG
 
 
+def test_simulate_more_hashes_than_bits_is_config_error(capsys, loop_trace):
+    # u32-sized, so only the cap stops a seed derivation that would run for hours
+    code = main(["simulate", "--trace", loop_trace, "--policy", "dos-bloom",
+                 "--hashes", "4294967295"])
+    assert code == EXIT_CONFIG
+
+
 def test_simulate_livelock_exit_code(capsys, tmp_path):
     path = tmp_path / "slow.tr"
     path.write_text("0 0x10 LOAD - 40 1\n")

@@ -1,13 +1,17 @@
+import heapq
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squashsim import pipeline
 from squashsim.attacks import ScenarioResolver, build_unbounded, compile_actions
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.experiment import run_segmented
 from squashsim.filters import compute_hashes
-from squashsim.pipeline import ISSUED, LivelockError, Pipeline, run
+from squashsim.pipeline import _COMPLETE, _RESOLVE, ISSUED, LivelockError, Pipeline, run
+from squashsim.policy import DELAY_BLOOM_FP, PolicyState
 from squashsim.shadows import ShadowKind
 from squashsim.trace import Instruction, InstructionKind, Trace, gen_loop_trace
 
@@ -277,6 +281,16 @@ def test_config_bounds_what_the_blob_packs_as_u32(name, largest, too_big):
         MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, **{name: too_big})
 
 
+def test_bloom_hashes_are_capped_by_bits():
+    assert MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=8, hashes=8).hashes == 8
+    with pytest.raises(ConfigError, match="hashes must be <= bits"):
+        MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=8, hashes=9)
+    # only the Bloom filters use hashes, so no other policy is capped
+    assert MachineConfig(bits=8, hashes=9).with_policy("dos-perfect").hashes == 9
+    with pytest.raises(ConfigError):
+        MachineConfig(bits=8, hashes=9).with_policy("dos-bloom")
+
+
 def test_oversized_window_fails_before_a_context_switch():
     with pytest.raises(ConfigError):
         config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, window_len=2**33)
@@ -292,9 +306,9 @@ def test_commit_width_and_head_blocking():
     p.cycle = 2
     p.try_issue()
     p.cycle = 3
-    p._fire_events()
-    assert p.commit() == 3  # full width of Executed entries at the head
-    assert p.metrics.committed == 3
+    assert p.commit() == 0  # the completions due now have not fired yet
+    p.tick()  # fires them, then commits
+    assert p.metrics.committed == 3  # full width of Executed entries at the head
 
 
 def test_squash_completeness():
@@ -368,3 +382,125 @@ def test_squash_recovery_stalls_redispatch():
     slow = run(t, MachineConfig(squash_recovery=5))
     assert fast.committed == slow.committed == 7
     assert slow.cycles > fast.cycles
+
+
+def test_baseline_issues_without_asking_the_policy(monkeypatch):
+    def never(*args):
+        raise AssertionError("issue_decision called under baseline")
+
+    monkeypatch.setattr(PolicyState, "issue_decision", never)
+    m = run(gen_loop_trace(8, 50, 0.3, seed=5), MachineConfig(rob_size=64))
+    assert m.committed == 400 and m.squashes > 0
+
+
+def test_delay_all_delays_with_at_most_one_decision_per_cycle():
+    p = Pipeline(gen_loop_trace(8, 50, 0.3, seed=5),
+                 MachineConfig(policy=PolicyKind.DELAY_ALL, rob_size=64))
+    decide = p.policy.issue_decision
+    delaying_cycles = Counter()
+
+    def counting(*args):
+        reason = decide(*args)
+        if reason is not None:
+            delaying_cycles[p.cycle] += 1
+        return reason
+
+    p.policy.issue_decision = counting
+    m = p.run()
+    assert max(delaying_cycles.values()) == 1
+    assert sum(delaying_cycles.values()) <= m.cycles
+    assert m.delayed_issues > sum(delaying_cycles.values())  # one delay covers the younger
+
+
+class _AskEveryCycle(Pipeline):
+    """Reference issue phase: asks the policy about every non-head window
+    entry on every cycle, with no cached decision and no per-policy shortcut."""
+
+    def try_issue(self):
+        if not self.pending:
+            return
+        head = self.rob[0]
+        m = self.metrics
+        cycle = self.cycle
+        for e in self.pending[:self.config.width]:
+            if e is not head:
+                reason = self.policy.issue_decision(e.seq, e.instr.pc, e.mask)
+                if reason is not None:
+                    m.delayed_issues += 1
+                    if reason == DELAY_BLOOM_FP and not e.fp_counted:
+                        m.fp_count += 1
+                        e.fp_counted = self.config.fp_counting == "entry"
+                    continue
+            self.pending.remove(e)
+            e.state = ISSUED
+            instr = e.instr
+            heapq.heappush(self._events, (cycle + instr.exec_latency, _COMPLETE, e.seq, e.gen, e))
+            if instr.shadow_class is ShadowKind.E:
+                e.resolve_ready = cycle + instr.resolve_latency
+            elif instr.shadow_class is not None:
+                heapq.heappush(self._events,
+                               (cycle + instr.resolve_latency, _RESOLVE, e.seq, e.gen, e))
+            m.dynamic_executed += 1
+            m.per_pc_issues[instr.pc] = m.per_pc_issues.get(instr.pc, 0) + 1
+            speculative = self.hq.shadows(e.seq)
+            if speculative:
+                m.per_pc_spec_issues[instr.pc] = m.per_pc_spec_issues.get(instr.pc, 0) + 1
+            self.observer.on_issue(e, speculative, cycle)
+
+
+class _IssueStream:
+    def __init__(self):
+        self.issues = []
+
+    def on_issue(self, e, speculative, cycle):
+        self.issues.append((e.seq, speculative, cycle))
+
+    def on_squash(self, record, hq):
+        pass
+
+    def on_handle_safe(self, seq):
+        pass
+
+
+def _outcome(cls, trace, config):
+    observer = _IssueStream()
+    try:
+        metrics = cls(trace, config, observer=observer).run()
+    except LivelockError as exc:
+        metrics = ("livelock", exc.metrics)
+    return metrics, observer.issues
+
+
+_ROWS = [(InstructionKind.PLAIN, None), (InstructionKind.TRANSMIT, None),
+         (InstructionKind.LOAD, ShadowKind.E), (InstructionKind.STORE, ShadowKind.D),
+         (InstructionKind.LOAD, ShadowKind.M), (InstructionKind.BRANCH, ShadowKind.C)]
+
+
+@st.composite
+def _random_machines(draw, policy):
+    rows = draw(st.lists(st.tuples(st.sampled_from(_ROWS), st.integers(0, 23), st.integers(1, 4),
+                                   st.integers(1, 8), st.integers(0, 3)),
+                         min_size=16, max_size=64))
+    ins = [Instruction(i, 0x400 + 4 * pc, kind, shadow, ex, res,
+                       misspeculate=shadow is not None and miss == 0)
+           for i, ((kind, shadow), pc, ex, res, miss) in enumerate(rows)]
+    config = MachineConfig(
+        policy=policy, rob_size=draw(st.integers(2, 64)), width=draw(st.integers(1, 8)),
+        window_len=draw(st.sampled_from([0, 4, None])),
+        squash_recovery=draw(st.integers(0, 2)),
+        fp_counting=draw(st.sampled_from(["evaluation", "entry"])),
+        bits=draw(st.sampled_from([8, 64])), hashes=draw(st.integers(1, 2)),
+        oracle=policy is PolicyKind.DOS_BLOOM and draw(st.booleans()),
+        seed=draw(st.integers(0, 3)))
+    return Trace(name="prop", seed=0, instructions=ins), config
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_issue_phase_matches_asking_every_cycle(policy, data):
+    # traces of 16 or more give a delayed entry with an allowed younger one in
+    # the same window in about a quarter of the filter-policy examples; that
+    # window is where a delay-all shortcut applied to another policy shows
+    trace, config = data.draw(_random_machines(policy))
+    assert _outcome(Pipeline, trace, config) == _outcome(_AskEveryCycle, trace, config)
