@@ -13,16 +13,23 @@ Three patterns are modeled:
   handle is re-acquired and misspeculates r more times, so attack totals
   multiply across handles.
 
-Handle acquire/release is modeled as control over resolution outcomes: an
-armed handle instance misspeculates on its first r resolutions and then
-resolves correctly.  A release cascades inward: once a handle's outer
+The attacker controls resolution outcomes through a budget per handle
+slot, ``Scenario.force``: acquiring a handle is ``ForceMisspeculate(slot,
+None)``, which misspeculates on every resolution, and acquiring it and
+releasing it after r replays is ``ForceMisspeculate(slot, r)``, whose
+armed instances misspeculate on their first r resolutions and then
+resolve correctly.  A release cascades inward: once a handle's outer
 neighbour has finished for good, the handle itself stops misspeculating,
-ending the attack after a single unsafe epoch.
+ending the attack after a single unsafe epoch.  ``Scenario.switches``
+lists the trace positions at which the context is switched out and back.
+
+The pipeline counts the transmit instructions' issues per PC; the
+``AttackObserver`` only checks the security bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .config import MachineConfig
@@ -42,9 +49,6 @@ class ScenarioPattern(str, Enum):
         return self.value
 
 
-# -- attacker script actions ---------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ForceMisspeculate:
     """Slot misspeculates on the first `times` resolutions of each dynamic
@@ -56,57 +60,17 @@ class ForceMisspeculate:
     outer_slot: int | None = None
 
 
-@dataclass(frozen=True)
-class AcquireHandle:
-    slot: int
-
-
-@dataclass(frozen=True)
-class ReleaseHandle:
-    slot: int
-    after_replays: int = 0
-
-
-@dataclass(frozen=True)
-class ContextSwitch:
-    """Leave and re-enter the context at a trace position (save/restore)."""
-
-    at_position: int
-
-
-Action = ForceMisspeculate | AcquireHandle | ReleaseHandle | ContextSwitch
-
-
-def compile_actions(actions: list[Action]) -> tuple[dict[int, ForceMisspeculate], list[int]]:
-    """Reduce a script to per-slot misspeculation budgets and switch points."""
-    force: dict[int, ForceMisspeculate] = {}
-    acquired: dict[int, AcquireHandle] = {}
-    switches: list[int] = []
-    for act in actions:
-        if isinstance(act, ForceMisspeculate):
-            force[act.slot] = act
-        elif isinstance(act, AcquireHandle):
-            acquired[act.slot] = act
-            force[act.slot] = ForceMisspeculate(act.slot, None)
-        elif isinstance(act, ReleaseHandle):
-            if act.slot not in acquired:
-                raise ValueError(f"release of slot {act.slot} without acquire")
-            force[act.slot] = ForceMisspeculate(act.slot, act.after_replays)
-        elif isinstance(act, ContextSwitch):
-            switches.append(act.at_position)
-        else:
-            raise TypeError(f"unknown action {act!r}")
-    return force, sorted(switches)
-
-
 @dataclass
 class Scenario:
+    """A trace plus the attacker's control over it: a misspeculation budget
+    per handle slot and the trace positions of its context switches."""
+
     name: str
     pattern: ScenarioPattern
     trace: Trace
-    actions: list[Action]
+    force: dict[int, ForceMisspeculate]
     transmit_pcs: tuple[int, ...]
-    handle_slots: tuple[int, ...]
+    switches: list[int] = field(default_factory=list)
     params: dict = field(default_factory=dict)
 
 
@@ -161,32 +125,42 @@ def _pad(instructions: list[Instruction], n: int) -> None:
         )
 
 
+def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
+              gap: int, pad: int) -> Scenario:
+    """`handles` episodes in sequence: a page-faulting handle that
+    misspeculates `replays` times, `gap` plain instructions, a transmit
+    instruction of its own and `pad` plain instructions."""
+    if gap < 0:
+        raise ValueError(f"gap must be >= 0, got {gap}")
+    ins: list[Instruction] = []
+    force: dict[int, ForceMisspeculate] = {}
+    transmit_pcs = []
+    for i in range(handles):
+        slot = len(ins)
+        force[slot] = ForceMisspeculate(slot, replays)
+        ins.append(
+            Instruction(slot, _HANDLE_PC_BASE + 0x100 * i, InstructionKind.LOAD,
+                        ShadowKind.E, exec_latency=1, resolve_latency=_SINGLE_RESOLVE)
+        )
+        _pad(ins, gap)
+        transmit_pcs.append(_TRANSMIT_PC_BASE + 0x100 * i)
+        ins.append(Instruction(len(ins), transmit_pcs[-1], InstructionKind.TRANSMIT))
+        _pad(ins, pad)
+    return Scenario(
+        name=name,
+        pattern=pattern,
+        trace=Trace(name=name, seed=0, instructions=ins),
+        force=force,
+        transmit_pcs=tuple(transmit_pcs),
+        params={"handles": handles, "replays": replays, "gap": gap},
+    )
+
+
 def build_single(replays: int, gap: int = 2, pad: int = 8) -> Scenario:
     """One page-faulting handle replayed `replays` times before release."""
     if replays < 0:
         raise ValueError(f"replays must be >= 0, got {replays}")
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
-    ins: list[Instruction] = []
-    ins.append(
-        Instruction(0, _HANDLE_PC_BASE, InstructionKind.LOAD, ShadowKind.E,
-                    exec_latency=1, resolve_latency=_SINGLE_RESOLVE)
-    )
-    _pad(ins, gap)
-    s_pc = _TRANSMIT_PC_BASE
-    ins.append(Instruction(len(ins), s_pc, InstructionKind.TRANSMIT))
-    _pad(ins, pad)
-    trace = Trace(name=f"single-r{replays}", seed=0, instructions=ins)
-    actions: list[Action] = [AcquireHandle(0), ReleaseHandle(0, after_replays=replays)]
-    return Scenario(
-        name=trace.name,
-        pattern=ScenarioPattern.SINGLE,
-        trace=trace,
-        actions=actions,
-        transmit_pcs=(s_pc,),
-        handle_slots=(0,),
-        params={"handles": 1, "replays": replays, "gap": gap},
-    )
+    return _episodes(f"single-r{replays}", ScenarioPattern.SINGLE, 1, replays, gap, pad)
 
 
 def build_serial(handles: int, replays: int, gap: int = 2, window_pad: int = 64) -> Scenario:
@@ -201,36 +175,8 @@ def build_serial(handles: int, replays: int, gap: int = 2, window_pad: int = 64)
         raise ValueError(f"handles must be >= 1, got {handles}")
     if replays < 1:
         raise ValueError(f"replays must be >= 1, got {replays}")
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
-    ins: list[Instruction] = []
-    actions: list[Action] = []
-    transmit_pcs = []
-    handle_slots = []
-    for i in range(handles):
-        slot = len(ins)
-        handle_slots.append(slot)
-        ins.append(
-            Instruction(slot, _HANDLE_PC_BASE + 0x100 * i, InstructionKind.LOAD,
-                        ShadowKind.E, exec_latency=1, resolve_latency=_SINGLE_RESOLVE)
-        )
-        _pad(ins, gap)
-        s_pc = _TRANSMIT_PC_BASE + 0x100 * i
-        transmit_pcs.append(s_pc)
-        ins.append(Instruction(len(ins), s_pc, InstructionKind.TRANSMIT))
-        _pad(ins, window_pad)
-        actions.append(AcquireHandle(slot))
-        actions.append(ReleaseHandle(slot, after_replays=replays))
-    trace = Trace(name=f"serial-h{handles}-r{replays}", seed=0, instructions=ins)
-    return Scenario(
-        name=trace.name,
-        pattern=ScenarioPattern.SERIAL,
-        trace=trace,
-        actions=actions,
-        transmit_pcs=tuple(transmit_pcs),
-        handle_slots=tuple(handle_slots),
-        params={"handles": handles, "replays": replays, "gap": gap},
-    )
+    return _episodes(f"serial-h{handles}-r{replays}", ScenarioPattern.SERIAL,
+                     handles, replays, gap, window_pad)
 
 
 def nested_latencies(handles: int, replays: int, innermost: int = 3, slack: int = 8) -> list[int]:
@@ -274,18 +220,15 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
         raise ValueError("innermost resolve latency must be >= 1")
 
     ins: list[Instruction] = []
-    actions: list[Action] = []
-    handle_slots = []
+    force: dict[int, ForceMisspeculate] = {}
     for i in range(handles):
         slot = len(ins)
-        handle_slots.append(slot)
         ins.append(
             Instruction(slot, _HANDLE_PC_BASE + 0x100 * i, InstructionKind.BRANCH,
                         ShadowKind.C, exec_latency=1,
                         resolve_latency=resolve_latencies[i])
         )
-        outer = handle_slots[i - 1] if i > 0 else None
-        actions.append(ForceMisspeculate(slot, replays, outer_slot=outer))
+        force[slot] = ForceMisspeculate(slot, replays, outer_slot=slot - 1 if i else None)
     _pad(ins, gap)
     s_pc = _TRANSMIT_PC_BASE
     ins.append(Instruction(len(ins), s_pc, InstructionKind.TRANSMIT))
@@ -295,9 +238,8 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
         name=trace.name,
         pattern=ScenarioPattern.NESTED,
         trace=trace,
-        actions=actions,
+        force=force,
         transmit_pcs=(s_pc,),
-        handle_slots=tuple(handle_slots),
         params={"handles": handles, "replays": replays, "gap": gap,
                 "latencies": ",".join(map(str, resolve_latencies))},
     )
@@ -305,16 +247,9 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
 
 def build_unbounded(gap: int = 2, pad: int = 8) -> Scenario:
     """A handle that never resolves correctly: sustained replay (livelock)."""
-    scenario = build_single(0, gap=gap, pad=pad)
-    return Scenario(
-        name="unbounded-replay",
-        pattern=ScenarioPattern.SINGLE,
-        trace=scenario.trace,
-        actions=[AcquireHandle(0)],
-        transmit_pcs=scenario.transmit_pcs,
-        handle_slots=scenario.handle_slots,
-        params={"handles": 1, "replays": None, "gap": gap},
-    )
+    return replace(build_single(0, gap=gap, pad=pad), name="unbounded-replay",
+                   force={0: ForceMisspeculate(0, None)},
+                   params={"handles": 1, "replays": None, "gap": gap})
 
 
 # -- attacker-driven resolution --------------------------------------------------
@@ -365,63 +300,48 @@ class ScenarioResolver:
 
 
 class AttackObserver:
-    """Counts issue events of the transmit PCs and checks the security bound.
+    """Checks the security bound on the transmit PCs.
 
     After a squash discards an issued transmit instruction, its PC is
     "hot" until every handle that was queued at that squash has become
-    safe; a speculative issue of a hot PC is a bound violation.
+    safe; a speculative issue of a hot PC is a bound violation.  Handles
+    become safe in seq order, so the last of them to do so is the youngest,
+    ``SquashRecord.youngest_handle`` (the squash's cause is itself queued).
+    The queue's youngest handle never gets older, so a PC's last squash
+    bounds it alone.
     """
 
     def __init__(self, transmit_pcs: tuple[int, ...]) -> None:
         self.transmit_pcs = frozenset(transmit_pcs)
-        self.total: dict[int, int] = {pc: 0 for pc in transmit_pcs}
-        self.speculative: dict[int, int] = {pc: 0 for pc in transmit_pcs}
         self.hot_spec_issues = 0
-        self._hot: dict[int, list[set[int]]] = {}
-        self._by_handle: dict[int, list[tuple[int, set[int]]]] = {}
+        self._hot_until: dict[int, int] = {}  # PC -> youngest handle at its last squash
+        self._last_safe = -1
 
     def on_issue(self, entry: RobEntry, speculative: bool, cycle: int) -> None:
-        pc = entry.instr.pc
-        if pc not in self.transmit_pcs:
-            return
-        self.total[pc] += 1
-        if speculative:
-            self.speculative[pc] += 1
-            if self._hot.get(pc):
-                self.hot_spec_issues += 1
+        if speculative and self._hot_until.get(entry.instr.pc, -1) > self._last_safe:
+            self.hot_spec_issues += 1
 
-    def on_squash(self, record: SquashRecord, hq_seqs: list[int]) -> None:
-        if not hq_seqs:
-            return
+    def on_squash(self, record: SquashRecord) -> None:
         for pc in record.squashed_issued_pcs & self.transmit_pcs:
-            live = set(hq_seqs)
-            self._hot.setdefault(pc, []).append(live)
-            for seq in hq_seqs:
-                self._by_handle.setdefault(seq, []).append((pc, live))
+            self._hot_until[pc] = record.youngest_handle
 
     def on_handle_safe(self, seq: int) -> None:
-        for pc, live in self._by_handle.pop(seq, ()):
-            live.discard(seq)
-            if not live:
-                sets = self._hot.get(pc)
-                if sets is not None:
-                    self._hot[pc] = [s for s in sets if s]
+        self._last_safe = seq
 
 
 def run_scenario(scenario: Scenario, config: MachineConfig,
                  context_id: int = 0) -> AttackReport:
-    """Drive the pipeline with the attacker script; exact counts, deterministic."""
-    force, switches = compile_actions(scenario.actions)
+    """Drive the pipeline under the attacker's control; exact counts,
+    deterministic.  The transmit counts are the pipeline's per-PC ones."""
     observer = AttackObserver(scenario.transmit_pcs)
-    resolver = ScenarioResolver(force)
     livelock = False
     try:
-        metrics = run_segmented(scenario.trace, config, switches, context_id,
-                                resolver=resolver, observer=observer)
+        metrics = run_segmented(scenario.trace, config, scenario.switches, context_id,
+                                resolver=ScenarioResolver(scenario.force), observer=observer)
     except LivelockError as err:
         metrics = err.metrics
         livelock = True
-
+    total = {pc: metrics.per_pc_issues.get(pc, 0) for pc in scenario.transmit_pcs}
     return AttackReport(
         scenario=scenario.name,
         pattern=scenario.pattern,
@@ -430,10 +350,10 @@ def run_scenario(scenario: Scenario, config: MachineConfig,
         cycles=metrics.cycles,
         squashes=metrics.squashes,
         livelock=livelock,
-        spec_executions_of_s=dict(observer.speculative),
-        total_issues_of_s=dict(observer.total),
-        attack_region_executions=sum(observer.total.values()),
+        spec_executions_of_s={pc: metrics.per_pc_spec_issues.get(pc, 0)
+                              for pc in scenario.transmit_pcs},
+        total_issues_of_s=total,
+        attack_region_executions=sum(total.values()),
         hot_spec_issues=observer.hot_spec_issues,
         metrics=metrics,
     )
-

@@ -27,7 +27,7 @@ EXIT_LIVELOCK = 3
 def _add_machine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--policy", choices=[str(k) for k in PolicyKind])
-    p.add_argument("--bits", type=int, help="Bloom filter bits m (power of two)")
+    p.add_argument("--bits", type=int, help="Bloom filter bits m (power of two, at most 65536)")
     p.add_argument("--hashes", type=int, help="hash functions k per filter")
     p.add_argument("--filters", type=int, help="rolling filter count")
     p.add_argument("--threshold", type=int, help="saturation threshold in set bits")

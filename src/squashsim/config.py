@@ -37,7 +37,7 @@ class MachineConfig:
     rob_size: int = 32
     width: int = 8
     policy: PolicyKind = PolicyKind.BASELINE
-    bits: int = 64               # Bloom filter size m (power of two)
+    bits: int = 64               # Bloom filter size m (power of two, at most 2**16)
     hashes: int = 2              # hash functions k per filter
     filters: int = 2             # rolling filter count (one active)
     threshold: int | None = None  # saturation threshold in set bits; default bits // 2
@@ -70,8 +70,10 @@ class MachineConfig:
             raise ConfigError(f"rob_size must be >= 1, got {self.rob_size}")
         if self.width < 1:
             raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.bits < 2 or self.bits & (self.bits - 1):
-            raise ConfigError(f"bits must be a power of two >= 2, got {self.bits}")
+        if not 2 <= self.bits <= 1 << 16 or self.bits & (self.bits - 1):
+            # a bound under every policy, so no config derives more hash
+            # seeds than a filter of 2**16 bits has indices (see below)
+            raise ConfigError(f"bits must be a power of two in [2, 2**16], got {self.bits}")
         if self.hashes < 1:
             raise ConfigError(f"hashes must be >= 1, got {self.hashes}")
         if self.filters < 2:
@@ -86,7 +88,7 @@ class MachineConfig:
             raise ConfigError(f"squash_recovery must be >= 0, got {self.squash_recovery}")
         if self.fp_counting not in ("evaluation", "entry"):
             raise ConfigError(f"fp_counting must be 'evaluation' or 'entry', got {self.fp_counting}")
-        for name in ("bits", "hashes", "filters", "effective_threshold", "effective_window"):
+        for name in ("hashes", "filters", "effective_window"):  # bits, threshold <= 2**16
             value = getattr(self, name)
             if value >= 1 << 32:  # the context blob packs it as u32
                 raise ConfigError(f"{name} must be < 2**32, got {value}")

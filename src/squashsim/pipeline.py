@@ -412,8 +412,7 @@ class Pipeline:
         self.cursor = cause.instr.seq - self.records[0].seq + 1
         self._dispatch_resume = self.cycle + self.config.squash_recovery
         if self.observer is not None:
-            self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest),
-                                    [h.seq for h in self.hq.entries()])
+            self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest))
 
 
 def run(trace: Trace, config: MachineConfig, resolver=None, observer=None) -> Metrics:

@@ -41,6 +41,9 @@ Context blob layout (little-endian, versioned)::
     Perfect section (dos-perfect, or dos-bloom with oracle): window u32,
         record count u32; per record: expire flag u8 + u64, deadline flag
         u8 + u64, pc count u32, pcs u64 each
+
+A blob carries state only: restoring it under a config whose geometry,
+threshold, windows or hash seeds differ raises ``ContextBlobError``.
 """
 
 from __future__ import annotations
@@ -306,19 +309,19 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
 
     if state.filters is not None:
         m, k, count, active, threshold, window = r.take("<IIIIII")
-        if (m, k) != (state.filters.m, state.filters.k) or count != len(state.filters.filters):
-            raise ContextBlobError("filter geometry mismatch between blob and config")
+        rf = state.filters
+        geometry = (rf.m, rf.k, len(rf.filters), rf.threshold, rf.window_len)
+        if (m, k, count, threshold, window) != geometry:
+            # the config decides these; the blob only carries the state
+            raise ContextBlobError(
+                f"filter geometry (bits, hashes, filters, threshold, window) "
+                f"{(m, k, count, threshold, window)} in the blob != {geometry} in the config")
         if active >= count:
             raise ContextBlobError(f"active filter {active} out of range for {count} filters")
-        if not 1 <= threshold <= m:
-            raise ContextBlobError(f"threshold {threshold} out of range for {m} bits")
         seeds = r.take(f"<{k}Q")
         if tuple(seeds) != state.hash_seeds:
             raise ContextBlobError("hash seed mismatch between blob and config")
-        rf = state.filters
         rf.active = active
-        rf.threshold = threshold
-        rf.window_len = window
         nbytes = max(1, m // 8)
         for i in range(count):
             rf.filters[i].bits = int.from_bytes(r.take_bytes(nbytes), "little")
@@ -327,7 +330,9 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
 
     if state.perfect is not None:
         window, n_rec = r.take("<II")
-        state.perfect.window_len = window
+        if window != state.perfect.window_len:
+            raise ContextBlobError(f"exact-record window {window} in the blob != "
+                                   f"{state.perfect.window_len} in the config")
         for _ in range(n_rec):
             expire_seq = r.take_opt()
             deadline = r.take_opt()

@@ -1,18 +1,24 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from squashsim import experiment
 from squashsim.attacks import (
-    AcquireHandle,
-    ContextSwitch,
-    ReleaseHandle,
+    ForceMisspeculate,
+    Scenario,
     ScenarioPattern,
+    ScenarioResolver,
     build_nested,
     build_serial,
     build_single,
     build_unbounded,
-    compile_actions,
     run_scenario,
 )
 from squashsim.config import MachineConfig, PolicyKind
+from squashsim.pipeline import LivelockError, Pipeline
+from squashsim.shadows import ShadowKind
+from squashsim.trace import Instruction, InstructionKind, Trace
 
 
 def _enumerate_squash_tree(handles: int, replays: int) -> int:
@@ -141,22 +147,12 @@ def test_monotonic_containment_bloom_vs_baseline():
                 <= sum(base.spec_executions_of_s.values()))
 
 
-def test_compile_acquire_release_pairs():
-    force, switches = compile_actions(
-        [AcquireHandle(0), ReleaseHandle(0, after_replays=3), ContextSwitch(10)]
-    )
-    assert force[0].times == 3
-    assert switches == [10]
-    with pytest.raises(ValueError):
-        compile_actions([ReleaseHandle(1)])
-
-
 def test_context_switch_mid_scenario_preserves_counts():
     plain = build_serial(2, 2, window_pad=40)
     switched = build_serial(2, 2, window_pad=40)
     # yield the core between the two episodes
     boundary = len(plain.trace.instructions) // 2
-    switched.actions.append(ContextSwitch(boundary))
+    switched.switches.append(boundary)
     for policy in (PolicyKind.BASELINE, PolicyKind.DOS_BLOOM):
         a = run_scenario(plain, MachineConfig(policy=policy))
         b = run_scenario(switched, MachineConfig(policy=policy))
@@ -167,10 +163,10 @@ def test_context_switch_mid_scenario_preserves_counts():
 
 def test_livelock_after_context_switch_keeps_earlier_segments():
     sc = build_serial(2, 1, window_pad=40)
-    second = sc.handle_slots[1]
+    second = list(sc.force)[1]
     # release the first handle, switch, then hold the second one forever
-    sc.actions = [AcquireHandle(0), ReleaseHandle(0, after_replays=1),
-                  ContextSwitch(second), AcquireHandle(second)]
+    sc.force = {0: ForceMisspeculate(0, 1), second: ForceMisspeculate(second, None)}
+    sc.switches = [second]
     for policy in PolicyKind:
         rep = run_scenario(sc, MachineConfig(policy=policy, livelock_budget=200))
         assert rep.livelock
@@ -184,7 +180,7 @@ def test_scenario_pattern_metadata():
     assert sc.pattern is ScenarioPattern.NESTED
     assert sc.params["handles"] == 2
     assert len(sc.transmit_pcs) == 1
-    assert len(sc.handle_slots) == 2
+    assert list(sc.force) == [0, 1]
 
 
 @pytest.mark.parametrize("filters", [2, 3, 4])
@@ -210,11 +206,140 @@ def test_security_bound_independent_of_machine_shape(rob, width):
 
 
 def test_report_counts_agree_with_pipeline_metrics():
-    # the observer and the pipeline count speculative issues independently;
-    # they must agree for the transmit PCs
+    # the report reads the transmit PCs' counts off the pipeline's per-PC ones
     for policy in (PolicyKind.BASELINE, PolicyKind.DOS_BLOOM):
         rep = run_scenario(build_serial(3, 2), MachineConfig(policy=policy))
         for pc, n in rep.spec_executions_of_s.items():
             assert rep.metrics.per_pc_spec_issues.get(pc, 0) == n
         for pc, n in rep.total_issues_of_s.items():
             assert rep.metrics.per_pc_issues.get(pc, 0) == n
+
+
+def test_builders_budget_each_handle_slot():
+    single = build_single(3)
+    assert single.force == {0: ForceMisspeculate(0, 3)}
+    assert single.switches == []
+    serial = build_serial(2, 1, gap=1, window_pad=4)
+    assert serial.force == {0: ForceMisspeculate(0, 1), 7: ForceMisspeculate(7, 1)}
+    assert serial.trace.instructions[7].pc == 0x4100
+    unbounded = build_unbounded()
+    assert unbounded.force == {0: ForceMisspeculate(0, None)}
+    assert unbounded.trace.instructions == single.trace.instructions
+    assert (unbounded.name, unbounded.params["replays"]) == ("unbounded-replay", None)
+    nested = build_nested(3, 1)
+    assert [(fm.times, fm.outer_slot) for fm in nested.force.values()] == [
+        (1, None), (1, 0), (1, 1)]
+
+
+class _SetObserver:
+    """Reference for ``AttackObserver``: the set-based bound check it
+    replaced, which also counts the transmit issues itself.  Each squash of
+    a transmit PC keeps the set of handle seqs queued at that squash, and
+    the PC stays hot until one of its sets is empty."""
+
+    def __init__(self, transmit_pcs):
+        self.transmit_pcs = frozenset(transmit_pcs)
+        self.total = {pc: 0 for pc in transmit_pcs}
+        self.speculative = {pc: 0 for pc in transmit_pcs}
+        self.hot_spec_issues = 0
+        self.hq = None  # the running segment's handle queue
+        self._hot = {}
+        self._by_handle = {}
+
+    def on_issue(self, entry, speculative, cycle):
+        pc = entry.instr.pc
+        if pc not in self.transmit_pcs:
+            return
+        self.total[pc] += 1
+        if speculative:
+            self.speculative[pc] += 1
+            if self._hot.get(pc):
+                self.hot_spec_issues += 1
+
+    def on_squash(self, record):
+        hq_seqs = [h.seq for h in self.hq.entries()]
+        if not hq_seqs:
+            return
+        for pc in record.squashed_issued_pcs & self.transmit_pcs:
+            live = set(hq_seqs)
+            self._hot.setdefault(pc, []).append(live)
+            for seq in hq_seqs:
+                self._by_handle.setdefault(seq, []).append((pc, live))
+
+    def on_handle_safe(self, seq):
+        for pc, live in self._by_handle.pop(seq, ()):
+            live.discard(seq)
+            if not live:
+                self._hot[pc] = [s for s in self._hot.get(pc, ()) if s]
+
+
+class _QueueToObserver(Pipeline):
+    """Hands the reference observer the handle queue it reads at a squash."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.observer.hq = self.hq
+
+
+def _reference(scenario, config):
+    ref = _SetObserver(scenario.transmit_pcs)
+    livelock = False
+    with mock.patch.object(experiment, "Pipeline", _QueueToObserver):
+        try:
+            experiment.run_segmented(scenario.trace, config, scenario.switches,
+                                     resolver=ScenarioResolver(scenario.force), observer=ref)
+        except LivelockError:
+            livelock = True
+    return ref, livelock
+
+
+_TRANSMIT_PCS = (0x5000, 0x5100, 0x5200)
+_HANDLE_ROWS = [(InstructionKind.LOAD, ShadowKind.E), (InstructionKind.BRANCH, ShadowKind.C),
+                (InstructionKind.STORE, ShadowKind.D), (InstructionKind.LOAD, ShadowKind.M)]
+
+
+@st.composite
+def _random_attacks(draw, policy):
+    ins = []
+    force = {}
+    for seq in range(draw(st.integers(4, 40))):
+        row = draw(st.sampled_from(["plain", "transmit", "handle", "handle"]))
+        if row == "handle":
+            kind, shadow = draw(st.sampled_from(_HANDLE_ROWS))
+            ins.append(Instruction(seq, 0x4000 + 4 * seq, kind, shadow,
+                                   draw(st.integers(1, 3)), draw(st.integers(1, 12))))
+            if draw(st.booleans()):
+                times = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+                outer = draw(st.sampled_from([None, *force]))
+                force[seq] = ForceMisspeculate(seq, times, outer)
+        elif row == "transmit":
+            ins.append(Instruction(seq, draw(st.sampled_from(_TRANSMIT_PCS)),
+                                   InstructionKind.TRANSMIT, exec_latency=draw(st.integers(1, 3))))
+        else:
+            ins.append(Instruction(seq, 0x70000 + 4 * seq, InstructionKind.PLAIN))
+    scenario = Scenario(
+        name="random", pattern=ScenarioPattern.SERIAL,
+        trace=Trace(name="random", seed=0, instructions=ins), force=force,
+        transmit_pcs=_TRANSMIT_PCS,
+        switches=draw(st.lists(st.integers(1, len(ins) - 1), max_size=3)))
+    config = MachineConfig(
+        policy=policy, rob_size=draw(st.integers(4, 32)), width=draw(st.integers(1, 8)),
+        bits=draw(st.sampled_from([8, 64])), hashes=draw(st.integers(1, 2)),
+        window_len=draw(st.sampled_from([0, 4, None])), livelock_budget=200)
+    return scenario, config
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_observer_bound_matches_the_set_based_reference(policy, data):
+    # one youngest handle per hot PC, and the pipeline's per-PC counts, give
+    # what a set of queued handles per squash and the observer's own counts did
+    scenario, config = data.draw(_random_attacks(policy))
+    report = run_scenario(scenario, config)
+    ref, livelock = _reference(scenario, config)
+    assert report.livelock == livelock
+    assert report.hot_spec_issues == ref.hot_spec_issues
+    assert report.total_issues_of_s == ref.total
+    assert report.spec_executions_of_s == ref.speculative
+    assert report.attack_region_executions == sum(ref.total.values())

@@ -92,6 +92,19 @@ def test_simulate_more_hashes_than_bits_is_config_error(capsys, loop_trace):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("policy, bits, hashes", [
+    ("dos-bloom", "131072", "2"),
+    ("dos-perfect", "131072", "2"),
+    # hashes == bits passes the hashes cap; only the bits cap stops 2**31 seeds
+    ("dos-bloom", "2147483648", "2147483648"),
+])
+def test_simulate_bits_beyond_2_16_is_config_error(capsys, loop_trace, policy, bits, hashes):
+    code = main(["simulate", "--trace", loop_trace, "--policy", policy,
+                 "--bits", bits, "--hashes", hashes])
+    assert code == EXIT_CONFIG
+    assert "bits must be a power of two in [2, 2**16]" in capsys.readouterr().err
+
+
 def test_simulate_livelock_exit_code(capsys, tmp_path):
     path = tmp_path / "slow.tr"
     path.write_text("0 0x10 LOAD - 40 1\n")

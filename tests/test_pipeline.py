@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squashsim import pipeline
-from squashsim.attacks import ScenarioResolver, build_unbounded, compile_actions
+from squashsim.attacks import ScenarioResolver, build_unbounded
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.experiment import run_segmented
 from squashsim.filters import compute_hashes
@@ -151,7 +151,7 @@ def test_squash_record_excludes_never_issued():
     class Obs:
         def on_issue(self, e, speculative, cycle): pass
         def on_handle_safe(self, seq): pass
-        def on_squash(self, record, hq): records.append(record)
+        def on_squash(self, record): records.append(record)
 
     run(t, MachineConfig(policy=PolicyKind.DELAY_ALL), observer=Obs())
     assert len(records) == 1
@@ -170,13 +170,12 @@ def test_squash_record_carries_issued_pcs_and_youngest():
     class Obs:
         def on_issue(self, e, speculative, cycle): pass
         def on_handle_safe(self, seq): pass
-        def on_squash(self, record, hq): records.append((record, list(hq)))
+        def on_squash(self, record): records.append(record)
 
     run(t, MachineConfig(), observer=Obs())
-    record, hq_seqs = records[0]
+    record = records[0]
     assert record.squashed_issued_pcs == frozenset({0x200, 0x300, 0x400})
     assert record.youngest_handle == 2  # seq of the younger queued branch
-    assert hq_seqs == [0, 2]
 
 
 def test_in_order_commit_and_forward_progress():
@@ -223,9 +222,8 @@ def test_livelock_guard_raises():
 def test_livelock_message_names_the_unresolved_head():
     # under baseline the replayed E handle sits executed at the head, never resolved
     scenario = build_unbounded()
-    force, _ = compile_actions(scenario.actions)
     pipe = Pipeline(scenario.trace, MachineConfig(livelock_budget=400),
-                    resolver=ScenarioResolver(force))
+                    resolver=ScenarioResolver(scenario.force))
     with pytest.raises(LivelockError) as info:
         pipe.run()
     assert str(info.value) == (
@@ -271,13 +269,15 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name, largest, too_big", [
-    ("bits", 2**31, 2**32), ("hashes", 2**32 - 1, 2**32), ("filters", 2**32 - 1, 2**32),
+    ("bits", 2**16, 2**17), ("hashes", 2**32 - 1, 2**32), ("filters", 2**32 - 1, 2**32),
     ("window_len", 2**32 - 1, 2**33),
     ("rob_size", 2**32 - 1, 2**33),  # the window defaults to rob_size
 ])
 def test_config_bounds_what_the_blob_packs_as_u32(name, largest, too_big):
     MachineConfig(**{name: largest})  # the checks allocate nothing
-    with pytest.raises(ConfigError, match=r"< 2\*\*32"):
+    # bits has a tighter cap, which bounds the hash seeds a config derives
+    message = r"in \[2, 2\*\*16\]" if name == "bits" else r"< 2\*\*32"
+    with pytest.raises(ConfigError, match=message):
         MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, **{name: too_big})
 
 
@@ -321,7 +321,7 @@ def test_squash_completeness():
     class Obs:
         def on_issue(self, e, speculative, cycle): pass
         def on_handle_safe(self, seq): pass
-        def on_squash(self, record, hq): records.append(record)
+        def on_squash(self, record): records.append(record)
 
     p = Pipeline(t, MachineConfig(), observer=Obs())
     p.cycle = 1
@@ -455,7 +455,7 @@ class _IssueStream:
     def on_issue(self, e, speculative, cycle):
         self.issues.append((e.seq, speculative, cycle))
 
-    def on_squash(self, record, hq):
+    def on_squash(self, record):
         pass
 
     def on_handle_safe(self, seq):

@@ -356,6 +356,22 @@ def test_restore_rejects_threshold_out_of_range(threshold):
         restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
 
 
+@pytest.mark.parametrize("policy, saved, oracle", [
+    (PolicyKind.DOS_BLOOM, {"threshold": 8, "window_len": 3}, False),
+    (PolicyKind.DOS_BLOOM, {"threshold": 8}, False),
+    (PolicyKind.DOS_BLOOM, {"window_len": 3}, False),
+    (PolicyKind.DOS_PERFECT, {"window_len": 3}, False),
+    (PolicyKind.DOS_BLOOM, {"window_len": 3}, True),
+])
+def test_restore_rejects_a_blob_whose_geometry_differs_from_the_config(policy, saved, oracle):
+    # the config decides the threshold and the windows; a blob carries state only
+    blob = save_context(_state(policy, oracle=oracle, **saved))
+    with pytest.raises(ContextBlobError, match="window|threshold"):
+        restore_context(blob, MachineConfig(policy=policy, oracle=oracle))
+    restored = restore_context(blob, MachineConfig(policy=policy, oracle=oracle, **saved))
+    assert save_context(restored) == blob
+
+
 def test_restore_rejects_policy_mismatch():
     blob = save_context(PolicyState(MachineConfig(policy=PolicyKind.BASELINE)))
     with pytest.raises(ContextBlobError):
