@@ -18,7 +18,7 @@ M, K = 64, 2
 seeds = derive_hash_seeds(7, K)
 mask = lambda pc: indices_to_mask(compute_hashes(pc, seeds, M))
 
-rf = RollingFilters(m=M, k=K, count=2, window_len=8)
+rf = RollingFilters(count=2, threshold=M // 2, window_len=8)
 
 ############################################################
 # A squash inserts the issued-and-squashed PCs and associates the active
@@ -26,7 +26,7 @@ rf = RollingFilters(m=M, k=K, count=2, window_len=8)
 
 victims = [0x400, 0x404, 0x408, 0x40C]
 rf.record_squash([mask(pc) for pc in victims], youngest_handle=30, dyn_count=0)
-print(f"after squash: active={rf.active} set_bits={rf.filters[0].set_count} assoc={rf.assoc[0]}")
+print(f"after squash: active={rf.active} set_bits={rf.filters[0].bit_count()} assoc={rf.assoc[0]}")
 print(f"  0x400 hits: {rf.query(mask(0x400))}, fresh 0x900 hits: {rf.query(mask(0x900))}")
 
 ############################################################
@@ -39,7 +39,7 @@ while rf.rotations == 0:
     handle += 1
     batch += 0x10
     rf.record_squash([mask(batch + 4 * i) for i in range(4)], handle, dyn_count=0)
-print(f"rotated after filling {rf.filters[0].set_count}/{M} bits; active is now filter {rf.active}")
+print(f"rotated after filling {rf.filters[0].bit_count()}/{M} bits; active is now filter {rf.active}")
 
 ############################################################
 # Old entries still hit while the stale filter waits for its handle: both
@@ -54,7 +54,7 @@ print(f"0x400 still hits via the inactive filter: {rf.query(mask(0x400))}")
 rf.on_handle_safe(handle, dyn_count=100)
 print(f"deadline armed at dispatch count {rf.deadline[0]} (window {rf.window_len})")
 rf.on_dispatch(100 + rf.window_len)
-print(f"after the window passes: filter bits = {[f.set_count for f in rf.filters]}, "
+print(f"after the window passes: filter bits = {[bits.bit_count() for bits in rf.filters]}, "
       f"clears = {rf.clears}")
 
 ############################################################

@@ -12,7 +12,7 @@ perfect/Bloom variants of the defense).
 from .config import MachineConfig, PolicyKind
 from .trace import Instruction, InstructionKind, Trace, gen_loop_trace, parse_trace, serialize_trace
 from .shadows import HandleQueue, ShadowKind
-from .filters import BloomFilter, PerfectFilter, RollingFilters, compute_hashes
+from .filters import PerfectFilter, RollingFilters, compute_hashes
 from .metrics import Metrics, fp_rate, perf_proxy
 from .pipeline import LivelockError, Pipeline, SquashRecord, run
 from .policy import PolicyState, restore_context, save_context
@@ -29,7 +29,6 @@ from .golden import run_golden
 
 __all__ = [
     "AttackReport",
-    "BloomFilter",
     "HandleQueue",
     "Instruction",
     "InstructionKind",

@@ -1,4 +1,4 @@
-"""Binary Bloom filters, the rolling active/inactive set, and the exact oracle.
+"""The rolling Bloom filters, their PC hashing, and the exact oracle.
 
 The rolling filters store the PCs of issued-and-squashed instructions.
 Each filter is associated with the youngest potential handle that existed
@@ -6,7 +6,8 @@ at its most recent insertion; it may only be bulk-reset once that handle
 has left the window of speculation, and even then the reset is deferred by
 a dynamic-instruction window so that squashed handles cannot be
 re-introduced against cleared filters.  Bits are never cleared
-individually.
+individually.  Each filter is a plain int bit array; its size and hash
+count live only in the config that builds the masks.
 
 :class:`PerfectFilter` keeps exact per-squash PC sets with the same
 youngest-handle association.  It backs the ideal policy variant and the
@@ -54,50 +55,21 @@ def indices_to_mask(indices: tuple[int, ...]) -> int:
     return mask
 
 
-class BloomFilter:
-    """Binary Bloom filter over a bit array of size m (power of two)."""
-
-    __slots__ = ("m", "k", "bits")
-
-    def __init__(self, m: int, k: int) -> None:
-        self.m = m
-        self.k = k
-        self.bits = 0
-
-    @property
-    def set_count(self) -> int:
-        return self.bits.bit_count()
-
-    def insert_mask(self, mask: int) -> None:
-        self.bits |= mask
-
-    def query_mask(self, mask: int) -> bool:
-        return (self.bits & mask) == mask
-
-    def clear(self) -> None:
-        self.bits = 0
-
-
 class RollingFilters:
-    """Cyclical list of Bloom filters; one active, the rest awaiting clears.
+    """Cyclical list of Bloom bit arrays; one active, the rest awaiting clears.
 
     Insertions go to the active filter; queries check every filter.  When
-    the active filter reaches the saturation threshold and the next filter
-    in the cycle is already clear, the roles rotate.  A filter becomes
-    clear-eligible when its associated handle is safe, and actually resets
-    once the deferral window of dynamic instructions has passed without a
-    re-association.
+    the active filter reaches the saturation threshold (in set bits) and
+    the next filter in the cycle is already clear, the roles rotate.  A
+    filter becomes clear-eligible when its associated handle is safe, and
+    actually resets once the deferral window of dynamic instructions has
+    passed without a re-association.
     """
 
-    def __init__(self, m: int, k: int, count: int = 2, threshold: int | None = None,
-                 window_len: int = 0) -> None:
-        if count < 2:
-            raise ValueError(f"filter count must be >= 2, got {count}")
-        self.m = m
-        self.k = k
-        self.threshold = m // 2 if threshold is None else threshold
+    def __init__(self, count: int, threshold: int, window_len: int) -> None:
+        self.threshold = threshold
         self.window_len = window_len
-        self.filters = [BloomFilter(m, k) for _ in range(count)]
+        self.filters = [0] * count
         self.active = 0
         self.assoc: list[int | None] = [None] * count
         self.deadline: list[int | None] = [None] * count
@@ -105,9 +77,9 @@ class RollingFilters:
         self.clears = 0
 
     def query(self, mask: int) -> bool:
-        """Hit iff all k bits are set in any filter, active or not."""
-        for f in self.filters:
-            if (f.bits & mask) == mask:
+        """Hit iff all of the mask's bits are set in any filter, active or not."""
+        for bits in self.filters:
+            if bits & mask == mask:
                 return True
         return False
 
@@ -118,9 +90,10 @@ class RollingFilters:
         deadline one window ahead instead of a handle association.
         Rotation is evaluated after the insertion.
         """
-        f = self.filters[self.active]
+        bits = self.filters[self.active]
         for mask in masks:
-            f.bits |= mask
+            bits |= mask
+        self.filters[self.active] = bits
         if youngest_handle is not None:
             self.assoc[self.active] = youngest_handle
             self.deadline[self.active] = None
@@ -130,11 +103,10 @@ class RollingFilters:
 
     def maybe_rotate(self) -> bool:
         """Swap roles when the active filter is saturated and the next is clear."""
-        f = self.filters[self.active]
-        if f.set_count < self.threshold:
+        if self.filters[self.active].bit_count() < self.threshold:
             return False
         nxt = (self.active + 1) % len(self.filters)
-        if self.filters[nxt].bits != 0:
+        if self.filters[nxt]:
             return False
         self.active = nxt
         self.rotations += 1
@@ -162,8 +134,8 @@ class RollingFilters:
         cleared = []
         for i, dl in enumerate(self.deadline):
             if dl is not None and dyn_count >= dl:
-                if self.filters[i].bits != 0:
-                    self.filters[i].clear()
+                if self.filters[i]:
+                    self.filters[i] = 0
                     self.clears += 1
                     cleared.append(i)
                 self.deadline[i] = None

@@ -134,9 +134,9 @@ def run_golden() -> list[GoldenStep]:
     c.expect(rf.query(masks[PC_S]) and rf.query(masks[PC_H3]) and rf.query(masks[PC_X]),
              "squashed PCs hit the filters")
     c.expect(rf.assoc[0] == _SEQ_H3, "first filter associated with the youngest handle")
-    c.expect(rf.filters[0].set_count >= rf.threshold,
+    c.expect(rf.filters[0].bit_count() >= rf.threshold,
              "first filter reached the saturation threshold")
-    c.expect(rf.filters[1].bits == 0, "second filter still empty")
+    c.expect(rf.filters[1] == 0, "second filter still empty")
     record(2, "squash at H2 fills the first filter, associated with H3", c)
 
     # Step 3: re-execution after H2 takes a slightly different path with Y.
@@ -151,14 +151,14 @@ def run_golden() -> list[GoldenStep]:
 
     # Step 4: H1 misspeculates; issued younger {X, H2, Y} land in filter two.
     c = _Check()
-    bits_before = rf.filters[0].bits
+    bits_before = rf.filters[0]
     hq.mark_squashed_after(_SEQ_H1)
     pcs = frozenset({PC_X, PC_H2, PC_Y})
     c.expect(hq.youngest_handle() == _SEQ_H3B, "youngest handle is the replayed H3")
     state.on_squash(pcs, [masks[PC_X], masks[PC_H2], masks[PC_Y]], hq.youngest_handle())
-    c.expect(rf.filters[0].bits == bits_before,
+    c.expect(rf.filters[0] == bits_before,
              "saturated first filter is left untouched")
-    c.expect(rf.filters[1].bits != 0, "insertion targets the second filter")
+    c.expect(rf.filters[1] != 0, "insertion targets the second filter")
     c.expect(rf.assoc[1] == _SEQ_H3B,
              "second filter associated with the youngest handle")
     c.expect(rf.query(masks[PC_H2]) and rf.query(masks[PC_Y]),
@@ -171,7 +171,7 @@ def run_golden() -> list[GoldenStep]:
     c.expect(flags == {_SEQ_H1: False, _SEQ_H2: True, _SEQ_H3: True, _SEQ_H3B: True},
              "every handle but H1 is flagged squashed")
     c.expect(hq.pop_safe() == [], "unresolved H1 blocks the queue head")
-    c.expect(rf.filters[0].bits != 0 and rf.filters[1].bits != 0,
+    c.expect(rf.filters[0] != 0 and rf.filters[1] != 0,
              "no filter may be reset while H1 is live")
     c.expect(decide(_SEQ_S2, PC_S) == DELAY_BLOOM_HIT, "S stays delayed")
     record(5, "live H1 keeps both filters and the queue intact", c)
@@ -185,7 +185,7 @@ def run_golden() -> list[GoldenStep]:
     c.expect(popped == [_SEQ_H1, _SEQ_H2, _SEQ_H3, _SEQ_H3B],
              "resolving H1 drains the squashed handles through the head")
     c.expect(len(hq) == 0, "handle queue empty after the drain")
-    c.expect(rf.filters[0].bits == 0 and rf.filters[1].bits == 0,
+    c.expect(rf.filters[0] == 0 and rf.filters[1] == 0,
              "both filters cleared once their handles are safe")
     c.expect(decide(_SEQ_S2, PC_S) is None, "S may issue again after the clears")
     record(6, "H1 resolution triggers the deferred filter clears", c)

@@ -97,8 +97,6 @@ class PolicyState:
         if self.kind is PolicyKind.DOS_BLOOM:
             self.hash_seeds = derive_hash_seeds(config.seed, config.hashes)
             self.filters = RollingFilters(
-                m=config.bits,
-                k=config.hashes,
                 count=config.filters,
                 threshold=config.effective_threshold,
                 window_len=config.effective_window,
@@ -239,16 +237,17 @@ def save_context(state: PolicyState) -> ContextBlob:
 
     if state.filters is not None:
         rf = state.filters
+        cfg = state.config
         parts.append(
             struct.pack(
                 "<IIIIII",
-                rf.m, rf.k, len(rf.filters), rf.active, rf.threshold, rf.window_len,
+                cfg.bits, cfg.hashes, len(rf.filters), rf.active, rf.threshold, rf.window_len,
             )
         )
         parts.append(struct.pack(f"<{len(state.hash_seeds)}Q", *state.hash_seeds))
-        nbytes = max(1, rf.m // 8)
-        for i, f in enumerate(rf.filters):
-            parts.append(f.bits.to_bytes(nbytes, "little"))
+        nbytes = max(1, cfg.bits // 8)
+        for i, bits in enumerate(rf.filters):
+            parts.append(bits.to_bytes(nbytes, "little"))
             parts.append(_pack_opt(rf.assoc[i]))
             parts.append(_pack_opt(rf.deadline[i]))
 
@@ -310,7 +309,7 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
     if state.filters is not None:
         m, k, count, active, threshold, window = r.take("<IIIIII")
         rf = state.filters
-        geometry = (rf.m, rf.k, len(rf.filters), rf.threshold, rf.window_len)
+        geometry = (config.bits, config.hashes, len(rf.filters), rf.threshold, rf.window_len)
         if (m, k, count, threshold, window) != geometry:
             # the config decides these; the blob only carries the state
             raise ContextBlobError(
@@ -324,7 +323,7 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
         rf.active = active
         nbytes = max(1, m // 8)
         for i in range(count):
-            rf.filters[i].bits = int.from_bytes(r.take_bytes(nbytes), "little")
+            rf.filters[i] = int.from_bytes(r.take_bytes(nbytes), "little")
             rf.assoc[i] = r.take_opt()
             rf.deadline[i] = r.take_opt()
 

@@ -77,7 +77,7 @@ def test_criterion_3_golden_walkthrough():
 def test_criterion_4_no_false_negatives():
     m, k = 64, 2
     seeds = derive_hash_seeds(0, k)
-    rf = RollingFilters(m=m, k=k, count=2, threshold=m // 2, window_len=8)
+    rf = RollingFilters(count=2, threshold=m // 2, window_len=8)
     rng = random.Random(1234)
     masks: dict[int, int] = {}
 

@@ -205,16 +205,6 @@ def test_security_bound_independent_of_machine_shape(rob, width):
             assert all(n <= 2 for n in rep.total_issues_of_s.values())
 
 
-def test_report_counts_agree_with_pipeline_metrics():
-    # the report reads the transmit PCs' counts off the pipeline's per-PC ones
-    for policy in (PolicyKind.BASELINE, PolicyKind.DOS_BLOOM):
-        rep = run_scenario(build_serial(3, 2), MachineConfig(policy=policy))
-        for pc, n in rep.spec_executions_of_s.items():
-            assert rep.metrics.per_pc_spec_issues.get(pc, 0) == n
-        for pc, n in rep.total_issues_of_s.items():
-            assert rep.metrics.per_pc_issues.get(pc, 0) == n
-
-
 def test_builders_budget_each_handle_slot():
     single = build_single(3)
     assert single.force == {0: ForceMisspeculate(0, 3)}
@@ -343,3 +333,5 @@ def test_observer_bound_matches_the_set_based_reference(policy, data):
     assert report.total_issues_of_s == ref.total
     assert report.spec_executions_of_s == ref.speculative
     assert report.attack_region_executions == sum(ref.total.values())
+    if policy is not PolicyKind.BASELINE:
+        assert report.hot_spec_issues == 0

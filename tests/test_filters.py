@@ -2,7 +2,6 @@ import random
 
 
 from squashsim.filters import (
-    BloomFilter,
     PerfectFilter,
     RollingFilters,
     compute_hashes,
@@ -56,41 +55,26 @@ def test_hash_uniformity():
 
 
 def test_insert_then_query_hits():
-    f = BloomFilter(64, 2)
+    rf = RollingFilters(count=2, threshold=32, window_len=0)
     seeds = derive_hash_seeds(0, 2)
     h = compute_hashes(0x1234, seeds, 64)
-    f.insert_mask(indices_to_mask(h))
-    assert f.query_mask(indices_to_mask(h))
-    assert f.set_count == len(set(h))
-
-
-def test_insert_into_full_filter_is_idempotent():
-    f = BloomFilter(8, 2)
-    f.bits = (1 << 8) - 1
-    f.insert_mask(indices_to_mask((0, 5)))
-    assert f.set_count == 8
-
-
-def test_set_count_tracks_population():
-    f = BloomFilter(64, 2)
-    rng = random.Random(7)
-    for _ in range(100):
-        f.insert_mask(1 << rng.randrange(64))
-        assert f.set_count == bin(f.bits).count("1")
+    rf.record_squash([indices_to_mask(h)], youngest_handle=None, dyn_count=0)
+    assert rf.query(indices_to_mask(h))
+    assert rf.filters[0].bit_count() == len(set(h))
 
 
 def test_empirical_fp_rate_matches_load():
     m, k = 256, 2
     seeds = derive_hash_seeds(5, k)
-    f = BloomFilter(m, k)
+    rf = RollingFilters(count=2, threshold=m, window_len=0)  # never rotates here
     rng = random.Random(5)
-    for _ in range(60):
-        f.insert_mask(_mask(rng.getrandbits(64), seeds, m))
-    load = f.set_count / m
+    rf.record_squash([_mask(rng.getrandbits(64), seeds, m) for _ in range(60)],
+                     youngest_handle=None, dyn_count=0)
+    load = rf.filters[0].bit_count() / m
     expected = load**k
     trials = 20_000
     hits = sum(
-        f.query_mask(_mask(rng.getrandbits(64), seeds, m)) for _ in range(trials)
+        rf.query(_mask(rng.getrandbits(64), seeds, m)) for _ in range(trials)
     )
     rate = hits / trials
     assert abs(rate - expected) < 0.02
@@ -101,24 +85,24 @@ def _mask(pc, seeds, m):
 
 
 def test_pair_checks_both_filters():
-    rf = RollingFilters(m=64, k=2, count=2)
+    rf = RollingFilters(count=2, threshold=32, window_len=0)
     seeds = derive_hash_seeds(0, 2)
     mask = _mask(0x400, seeds, 64)
-    rf.filters[1].insert_mask(mask)  # inactive filter only
+    rf.filters[1] = mask  # inactive filter only
     assert rf.active == 0
     assert rf.query(mask)
     assert not rf.query(_mask(0x999, seeds, 64)) or _mask(0x999, seeds, 64) == mask
 
 
 def test_empty_pair_misses():
-    rf = RollingFilters(m=64, k=2)
+    rf = RollingFilters(count=2, threshold=32, window_len=0)
     seeds = derive_hash_seeds(0, 2)
     for pc in range(100):
         assert not rf.query(_mask(pc, seeds, 64))
 
 
 def test_record_squash_sets_assoc_and_inserts():
-    rf = RollingFilters(m=64, k=2)
+    rf = RollingFilters(count=2, threshold=32, window_len=0)
     seeds = derive_hash_seeds(0, 2)
     masks = [_mask(pc, seeds, 64) for pc in (0x400, 0x404, 0x408)]
     rf.record_squash(masks, youngest_handle=17, dyn_count=5)
@@ -128,57 +112,57 @@ def test_record_squash_sets_assoc_and_inserts():
 
 
 def test_record_squash_empty_set_still_reassociates():
-    rf = RollingFilters(m=64, k=2)
+    rf = RollingFilters(count=2, threshold=32, window_len=0)
     rf.record_squash([], youngest_handle=9, dyn_count=0)
     assert rf.assoc[rf.active] == 9
-    assert all(f.bits == 0 for f in rf.filters)
+    assert rf.filters == [0, 0]
 
 
 def test_rotation_at_threshold_with_clear_inactive():
-    rf = RollingFilters(m=8, k=1, count=2, threshold=4)
-    rf.filters[0].bits = 0b00001111  # exactly at threshold
+    rf = RollingFilters(count=2, threshold=4, window_len=0)
+    rf.filters[0] = 0b00001111  # exactly at threshold
     assert rf.maybe_rotate()
     assert rf.active == 1
     assert rf.rotations == 1
 
 
 def test_no_rotation_when_inactive_dirty():
-    rf = RollingFilters(m=8, k=1, count=2, threshold=4)
-    rf.filters[0].bits = 0b11111111
-    rf.filters[1].bits = 0b1
+    rf = RollingFilters(count=2, threshold=4, window_len=0)
+    rf.filters[0] = 0b11111111
+    rf.filters[1] = 0b1
     assert not rf.maybe_rotate()
     assert rf.active == 0
 
 
 def test_no_rotation_when_empty():
-    rf = RollingFilters(m=8, k=1, count=2, threshold=4)
+    rf = RollingFilters(count=2, threshold=4, window_len=0)
     assert not rf.maybe_rotate()
 
 
 def test_handle_safe_arms_deferred_clear():
-    rf = RollingFilters(m=64, k=2, window_len=10)
-    rf.filters[0].bits = 0b111
+    rf = RollingFilters(count=2, threshold=32, window_len=10)
+    rf.filters[0] = 0b111
     rf.assoc[0] = 5
     rf.on_handle_safe(5, dyn_count=100)
     assert rf.assoc[0] is None
     assert rf.deadline[0] == 110
-    assert rf.filters[0].bits == 0b111  # still deferred
+    assert rf.filters[0] == 0b111  # still deferred
     rf.on_dispatch(109)
-    assert rf.filters[0].bits == 0b111
+    assert rf.filters[0] == 0b111
     rf.on_dispatch(110)
-    assert rf.filters[0].bits == 0
+    assert rf.filters[0] == 0
     assert rf.clears == 1
 
 
 def test_sweeps_report_only_the_filters_they_cleared():
-    rf = RollingFilters(m=64, k=2, count=3, window_len=0)
-    rf.filters[1].bits = 0b1
+    rf = RollingFilters(count=3, threshold=32, window_len=0)
+    rf.filters[1] = 0b1
     rf.assoc[0] = rf.assoc[1] = 3
     assert rf.on_handle_safe(3, dyn_count=0) == [1]  # filter 0 was already empty
     rf.assoc[2] = 4
     assert rf.on_handle_safe(4, dyn_count=0) == []
     rf.window_len = 5
-    rf.filters[0].bits = 0b10
+    rf.filters[0] = 0b10
     rf.assoc[0] = 6
     assert rf.on_handle_safe(6, dyn_count=0) == []  # only armed
     assert rf.on_dispatch(4) == []
@@ -187,26 +171,26 @@ def test_sweeps_report_only_the_filters_they_cleared():
 
 
 def test_handle_safe_ignores_younger_assoc():
-    rf = RollingFilters(m=64, k=2, window_len=0)
-    rf.filters[0].bits = 0b1
+    rf = RollingFilters(count=2, threshold=32, window_len=0)
+    rf.filters[0] = 0b1
     rf.assoc[0] = 9
     rf.on_handle_safe(5, dyn_count=0)
     assert rf.assoc[0] == 9
-    assert rf.filters[0].bits == 0b1
+    assert rf.filters[0] == 0b1
 
 
 def test_window_zero_clears_immediately():
-    rf = RollingFilters(m=64, k=2, window_len=0)
-    rf.filters[0].bits = 0b1010
+    rf = RollingFilters(count=2, threshold=32, window_len=0)
+    rf.filters[0] = 0b1010
     rf.assoc[0] = 3
     rf.on_handle_safe(3, dyn_count=42)
-    assert rf.filters[0].bits == 0
+    assert rf.filters[0] == 0
     assert rf.clears == 1
 
 
 def test_reassociation_cancels_pending_clear():
-    rf = RollingFilters(m=64, k=2, window_len=10)
-    rf.filters[0].bits = 0b1
+    rf = RollingFilters(count=2, threshold=32, window_len=10)
+    rf.filters[0] = 0b1
     rf.assoc[0] = 3
     rf.on_handle_safe(3, dyn_count=0)
     assert rf.deadline[0] == 10
@@ -214,7 +198,7 @@ def test_reassociation_cancels_pending_clear():
     assert rf.assoc[0] == 8
     assert rf.deadline[0] is None
     rf.on_dispatch(50)
-    assert rf.filters[0].bits != 0  # kept alive by the re-association
+    assert rf.filters[0] != 0  # kept alive by the re-association
 
 
 def test_perfect_filter_live_and_expired_records():
@@ -244,7 +228,7 @@ def test_perfect_hits_subset_of_pair_hits():
     rng = random.Random(42)
     m, k = 64, 2
     seeds = derive_hash_seeds(2, k)
-    rf = RollingFilters(m=m, k=k, window_len=6)
+    rf = RollingFilters(count=2, threshold=m // 2, window_len=6)
     pf = PerfectFilter(window_len=6)
     pcs = [rng.getrandbits(48) for _ in range(60)]
     dyn = 0

@@ -177,7 +177,7 @@ def _batch_snapshot(st, version_before):
     out = [st.dyn_count, st.filter_clears, st.version != version_before]
     if st.filters is not None:
         rf = st.filters
-        out += [[f.bits for f in rf.filters], list(rf.assoc), list(rf.deadline)]
+        out += [list(rf.filters), list(rf.assoc), list(rf.deadline)]
     pf = st.perfect
     out += [[pf.query(pc) for pc in _BATCH_PCS],
             [(r.pcs, r.expire_seq, r.deadline) for r in pf.records()]]
