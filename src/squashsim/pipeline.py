@@ -13,14 +13,19 @@ right after the misspeculating instruction, which itself stays put and
 re-executes.
 
 The ``RobEntry`` is the one handle on an in-flight instruction: the
-reorder buffer, the not-yet-issued list and the event heap all hold
-entries.  A shadow-casting entry keeps the ``HandleEntry`` that
-``push_handle`` returned, and only that entry records its resolution.
-An event is ``(cycle, kind, seq, gen, entry)``; ``kind`` puts a cycle's
-completions before its resolutions, and ``seq`` orders each of the two
-by age.  A squash bumps ``gen`` on the cause and on every victim,
-so an event is stale exactly when ``entry.gen != gen``.  Latencies are at
-least 1, so every event fires in the first tick of its own cycle.
+reorder buffer, the not-yet-issued list, the event buckets and the handle
+queue all hold entries.  A shadow-casting entry is its own handle-queue
+entry: dispatch pushes it, and its ``kind``, ``resolved`` and ``squashed``
+are what the queue reads.  After a squash the victims' entries stay queued
+as placeholders until they reach the queue head.
+
+Events wait in per-cycle buckets, one dict for completions ``(entry, gen)``
+and one for resolutions ``(seq, gen, entry)``.  A tick fires its cycle's
+completions first, then its resolutions in seq order: an older resolution
+may squash a younger one due in the same cycle, which must then not fire.
+A squash bumps ``gen`` on the cause and on every victim, so an event is
+stale exactly when ``entry.gen != gen``.  Latencies are at least 1, so
+every event lands in a bucket the run has not reached yet.
 
 Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
@@ -42,7 +47,11 @@ window entry:
 ``pending[0]``, so every entry after it is a non-head entry that the seq
 bound delays too.  Under the two filter policies every non-head window
 entry is decided, each delay adding one.  The entries the walk lets
-through then issue in seq order.
+through then issue in seq order.  An issue is speculative when a live
+handle older than it is queued (``HandleQueue.shadows``).  ``pop_safe``
+has just left a live head or an empty queue, and nothing changes the queue
+before the issues, so the issue phase reads ``oldest_seq()`` once and
+compares each seq with it.
 
 A delayed entry is asked about again every cycle, but the answer can only
 change when the policy state it reads does.  ``PolicyState.version`` goes
@@ -69,14 +78,14 @@ bound at import.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .config import MachineConfig
 from .filters import compute_hashes, indices_to_mask
 from .metrics import Metrics
 from .policy import DELAY_BLOOM_FP, PolicyState
-from .shadows import HandleEntry, ShadowKind
+from .shadows import ShadowKind
 from .trace import Instruction, Trace
 
 DISPATCHED = 0
@@ -84,10 +93,6 @@ ISSUED = 1
 EXECUTED = 2
 
 _STATE_NAMES = {DISPATCHED: "Dispatched", ISSUED: "Issued", EXECUTED: "Executed"}
-
-# event kinds, in the order they fire within one cycle
-_COMPLETE = 0
-_RESOLVE = 1
 
 
 class LivelockError(RuntimeError):
@@ -109,15 +114,18 @@ class SquashRecord:
 
 class RobEntry:
     __slots__ = (
-        "seq", "instr", "state", "handle", "resolve_ready", "res_count", "gen",
-        "mask", "fp_counted", "delay_version", "delay_reason",
+        "seq", "instr", "state", "kind", "resolved", "squashed", "resolve_ready", "res_count",
+        "gen", "mask", "fp_counted", "delay_version", "delay_reason",
     )
 
     def __init__(self, seq: int, instr: Instruction, mask: int) -> None:
         self.seq = seq
         self.instr = instr
         self.state = DISPATCHED
-        self.handle: HandleEntry | None = None  # set for a shadow-casting instruction
+        # the handle-queue fields, for a shadow-casting instruction
+        self.kind: ShadowKind | None = instr.shadow_class
+        self.resolved = False
+        self.squashed = False
         self.resolve_ready: int | None = None
         self.res_count = 0
         self.gen = 0
@@ -127,10 +135,9 @@ class RobEntry:
         self.delay_reason: str | None = None  # what that decision returned
 
     def __repr__(self) -> str:  # diagnostics only
-        resolved = self.handle is not None and self.handle.resolved
         return (
             f"RobEntry(seq={self.seq}, pc=0x{self.instr.pc:x}, "
-            f"state={_STATE_NAMES[self.state]}, resolved={resolved})"
+            f"state={_STATE_NAMES[self.state]}, resolved={self.resolved})"
         )
 
 
@@ -173,8 +180,9 @@ class Pipeline:
         self.next_seq = self.policy.next_seq
         self.rob: list[RobEntry] = []
         self.pending: list[RobEntry] = []  # dispatched, not yet issued; in seq order
-        # heap of (cycle, kind, seq, gen, entry)
-        self._events: list[tuple[int, int, int, int, RobEntry]] = []
+        # cycle -> the (entry, gen) completions and (seq, gen, entry) resolutions due then
+        self._completions: defaultdict[int, list[tuple[RobEntry, int]]] = defaultdict(list)
+        self._resolutions: defaultdict[int, list[tuple[int, int, RobEntry]]] = defaultdict(list)
         # Bloom filter bit mask per PC, for the one policy that reads masks
         self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
@@ -213,15 +221,18 @@ class Pipeline:
         """One cycle: complete the executions, then fire the resolutions,
         due now; commit; pop the safe handles; issue; dispatch."""
         cycle = self.cycle
-        events = self._events
-        while events and events[0][0] <= cycle:
-            _, kind, _, gen, e = heappop(events)
-            if e.gen != gen:
-                continue  # squashed since the event was scheduled
-            if kind == _COMPLETE:
-                e.state = EXECUTED
-            else:
-                self._resolve(e)
+        due = self._completions.pop(cycle, None)
+        if due is not None:
+            for e, gen in due:
+                if e.gen == gen:  # else squashed since the event was scheduled
+                    e.state = EXECUTED
+        due = self._resolutions.pop(cycle, None)
+        if due is not None:
+            if len(due) > 1:
+                due.sort()  # oldest first: an older squash makes the younger ones stale
+            for _, gen, e in due:
+                if e.gen == gen:
+                    self._resolve(e)
         self.commit()
         popped = self.hq.pop_safe()
         if popped:
@@ -243,7 +254,7 @@ class Pipeline:
             self.metrics.squashes += 1
             self.squash_from(e)
         else:
-            self.hq.mark_resolved(e.handle)
+            self.hq.mark_resolved(e)
 
     def commit(self) -> int:
         """Retire up to `width` executed entries from the head, in order."""
@@ -254,16 +265,16 @@ class Pipeline:
             head = rob[0]
             if head.state != EXECUTED:
                 break
-            handle = head.handle
-            if handle is None or handle.resolved:
+            kind = head.kind
+            if kind is None or head.resolved:
                 del rob[0]
                 retired += 1
                 continue
-            if handle.kind is ShadowKind.E:
+            if kind is ShadowKind.E:
                 # fault handling happens only at the head of the ROB
                 if self.cycle >= head.resolve_ready:
                     self._resolve(head)
-                    if not handle.resolved:
+                    if not head.resolved:
                         break  # squashed and re-executing
                     continue
             break
@@ -288,51 +299,61 @@ class Pipeline:
             decide = policy.issue_decision
             version = policy.version
             head = self.rob[0]
-            covers_younger = self._delay_covers_younger
             ready = []
-            held = []
-            for i, e in enumerate(window):
-                if e is not head:  # the ROB head is never delayed
-                    if e.delay_version == version:
-                        reason = e.delay_reason  # nothing the last decision read has changed
-                    else:
-                        reason = e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
-                        e.delay_version = version
-                    if reason is not None:
-                        if covers_younger:  # so is every younger window entry
-                            m.delayed_issues += len(window) - i
-                            held += window[i:]
+            if self._delay_covers_younger:
+                # the first delay holds every younger window entry too
+                for e in window:
+                    if e is not head:  # the ROB head is never delayed
+                        if e.delay_version != version:  # else nothing it read has changed
+                            e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
+                            e.delay_version = version
+                        if e.delay_reason is not None:
                             break
-                        m.delayed_issues += 1
-                        if reason == DELAY_BLOOM_FP and not e.fp_counted:
-                            m.fp_count += 1
-                            e.fp_counted = self._fp_entry_mode
-                        held.append(e)
-                        continue
-                ready.append(e)
+                    ready.append(e)
+                held = window[len(ready):]
+            else:
+                held = []
+                for e in window:
+                    if e is not head:
+                        if e.delay_version != version:
+                            e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
+                            e.delay_version = version
+                        reason = e.delay_reason
+                        if reason is not None:
+                            if reason == DELAY_BLOOM_FP and not e.fp_counted:
+                                m.fp_count += 1
+                                e.fp_counted = self._fp_entry_mode
+                            held.append(e)
+                            continue
+                    ready.append(e)
+            m.delayed_issues += len(held)
             if not ready:
                 return
             pending[:len(window)] = held
         cycle = self.cycle
-        events = self._events
+        completions = self._completions
+        resolutions = self._resolutions
         issues = m.per_pc_issues
         spec_issues = m.per_pc_spec_issues
-        shadows = self.hq.shadows
+        # pop_safe has just left a live head, so hq.shadows(seq) is oldest < seq
+        oldest = self.hq.oldest_seq()
+        if oldest is None:
+            oldest = self.next_seq  # no queued handle: nothing issuing is younger
         observer = self.observer
         for e in ready:
             e.state = ISSUED
             instr = e.instr
             seq = e.seq
-            heappush(events, (cycle + instr.exec_latency, _COMPLETE, seq, e.gen, e))
-            shadow = instr.shadow_class
+            completions[cycle + instr.exec_latency].append((e, e.gen))
+            shadow = e.kind
             if shadow is not None:
                 if shadow is ShadowKind.E:
                     e.resolve_ready = cycle + instr.resolve_latency
                 else:
-                    heappush(events, (cycle + instr.resolve_latency, _RESOLVE, seq, e.gen, e))
+                    resolutions[cycle + instr.resolve_latency].append((seq, e.gen, e))
             pc = instr.pc
             issues[pc] = issues.get(pc, 0) + 1
-            speculative = shadows(seq)
+            speculative = oldest < seq
             if speculative:
                 spec_issues[pc] = spec_issues.get(pc, 0) + 1
             if observer is not None:
@@ -370,7 +391,7 @@ class Pipeline:
             rob.append(e)
             pending.append(e)  # seq is monotonic, the list stays in order
             if shadow is not None:
-                e.handle = hq.push_handle(seq, shadow)
+                hq.push_handle(e)
             seq += 1
         n = seq - self.next_seq
         if n:  # an empty cycle sweeps nothing, so clears land on the same cycles

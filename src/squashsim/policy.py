@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 from .config import MachineConfig, PolicyKind
 from .filters import PerfectFilter, RollingFilters, derive_hash_seeds
-from .shadows import HandleQueue, ShadowKind
+from .shadows import HandleEntry, HandleQueue, ShadowKind
 
 BLOB_MAGIC = b"SQSM"
 BLOB_VERSION = 1
@@ -300,7 +300,7 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
         if seq <= prev_seq:
             raise ContextBlobError(f"handle seq {seq} not after {prev_seq}")
         prev_seq = seq
-        entry = state.handle_queue.push_handle(seq, _CODE_SHADOW[shadow_code])
+        entry = state.handle_queue.push_handle(HandleEntry(seq, _CODE_SHADOW[shadow_code]))
         if flags & 1:
             state.handle_queue.mark_resolved(entry)
         if flags & 2:
@@ -323,7 +323,10 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
         rf.active = active
         nbytes = max(1, m // 8)
         for i in range(count):
-            rf.filters[i] = int.from_bytes(r.take_bytes(nbytes), "little")
+            bits = int.from_bytes(r.take_bytes(nbytes), "little")
+            if bits >> m:
+                raise ContextBlobError(f"filter {i} sets bits at or above its width of {m}")
+            rf.filters[i] = bits
             rf.assoc[i] = r.take_opt()
             rf.deadline[i] = r.take_opt()
 

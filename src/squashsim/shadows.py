@@ -5,6 +5,12 @@ entered into the handle queue at dispatch.  Entries leave only from the
 head, and only once safe: resolved (or squashed) with no older entry still
 in front of them.  Squashed entries stay queued as placeholders until they
 reach the head, which is what defeats serial and nested replay patterns.
+
+A queue entry is any object with ``seq``, ``kind``, ``resolved`` and
+``squashed``.  The pipeline queues its in-flight instruction, the
+``RobEntry``, itself; ``HandleEntry`` is the entry for a handle with no
+in-flight instruction behind it: one restored from a context blob, or one
+pushed by the golden walkthrough or a test.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ class HandleQueueError(RuntimeError):
 
 @dataclass(slots=True)
 class HandleEntry:
+    """A queued handle that no in-flight instruction stands for."""
+
     seq: int
     kind: ShadowKind
     resolved: bool = False
@@ -48,13 +56,13 @@ class HandleQueue:
     def entries(self) -> list[HandleEntry]:
         return list(self._entries)
 
-    def push_handle(self, seq: int, kind: ShadowKind) -> HandleEntry:
-        """Queue a handle; the caller keeps the entry to mark it resolved."""
-        if self._entries and seq <= self._entries[-1].seq:
+    def push_handle(self, entry: HandleEntry) -> HandleEntry:
+        """Queue ``entry`` and return it; the caller keeps it to mark it
+        resolved.  Any object with ``HandleEntry``'s four fields will do."""
+        if self._entries and entry.seq <= self._entries[-1].seq:
             raise HandleQueueError(
-                f"push_handle out of order: seq {seq} <= tail {self._entries[-1].seq}"
+                f"push_handle out of order: seq {entry.seq} <= tail {self._entries[-1].seq}"
             )
-        entry = HandleEntry(seq, kind)
         self._entries.append(entry)
         return entry
 
@@ -69,10 +77,12 @@ class HandleQueue:
         """True if some live entry (neither resolved nor squashed) older
         than seq exists.
 
-        Only the oldest live entry matters, and the scan stops at it.  The
-        pipeline asks in its issue phase, just after ``pop_safe`` has taken
-        every resolved or squashed entry off the head, so there the head is
-        live (or the queue empty) and the scan reads one entry.
+        Only the oldest live entry matters, and the scan stops at it.  Just
+        after ``pop_safe`` the head is live (or the queue empty), so there
+        this is ``oldest_seq() < seq``, which is what the pipeline's issue
+        phase reads instead.  This method states the rule for any queue
+        state: the tests check the pipeline against it, and the
+        benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
         """
         for entry in self._entries:
             if not (entry.resolved or entry.squashed):

@@ -2,7 +2,8 @@
 
 Every ``Metrics`` field of a few small runs, per-PC issue counts included,
 is compared with values recorded before the issue-decision cache was added
-to the pipeline.  Host-speed work must leave these byte for byte the same;
+to the pipeline (``order/dos-bloom``: before the event heap became
+per-cycle buckets).  Host-speed work must leave these byte for byte the same;
 a change that means to alter simulated output updates them and says why.
 """
 
@@ -15,6 +16,7 @@ from squashsim.metrics import Metrics
 from squashsim.trace import gen_loop_trace
 
 _TRACE = (24, 20, 0.1, 5)  # gen_loop_trace(body_len, iterations, squash_rate, seed)
+_ORDER_TRACE = (64, 10, 0.1, 1)
 # small filters, so the runs rotate and clear as well as alias
 _FILTERS = {"bits": 32, "filters": 3, "window_len": 16}
 
@@ -29,6 +31,11 @@ def _cases() -> dict[str, Metrics]:
             out[f"loop/{policy}/{counting}"] = run_workload(trace, config)
     bloom = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, seed=5, **_FILTERS)
     out["segmented/dos-bloom"] = run_segmented(trace, bloom, [90, 200, 260])
+    # several resolutions fall due in one cycle here, and an older one squashes
+    # younger ones; firing them out of seq order changes the cycle count
+    out["order/dos-bloom"] = run_workload(
+        gen_loop_trace(*_ORDER_TRACE),
+        MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, seed=5))
     for policy in PolicyKind:
         report = run_scenario(build_unbounded(), MachineConfig(policy=policy, livelock_budget=400))
         assert report.livelock
@@ -266,6 +273,44 @@ PINNED: dict[str, dict] = {
             0x101c: 31, 0x1020: 31, 0x1024: 29, 0x1028: 31, 0x102c: 30, 0x1030: 30, 0x1034: 33,
             0x1038: 33, 0x103c: 34, 0x1040: 32, 0x1044: 32, 0x1048: 34, 0x104c: 33, 0x1050: 36,
             0x1054: 34, 0x1058: 32, 0x105c: 31
+        },
+    },
+    'order/dos-bloom': {
+        'trace_id': 'loop-64x10-r0.1:1:640',
+        'policy': 'dos-bloom',
+        'cycles': 940,
+        'dynamic_executed': 965,
+        'committed': 640,
+        'squashes': 34,
+        'squashed_executions': 325,
+        'delayed_issues': 6202,
+        'fp_count': 5644,
+        'perfect_only_count': 0,
+        'filter_clears': 12,
+        'rotations': 9,
+        'per_pc_spec_issues': {
+            0x1004: 10, 0x1008: 8, 0x100c: 11, 0x1010: 10, 0x1014: 10, 0x1018: 10, 0x101c: 10,
+            0x1020: 11, 0x1024: 10, 0x1028: 9, 0x102c: 9, 0x1030: 11, 0x1034: 11, 0x1038: 9,
+            0x103c: 10, 0x1040: 10, 0x1044: 9, 0x1048: 9, 0x104c: 9, 0x1050: 9, 0x1054: 9,
+            0x1058: 9, 0x105c: 11, 0x1060: 5, 0x1064: 12, 0x1068: 10, 0x106c: 9, 0x1070: 10,
+            0x1074: 7, 0x1078: 10, 0x107c: 9, 0x1080: 11, 0x1084: 11, 0x1088: 10, 0x108c: 11,
+            0x1090: 10, 0x1094: 11, 0x1098: 11, 0x109c: 10, 0x10a0: 11, 0x10a4: 7, 0x10a8: 10,
+            0x10ac: 10, 0x10b0: 8, 0x10b4: 11, 0x10b8: 10, 0x10bc: 10, 0x10c0: 10, 0x10c4: 10,
+            0x10c8: 11, 0x10cc: 9, 0x10d0: 10, 0x10d4: 10, 0x10d8: 10, 0x10dc: 7, 0x10e0: 7,
+            0x10e4: 8, 0x10e8: 9, 0x10ec: 9, 0x10f0: 11, 0x10f4: 9, 0x10f8: 8, 0x10fc: 11,
+            0x1000: 6
+        },
+        'per_pc_issues': {
+            0x1000: 14, 0x1004: 14, 0x1008: 13, 0x100c: 17, 0x1010: 16, 0x1014: 16, 0x1018: 16,
+            0x101c: 17, 0x1020: 18, 0x1024: 17, 0x1028: 18, 0x102c: 16, 0x1030: 17, 0x1034: 17,
+            0x1038: 16, 0x103c: 17, 0x1040: 17, 0x1044: 15, 0x1048: 17, 0x104c: 17, 0x1050: 16,
+            0x1054: 15, 0x1058: 16, 0x105c: 17, 0x1060: 13, 0x1064: 19, 0x1068: 17, 0x106c: 15,
+            0x1070: 16, 0x1074: 16, 0x1078: 14, 0x107c: 13, 0x1080: 15, 0x1084: 15, 0x1088: 14,
+            0x108c: 14, 0x1090: 13, 0x1094: 13, 0x1098: 15, 0x109c: 13, 0x10a0: 14, 0x10a4: 12,
+            0x10a8: 14, 0x10ac: 16, 0x10b0: 13, 0x10b4: 17, 0x10b8: 15, 0x10bc: 15, 0x10c0: 15,
+            0x10c4: 15, 0x10c8: 17, 0x10cc: 14, 0x10d0: 16, 0x10d4: 16, 0x10d8: 14, 0x10dc: 12,
+            0x10e0: 11, 0x10e4: 12, 0x10e8: 15, 0x10ec: 13, 0x10f0: 14, 0x10f4: 13, 0x10f8: 14,
+            0x10fc: 14
         },
     },
     'livelock/baseline': {

@@ -1,4 +1,3 @@
-import heapq
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
@@ -10,7 +9,7 @@ from squashsim.attacks import ScenarioResolver, build_unbounded
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.experiment import run_segmented
 from squashsim.filters import compute_hashes
-from squashsim.pipeline import _COMPLETE, _RESOLVE, ISSUED, LivelockError, Pipeline, run
+from squashsim.pipeline import ISSUED, LivelockError, Pipeline, run
 from squashsim.policy import DELAY_BLOOM_FP, PolicyState
 from squashsim.shadows import ShadowKind
 from squashsim.trace import Instruction, InstructionKind, Trace, gen_loop_trace
@@ -434,12 +433,12 @@ class _AskEveryCycle(Pipeline):
             self.pending.remove(e)
             e.state = ISSUED
             instr = e.instr
-            heapq.heappush(self._events, (cycle + instr.exec_latency, _COMPLETE, e.seq, e.gen, e))
+            self._completions.setdefault(cycle + instr.exec_latency, []).append((e, e.gen))
             if instr.shadow_class is ShadowKind.E:
                 e.resolve_ready = cycle + instr.resolve_latency
             elif instr.shadow_class is not None:
-                heapq.heappush(self._events,
-                               (cycle + instr.resolve_latency, _RESOLVE, e.seq, e.gen, e))
+                self._resolutions.setdefault(cycle + instr.resolve_latency, []).append(
+                    (e.seq, e.gen, e))
             m.dynamic_executed += 1
             m.per_pc_issues[instr.pc] = m.per_pc_issues.get(instr.pc, 0) + 1
             speculative = self.hq.shadows(e.seq)

@@ -17,7 +17,7 @@ from squashsim.policy import (
     restore_context,
     save_context,
 )
-from squashsim.shadows import ShadowKind
+from squashsim.shadows import HandleEntry, ShadowKind
 from squashsim.trace import gen_loop_trace
 
 
@@ -37,13 +37,13 @@ def test_only_dos_bloom_derives_hash_seeds(policy):
 
 def test_baseline_always_allows():
     st = _state(PolicyKind.BASELINE)
-    st.handle_queue.push_handle(1, ShadowKind.E)
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
     assert st.issue_decision(5, 0x400, 0) is None
 
 
 def test_delay_all_blocks_younger_than_any_queued_handle():
     st = _state(PolicyKind.DELAY_ALL)
-    handle = st.handle_queue.push_handle(3, ShadowKind.C)
+    handle = st.handle_queue.push_handle(HandleEntry(3, ShadowKind.C))
     assert st.issue_decision(5, 0x400, 0) == DELAY_UNSAFE_HANDLE
     assert st.issue_decision(2, 0x300, 0) is None  # older than the handle
     st.handle_queue.mark_resolved(handle)
@@ -55,7 +55,7 @@ def test_delay_all_blocks_younger_than_any_queued_handle():
 
 def test_dos_bloom_delays_recorded_pcs():
     st = _state(PolicyKind.DOS_BLOOM)
-    st.handle_queue.push_handle(1, ShadowKind.E)
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
     mask = _mask(st, 0x400)
     assert st.issue_decision(5, 0x400, mask) is None
     st.on_squash(frozenset({0x400}), [mask], youngest_handle=1)
@@ -64,7 +64,7 @@ def test_dos_bloom_delays_recorded_pcs():
 
 def test_dos_perfect_delays_exact_set_only():
     st = _state(PolicyKind.DOS_PERFECT)
-    st.handle_queue.push_handle(1, ShadowKind.E)
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=1)
     assert st.issue_decision(6, 0x400, _mask(st, 0x400)) == DELAY_PERFECT_HIT
     assert st.issue_decision(6, 0x999, _mask(st, 0x999)) is None
@@ -72,7 +72,7 @@ def test_dos_perfect_delays_exact_set_only():
 
 def test_oracle_lockstep_counts_false_positives():
     st = _state(PolicyKind.DOS_BLOOM, oracle=True, bits=8, hashes=1)
-    st.handle_queue.push_handle(1, ShadowKind.E)
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
     mask = _mask(st, 0x400)
     st.on_squash(frozenset({0x400}), [mask], youngest_handle=1)
     # find a colliding pc the exact filter knows nothing about
@@ -94,7 +94,7 @@ def test_squash_raises_version():
 
 def test_delay_all_pop_raises_version_and_dispatch_does_not():
     st = _state(PolicyKind.DELAY_ALL)
-    handle = st.handle_queue.push_handle(1, ShadowKind.E)
+    handle = st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
     for _ in range(100):
         st.on_dispatch()  # nothing is ever due under delay-all
     assert st.version == 0
@@ -203,7 +203,7 @@ def _exercise(state):
     """Feed a fixed event stream; return the decision trail."""
     out = []
     hq = state.handle_queue
-    handle = hq.push_handle(10, ShadowKind.E)
+    handle = hq.push_handle(HandleEntry(10, ShadowKind.E))
     state.on_dispatch()
     state.on_squash(frozenset({0x400, 0x404}),
                     [_mask(state, 0x400), _mask(state, 0x404)], youngest_handle=10)
@@ -227,7 +227,7 @@ def test_save_restore_reproduces_decisions(policy):
 
 
 def _phase_one(state):
-    handle = state.handle_queue.push_handle(10, ShadowKind.E)
+    handle = state.handle_queue.push_handle(HandleEntry(10, ShadowKind.E))
     state.on_dispatch()
     state.on_squash(frozenset({0x400, 0x404}),
                     [_mask(state, 0x400), _mask(state, 0x404)], youngest_handle=10)
@@ -314,7 +314,7 @@ def test_restore_rejects_corrupt_blob():
 
 def test_restore_rejects_unknown_shadow_code():
     st = _state(PolicyKind.DOS_BLOOM)
-    st.handle_queue.push_handle(1, ShadowKind.E)
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
     data = bytearray(save_context(st).data)
     # 32-byte header, handle count u32, then the first handle's seq u64 and code u8
     assert data[44] == 0
@@ -335,14 +335,37 @@ def test_restore_rejects_active_filter_out_of_range():
 
 def test_restore_rejects_handle_seqs_out_of_order():
     st = _state(PolicyKind.DOS_BLOOM)
-    st.handle_queue.push_handle(1, ShadowKind.E)
-    st.handle_queue.push_handle(5, ShadowKind.C)
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
+    st.handle_queue.push_handle(HandleEntry(5, ShadowKind.C))
     data = bytearray(save_context(st).data)
     # 32-byte header, handle count u32, then seq u64, code u8, flags u8 per handle
     assert struct.unpack_from("<Q", data, 46) == (5,)
     struct.pack_into("<Q", data, 46, 1)
     with pytest.raises(ContextBlobError, match="handle seq"):
         restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
+
+
+def _narrow_bloom_blob(filter0: int) -> bytes:
+    """A bits=4, hashes=1 dos-bloom blob whose first filter's byte is ``filter0``."""
+    data = bytearray(save_context(_state(PolicyKind.DOS_BLOOM, bits=4, hashes=1)).data)
+    # 32-byte header, zero handles, six u32 (m, k, count, active, threshold, window),
+    # one u64 hash seed, then filter 0 in max(1, m // 8) = 1 byte
+    assert struct.unpack_from("<6I", data, 36)[:5] == (4, 1, 2, 0, 2)
+    assert data[68] == 0
+    data[68] = filter0
+    return bytes(data)
+
+
+def test_restore_rejects_bloom_bits_beyond_a_narrow_filter():
+    # bits 4-7 of the byte lie outside a 4-bit filter: no mask tests them, but
+    # they would count toward the rotation threshold
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=4, hashes=1)
+    with pytest.raises(ContextBlobError, match="width"):
+        restore_context(ContextBlob(0, _narrow_bloom_blob(0xF0)), config)
+    blob = ContextBlob(0, _narrow_bloom_blob(0x05))
+    restored = restore_context(blob, config)
+    assert restored.filters.filters == [0x05, 0]
+    assert save_context(restored) == blob
 
 
 @pytest.mark.parametrize("threshold", [0, 999])
@@ -383,7 +406,7 @@ def test_baseline_blob_keeps_its_handle_queue():
     config = MachineConfig(policy=PolicyKind.BASELINE)
     st = PolicyState(config)
     hq = st.handle_queue
-    handles = {seq: hq.push_handle(seq, kind) for seq, kind in
+    handles = {seq: hq.push_handle(HandleEntry(seq, kind)) for seq, kind in
                ((1, ShadowKind.E), (4, ShadowKind.C), (6, ShadowKind.D), (9, ShadowKind.M))}
     hq.mark_resolved(handles[4])
     hq.mark_squashed_after(4)

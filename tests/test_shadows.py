@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from squashsim.shadows import HandleQueue, HandleQueueError, ShadowKind
+from squashsim.shadows import HandleEntry, HandleQueue, HandleQueueError, ShadowKind
 
 
 def _queue_with(*seqs):
     """A queue of C handles and each seq's entry."""
     hq = HandleQueue()
-    return hq, {s: hq.push_handle(s, ShadowKind.C) for s in seqs}
+    return hq, {s: hq.push_handle(HandleEntry(s, ShadowKind.C)) for s in seqs}
 
 
 def test_push_keeps_fifo_order():
@@ -26,9 +26,9 @@ def test_push_into_empty_is_head_and_tail():
 def test_push_out_of_order_rejected():
     hq, _ = _queue_with(4)
     with pytest.raises(HandleQueueError):
-        hq.push_handle(3, ShadowKind.E)
+        hq.push_handle(HandleEntry(3, ShadowKind.E))
     with pytest.raises(HandleQueueError):
-        hq.push_handle(4, ShadowKind.E)
+        hq.push_handle(HandleEntry(4, ShadowKind.E))
 
 
 def test_youngest_counts_squashed_entries():
@@ -99,7 +99,7 @@ def test_fifo_discipline_property(ops):
         seqs = list(queued)
         if op == "push":
             seq = len(pushed)
-            handles[seq] = hq.push_handle(seq, ShadowKind.C)
+            handles[seq] = hq.push_handle(HandleEntry(seq, ShadowKind.C))
             pushed.append(seq)
             queued[seq] = [False, False]
         elif op == "resolve" and seqs:
@@ -125,3 +125,24 @@ def test_fifo_discipline_property(ops):
     popped.extend(hq.pop_safe())
     # popped seqs are always a prefix of pushed seqs, in insertion order
     assert popped == pushed[: len(popped)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["push", "resolve", "squash", "pop"]),
+                          st.integers(0, 30)), max_size=80))
+def test_after_pop_safe_shadows_is_a_bound_on_the_oldest_seq(ops):
+    # the pipeline's issue phase runs right after pop_safe and reads
+    # hq.shadows(seq) as oldest_seq() < seq; this is what makes that exact
+    hq = HandleQueue()
+    handles: list[HandleEntry] = []
+    for op, arg in ops:
+        if op == "push":
+            handles.append(hq.push_handle(HandleEntry(len(handles), ShadowKind.C)))
+        elif op == "resolve" and handles:
+            hq.mark_resolved(handles[arg % len(handles)])
+        elif op == "squash" and handles:
+            hq.mark_squashed_after(handles[arg % len(handles)].seq)
+        elif op == "pop":
+            hq.pop_safe()
+            oldest = hq.oldest_seq()
+            for s in range(len(handles) + 1):
+                assert hq.shadows(s) == (oldest is not None and oldest < s)
