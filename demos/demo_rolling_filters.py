@@ -25,7 +25,7 @@ rf = RollingFilters(count=2, threshold=M // 2, window_len=8)
 # filter with the youngest handle (here, sequence number 30).
 
 victims = [0x400, 0x404, 0x408, 0x40C]
-rf.record_squash([mask(pc) for pc in victims], youngest_handle=30, dyn_count=0)
+rf.record_squash([mask(pc) for pc in victims], youngest_handle=30)
 print(f"after squash: active={rf.active} set_bits={rf.filters[0].bit_count()} assoc={rf.assoc[0]}")
 print(f"  0x400 hits: {rf.query(mask(0x400))}, fresh 0x900 hits: {rf.query(mask(0x900))}")
 
@@ -38,7 +38,7 @@ batch = 0x500
 while rf.rotations == 0:
     handle += 1
     batch += 0x10
-    rf.record_squash([mask(batch + 4 * i) for i in range(4)], handle, dyn_count=0)
+    rf.record_squash([mask(batch + 4 * i) for i in range(4)], handle)
 print(f"rotated after filling {rf.filters[0].bit_count()}/{M} bits; active is now filter {rf.active}")
 
 ############################################################

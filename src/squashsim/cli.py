@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_LIVELOCK = 3
 
+# The largest scenario the CLI builds (the builders take any size): a run
+# grows with handles * replays, and its trace with handles * gap.
+SCENARIO_CAPS = {"handles": 64, "replays": 256, "gap": 256}
+
 def _add_machine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--policy", choices=[str(k) for k in PolicyKind])
@@ -159,6 +163,9 @@ def _build_scenario(args: argparse.Namespace):
 
 def scenario_from_params(pattern: str, handles: int, replays: int, gap: int,
                          latencies: str | None = None):
+    for name, value in (("handles", handles), ("replays", replays), ("gap", gap)):
+        if value > SCENARIO_CAPS[name]:
+            raise ConfigError(f"scenario {name} must be <= {SCENARIO_CAPS[name]}, got {value}")
     if pattern == "single":
         return build_single(replays, gap=gap)
     if pattern == "serial":

@@ -1,18 +1,21 @@
 """The rolling Bloom filters, their PC hashing, and the exact oracle.
 
 The rolling filters store the PCs of issued-and-squashed instructions.
-Each filter is associated with the youngest potential handle that existed
-at its most recent insertion; it may only be bulk-reset once that handle
-has left the window of speculation, and even then the reset is deferred by
-a dynamic-instruction window so that squashed handles cannot be
-re-introduced against cleared filters.  Bits are never cleared
+Every squash is caused by a queued handle, so the handle queue is never
+empty at a squash, and each squash record belongs to the youngest queued
+handle at that moment.  Each filter is associated with the youngest
+handle of its most recent insertion; it may only be bulk-reset once that
+handle has left the window of speculation, and even then the reset is
+deferred by a dynamic-instruction window so that squashed handles cannot
+be re-introduced against cleared filters.  Bits are never cleared
 individually.  Each filter is a plain int bit array; its size and hash
 count live only in the config that builds the masks.
 
-:class:`PerfectFilter` keeps exact per-squash PC sets with the same
-youngest-handle association.  It backs the ideal policy variant and the
-lockstep false-positive accounting: a Bloom hit without a perfect hit at
-the same decision point is a false positive.
+:class:`PerfectFilter` keeps exact per-squash PC sets under the same
+rule: a record expires when its youngest handle becomes safe.  It backs
+the ideal policy variant and the lockstep false-positive accounting: a
+Bloom hit without a perfect hit at the same decision point is a false
+positive.
 """
 
 from __future__ import annotations
@@ -83,22 +86,17 @@ class RollingFilters:
                 return True
         return False
 
-    def record_squash(self, masks: list[int], youngest_handle: int | None, dyn_count: int) -> None:
-        """Insert squashed-PC masks and (re-)associate the active filter.
-
-        With an empty handle queue the filter gets a synthetic clear
-        deadline one window ahead instead of a handle association.
+    def record_squash(self, masks: list[int], youngest_handle: int) -> None:
+        """Insert squashed-PC masks and re-associate the active filter with
+        the squash's youngest queued handle, which cancels a pending clear.
         Rotation is evaluated after the insertion.
         """
         bits = self.filters[self.active]
         for mask in masks:
             bits |= mask
         self.filters[self.active] = bits
-        if youngest_handle is not None:
-            self.assoc[self.active] = youngest_handle
-            self.deadline[self.active] = None
-        elif self.assoc[self.active] is None:
-            self.deadline[self.active] = dyn_count + self.window_len
+        self.assoc[self.active] = youngest_handle
+        self.deadline[self.active] = None
         self.maybe_rotate()
 
     def maybe_rotate(self) -> bool:
@@ -145,55 +143,42 @@ class RollingFilters:
 @dataclass
 class _Record:
     pcs: frozenset[int]
-    expire_seq: int | None  # handle whose safety expires this record
-    deadline: int | None    # dynamic-instruction deadline (empty-queue case)
+    expire_seq: int  # the handle whose safety expires this record
 
 
 class PerfectFilter:
     """Exact squashed-PC sets with unlimited storage.
 
-    A PC hits while it belongs to a record whose associated handle is
-    still unsafe.  Records expire exactly when their handle becomes safe;
-    records made under an empty handle queue expire one dynamic-instruction
-    window after the squash.
+    A PC hits while it belongs to a record whose handle, the youngest
+    queued at its squash, is still unsafe.  Records expire exactly when
+    that handle becomes safe.
     """
 
-    def __init__(self, window_len: int = 0) -> None:
-        self.window_len = window_len
-        # youngest-handle seqs and dynamic counts are both non-decreasing
-        # across records, so each queue expires strictly from the front
-        self._handle_records: deque[_Record] = deque()
-        self._timed_records: deque[_Record] = deque()
+    def __init__(self) -> None:
+        # youngest-handle seqs are non-decreasing across records, so
+        # expiry pops strictly from the front
+        self._records: deque[_Record] = deque()
         self._live: dict[int, int] = {}  # pc -> number of live records holding it
 
     def query(self, pc: int) -> bool:
         return pc in self._live
 
-    def record(self, pcs: set[int] | frozenset[int], youngest_handle: int | None,
-               dyn_count: int) -> None:
+    def record(self, pcs: set[int] | frozenset[int], youngest_handle: int) -> None:
         """Store one squash's PC set.
 
         ``youngest_handle`` values must be non-decreasing across calls
-        (they come from the handle-queue tail, which only grows), as must
-        ``dyn_count``; expiry pops each queue from the front.
+        (they come from the handle-queue tail, which only grows).
         """
         if not pcs:
             return  # exact sets: nothing to store
-        rec = _Record(
-            pcs=frozenset(pcs),
-            expire_seq=youngest_handle,
-            deadline=None if youngest_handle is not None else dyn_count + self.window_len,
-        )
-        if youngest_handle is not None:
-            self._handle_records.append(rec)
-        else:
-            self._timed_records.append(rec)
+        rec = _Record(pcs=frozenset(pcs), expire_seq=youngest_handle)
+        self._records.append(rec)
         for pc in rec.pcs:
             self._live[pc] = self._live.get(pc, 0) + 1
 
-    def on_handle_safe(self, safe_seq: int, dyn_count: int) -> bool:
+    def on_handle_safe(self, safe_seq: int) -> bool:
         """Expire the records of handles up to safe_seq; True if any expired."""
-        q = self._handle_records
+        q = self._records
         dropped = False
         while q and q[0].expire_seq <= safe_seq:
             self._drop(q.popleft())
@@ -201,13 +186,10 @@ class PerfectFilter:
         return dropped
 
     def on_dispatch(self, dyn_count: int) -> bool:
-        """Expire the records whose deadline has passed; True if any expired."""
-        q = self._timed_records
-        dropped = False
-        while q and dyn_count >= q[0].deadline:
-            self._drop(q.popleft())
-            dropped = True
-        return dropped
+        """Nothing calls this: no record expires by dispatch count.  The
+        benchmark's tracer wraps it by name; it goes when that stops
+        (ROADMAP item 1)."""
+        return False
 
     def _drop(self, rec: _Record) -> None:
         for pc in rec.pcs:
@@ -218,4 +200,4 @@ class PerfectFilter:
                 del self._live[pc]
 
     def records(self) -> list[_Record]:
-        return list(self._handle_records) + list(self._timed_records)
+        return list(self._records)

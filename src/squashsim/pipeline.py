@@ -10,7 +10,9 @@ every policy.
 On a squash, every younger entry is drained, the PCs of the ones that had
 actually issued are recorded with the policy, and the front end restarts
 right after the misspeculating instruction, which itself stays put and
-re-executes.
+re-executes.  The cause is a queued handle, neither resolved nor squashed
+yet, so the queue is never empty at a squash and the record always has a
+youngest handle.
 
 The ``RobEntry`` is the one handle on an in-flight instruction: the
 reorder buffer, the not-yet-issued list, the event buckets and the handle
@@ -33,9 +35,9 @@ once per run and PC, and kept in the entry; under every other policy the
 mask is 0, since only the rolling filters read it.  The policy's dispatch
 hook runs once per cycle with the number dispatched rather than once per
 instruction.  That is exact: every dispatch of a cycle happens in the last
-phase, and nothing in it reads the dynamic-instruction count, the filters
-or the exact records (the resolve, commit, pop and issue phases do), so a
-deferred clear or an exact-record expiry lands in the same cycle either way.
+phase, and nothing in it reads the dynamic-instruction count or the
+filters (the resolve, commit, pop and issue phases do), so a deferred
+Bloom clear lands in the same cycle either way.
 
 The issue phase asks the policy only what its rule can answer.  Under
 baseline (``PolicyState.never_delays``) the window issues without a
@@ -57,7 +59,7 @@ A delayed entry is asked about again every cycle, but the answer can only
 change when the policy state it reads does.  ``PolicyState.version`` goes
 up on every squash record, on a pop of the oldest queued handle under
 delay-all, on a Bloom filter bulk clear and when the exact filter drops a
-record (by handle or by deadline).  Each entry caches the version and the
+record (when its handle becomes safe).  Each entry caches the version and the
 reason of its last decision; while the version holds, the cached reason
 stands in for a new decision.  The pipeline alone counts false positives: a
 ``bloom-false-positive`` delay adds one to ``fp_count`` unless the entry's
@@ -109,7 +111,7 @@ class SquashRecord:
 
     cause_seq: int
     squashed_issued_pcs: frozenset[int]
-    youngest_handle: int | None
+    youngest_handle: int
 
 
 class RobEntry:
@@ -416,7 +418,7 @@ class Pipeline:
             pending.pop()
 
         self.hq.mark_squashed_after(cause.seq)
-        youngest = self.hq.youngest_handle()
+        youngest = self.hq.youngest_handle()  # never None: the cause is queued
         # the policy reads the PCs (exact records) and the masks (Bloom filters)
         pcs = frozenset(v.instr.pc for v in issued)
         self.policy.on_squash(pcs, [v.mask for v in issued], youngest)

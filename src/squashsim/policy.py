@@ -27,7 +27,7 @@ pipeline asks only what the rule can answer:
 Context blob layout (little-endian, versioned)::
 
     magic   4s   b"SQSM"
-    version u16  currently 1
+    version u16  currently 2
     kind    u8   policy variant (enum order)
     ctx     u64  context id
     dyn     u64  dynamic instructions dispatched so far
@@ -38,12 +38,14 @@ Context blob layout (little-endian, versioned)::
         threshold u32, window u32, k seeds u64; per filter: bits (m/8
         bytes, little-endian bit packing), assoc flag u8 + u64,
         deadline flag u8 + u64
-    Perfect section (dos-perfect, or dos-bloom with oracle): window u32,
-        record count u32; per record: expire flag u8 + u64, deadline flag
-        u8 + u64, pc count u32, pcs u64 each
+    Perfect section (dos-perfect, or dos-bloom with oracle): record count
+        u32; per record, in non-decreasing expire order: expire u64 (the
+        youngest handle queued at its squash), pc count u32, pcs u64 each
 
 A blob carries state only: restoring it under a config whose geometry,
-threshold, windows or hash seeds differ raises ``ContextBlobError``.
+threshold, window or hash seeds differ raises ``ContextBlobError``.  So
+does a blob that no saved state could produce: handle flags other than
+resolved (1) and squashed (2), or exact records out of expire order.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .filters import PerfectFilter, RollingFilters, derive_hash_seeds
 from .shadows import HandleEntry, HandleQueue, ShadowKind
 
 BLOB_MAGIC = b"SQSM"
-BLOB_VERSION = 1
+BLOB_VERSION = 2
 
 _KIND_CODE = {k: i for i, k in enumerate(PolicyKind)}
 _CODE_KIND = {i: k for i, k in enumerate(PolicyKind)}
@@ -102,7 +104,7 @@ class PolicyState:
                 window_len=config.effective_window,
             )
         if self.kind is PolicyKind.DOS_PERFECT or self.oracle:
-            self.perfect = PerfectFilter(window_len=config.effective_window)
+            self.perfect = PerfectFilter()
 
         # lockstep accounting (dos-bloom with oracle): exact hits the Bloom filters miss
         self.perfect_only_count = 0
@@ -138,13 +140,14 @@ class PolicyState:
 
     # -- pipeline hooks -----------------------------------------------------
 
-    def on_squash(self, pcs: frozenset[int], masks: list[int], youngest_handle: int | None) -> None:
-        """Record the issued-and-squashed PCs of one squash event."""
+    def on_squash(self, pcs: frozenset[int], masks: list[int], youngest_handle: int) -> None:
+        """Record the issued-and-squashed PCs of one squash event under the
+        youngest queued handle (the squash's cause is itself queued)."""
         self.version += 1
         if self.filters is not None:
-            self.filters.record_squash(masks, youngest_handle, self.dyn_count)
+            self.filters.record_squash(masks, youngest_handle)
         if self.perfect is not None:
-            self.perfect.record(pcs, youngest_handle, self.dyn_count)
+            self.perfect.record(pcs, youngest_handle)
 
     def on_handle_safe(self, seq: int) -> None:
         """Every queued handle up to ``seq`` has just been popped."""
@@ -153,23 +156,22 @@ class PolicyState:
             return
         if self.filters is not None and self.filters.on_handle_safe(seq, self.dyn_count):
             self.version += 1
-        if self.perfect is not None and self.perfect.on_handle_safe(seq, self.dyn_count):
+        if self.perfect is not None and self.perfect.on_handle_safe(seq):
             self.version += 1
 
     def on_dispatch(self, n: int = 1) -> None:
         """``n`` more instructions have been dispatched.
 
-        One call for a whole dispatch group is the same as ``n`` calls of
-        one: each sweep clears or drops whatever fell due by the new
-        ``dyn_count``, and the clears of a group land in its one cycle
-        either way, because nothing reads the filters, the exact records
-        or ``dyn_count`` between two dispatches of one cycle.  ``version``
-        still moves if and only if something was cleared or dropped.
+        Only the Bloom filters' deferred clears fall due by dispatch count;
+        exact records expire by handle alone.  One call for a whole
+        dispatch group is the same as ``n`` calls of one: the sweep clears
+        whatever fell due by the new ``dyn_count``, and the clears of a
+        group land in its one cycle either way, because nothing reads the
+        filters or ``dyn_count`` between two dispatches of one cycle.
+        ``version`` still moves if and only if a filter was cleared.
         """
         self.dyn_count += n
         if self.filters is not None and self.filters.on_dispatch(self.dyn_count):
-            self.version += 1
-        if self.perfect is not None and self.perfect.on_dispatch(self.dyn_count):
             self.version += 1
 
     @property
@@ -252,15 +254,11 @@ def save_context(state: PolicyState) -> ContextBlob:
             parts.append(_pack_opt(rf.deadline[i]))
 
     if state.perfect is not None:
-        pf = state.perfect
-        records = pf.records()
-        parts.append(struct.pack("<II", pf.window_len, len(records)))
+        records = state.perfect.records()
+        parts.append(struct.pack("<I", len(records)))
         for rec in records:
-            parts.append(_pack_opt(rec.expire_seq))
-            parts.append(_pack_opt(rec.deadline))
             pcs = sorted(rec.pcs)
-            parts.append(struct.pack("<I", len(pcs)))
-            parts.append(struct.pack(f"<{len(pcs)}Q", *pcs) if pcs else b"")
+            parts.append(struct.pack(f"<QI{len(pcs)}Q", rec.expire_seq, len(pcs), *pcs))
 
     return ContextBlob(context_id=state.context_id, data=b"".join(parts))
 
@@ -300,6 +298,8 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
         if seq <= prev_seq:
             raise ContextBlobError(f"handle seq {seq} not after {prev_seq}")
         prev_seq = seq
+        if flags & ~3:
+            raise ContextBlobError(f"handle {seq} has unknown flag bits {flags:#x}")
         entry = state.handle_queue.push_handle(HandleEntry(seq, _CODE_SHADOW[shadow_code]))
         if flags & 1:
             state.handle_queue.mark_resolved(entry)
@@ -331,17 +331,17 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
             rf.deadline[i] = r.take_opt()
 
     if state.perfect is not None:
-        window, n_rec = r.take("<II")
-        if window != state.perfect.window_len:
-            raise ContextBlobError(f"exact-record window {window} in the blob != "
-                                   f"{state.perfect.window_len} in the config")
+        (n_rec,) = r.take("<I")
+        prev_expire = 0
         for _ in range(n_rec):
-            expire_seq = r.take_opt()
-            deadline = r.take_opt()
-            (n_pc,) = r.take("<I")
-            pcs = frozenset(r.take(f"<{n_pc}Q")) if n_pc else frozenset()
-            rec_dyn = (deadline - window) if deadline is not None else state.dyn_count
-            state.perfect.record(pcs, expire_seq, rec_dyn)
+            expire_seq, n_pc = r.take("<QI")
+            if expire_seq < prev_expire:
+                # expiry pops from the front, so a record behind a younger
+                # one would outlive its handle
+                raise ContextBlobError(f"exact record expiring at {expire_seq} "
+                                       f"after one expiring at {prev_expire}")
+            prev_expire = expire_seq
+            state.perfect.record(frozenset(r.take(f"<{n_pc}Q")), expire_seq)
 
     if r.off != len(blob.data):
         raise ContextBlobError(f"{len(blob.data) - r.off} trailing bytes in blob")

@@ -97,7 +97,7 @@ def test_criterion_4_no_false_negatives():
         pc = rng.getrandbits(48)
         handle += 1
         target = rf.active
-        rf.record_squash([mask(pc)], youngest_handle=handle, dyn_count=dyn)
+        rf.record_squash([mask(pc)], youngest_handle=handle)
         held[target].add(pc)
         assert rf.query(mask(pc)), "freshly inserted PC must hit"
         pairs += 1

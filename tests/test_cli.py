@@ -3,7 +3,16 @@ import json
 
 import pytest
 
-from squashsim.cli import EXIT_CONFIG, EXIT_LIVELOCK, EXIT_OK, build_config, main, make_parser
+from squashsim.cli import (
+    EXIT_CONFIG,
+    EXIT_LIVELOCK,
+    EXIT_OK,
+    SCENARIO_CAPS,
+    build_config,
+    main,
+    make_parser,
+    scenario_from_params,
+)
 from squashsim.trace import gen_loop_trace, save_trace
 
 
@@ -154,6 +163,28 @@ def test_attack_scenario_file(capsys, tmp_path):
     assert code == EXIT_OK
     (row,) = _json_rows(out)
     assert row["attack_region_executions"] == 9
+
+
+def test_attack_oversized_scenario_file_is_config_error(capsys, tmp_path):
+    path = tmp_path / "huge.sc"
+    path.write_text("pattern serial\nhandles 100000\nreplays 100000\n")
+    code = main(["attack", "--scenario", str(path)])
+    assert code == EXIT_CONFIG
+    assert "scenario handles must be <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["handles", "replays", "gap"])
+def test_attack_flags_above_the_scenario_caps_are_config_errors(capsys, name):
+    cap = SCENARIO_CAPS[name]
+    code = main(["attack", "--pattern", "serial", f"--{name}", str(cap + 1)])
+    assert code == EXIT_CONFIG
+    assert f"scenario {name} must be <= {cap}" in capsys.readouterr().err
+
+
+def test_scenario_caps_admit_the_largest_scenario():
+    caps = SCENARIO_CAPS
+    scenario = scenario_from_params("serial", caps["handles"], caps["replays"], caps["gap"])
+    assert scenario.params == caps
 
 
 def test_attack_bad_latencies(capsys):

@@ -58,7 +58,7 @@ def test_insert_then_query_hits():
     rf = RollingFilters(count=2, threshold=32, window_len=0)
     seeds = derive_hash_seeds(0, 2)
     h = compute_hashes(0x1234, seeds, 64)
-    rf.record_squash([indices_to_mask(h)], youngest_handle=None, dyn_count=0)
+    rf.record_squash([indices_to_mask(h)], youngest_handle=1)
     assert rf.query(indices_to_mask(h))
     assert rf.filters[0].bit_count() == len(set(h))
 
@@ -69,7 +69,7 @@ def test_empirical_fp_rate_matches_load():
     rf = RollingFilters(count=2, threshold=m, window_len=0)  # never rotates here
     rng = random.Random(5)
     rf.record_squash([_mask(rng.getrandbits(64), seeds, m) for _ in range(60)],
-                     youngest_handle=None, dyn_count=0)
+                     youngest_handle=1)
     load = rf.filters[0].bit_count() / m
     expected = load**k
     trials = 20_000
@@ -105,7 +105,7 @@ def test_record_squash_sets_assoc_and_inserts():
     rf = RollingFilters(count=2, threshold=32, window_len=0)
     seeds = derive_hash_seeds(0, 2)
     masks = [_mask(pc, seeds, 64) for pc in (0x400, 0x404, 0x408)]
-    rf.record_squash(masks, youngest_handle=17, dyn_count=5)
+    rf.record_squash(masks, youngest_handle=17)
     assert rf.assoc[0] == 17
     for m in masks:
         assert rf.query(m)
@@ -113,7 +113,7 @@ def test_record_squash_sets_assoc_and_inserts():
 
 def test_record_squash_empty_set_still_reassociates():
     rf = RollingFilters(count=2, threshold=32, window_len=0)
-    rf.record_squash([], youngest_handle=9, dyn_count=0)
+    rf.record_squash([], youngest_handle=9)
     assert rf.assoc[rf.active] == 9
     assert rf.filters == [0, 0]
 
@@ -194,7 +194,7 @@ def test_reassociation_cancels_pending_clear():
     rf.assoc[0] = 3
     rf.on_handle_safe(3, dyn_count=0)
     assert rf.deadline[0] == 10
-    rf.record_squash([0b10], youngest_handle=8, dyn_count=4)
+    rf.record_squash([0b10], youngest_handle=8)
     assert rf.assoc[0] == 8
     assert rf.deadline[0] is None
     rf.on_dispatch(50)
@@ -202,23 +202,13 @@ def test_reassociation_cancels_pending_clear():
 
 
 def test_perfect_filter_live_and_expired_records():
-    pf = PerfectFilter(window_len=4)
-    pf.record({0x400, 0x404}, youngest_handle=7, dyn_count=0)
+    pf = PerfectFilter()
+    pf.record({0x400, 0x404}, youngest_handle=7)
     assert pf.query(0x400)
     assert not pf.query(0x999)
-    pf.on_handle_safe(6, dyn_count=1)
+    pf.on_handle_safe(6)
     assert pf.query(0x400)  # handle 7 not safe yet
-    pf.on_handle_safe(7, dyn_count=2)
-    assert not pf.query(0x400)
-
-
-def test_perfect_filter_empty_queue_deferral():
-    pf = PerfectFilter(window_len=4)
-    pf.record({0x400}, youngest_handle=None, dyn_count=10)
-    assert pf.query(0x400)
-    pf.on_dispatch(13)
-    assert pf.query(0x400)
-    pf.on_dispatch(14)
+    pf.on_handle_safe(7)
     assert not pf.query(0x400)
 
 
@@ -229,24 +219,23 @@ def test_perfect_hits_subset_of_pair_hits():
     m, k = 64, 2
     seeds = derive_hash_seeds(2, k)
     rf = RollingFilters(count=2, threshold=m // 2, window_len=6)
-    pf = PerfectFilter(window_len=6)
+    pf = PerfectFilter()
     pcs = [rng.getrandbits(48) for _ in range(60)]
     dyn = 0
     handle = 0
     for step in range(3_000):
         dyn += 1
         rf.on_dispatch(dyn)
-        pf.on_dispatch(dyn)
         r = rng.random()
         if r < 0.25:
             batch = frozenset(rng.sample(pcs, rng.randint(1, 4)))
             handle += 1
-            rf.record_squash([_mask(pc, seeds, m) for pc in batch], handle, dyn)
-            pf.record(batch, handle, dyn)
+            rf.record_squash([_mask(pc, seeds, m) for pc in batch], handle)
+            pf.record(batch, handle)
         elif r < 0.45 and handle:
             safe = rng.randint(max(0, handle - 5), handle)
             rf.on_handle_safe(safe, dyn)
-            pf.on_handle_safe(safe, dyn)
+            pf.on_handle_safe(safe)
         probe = rng.choice(pcs)
         if pf.query(probe):
             assert rf.query(_mask(probe, seeds, m)), "exact hit missed by the pair"

@@ -88,7 +88,8 @@ def test_oracle_lockstep_counts_false_positives():
 def test_squash_raises_version():
     for policy in PolicyKind:
         st = _state(policy)
-        st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=None)
+        st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
+        st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=1)
         assert st.version == 1, policy
 
 
@@ -105,7 +106,8 @@ def test_delay_all_pop_raises_version_and_dispatch_does_not():
 
 def test_bloom_clear_on_dispatch_raises_version():
     st = _state(PolicyKind.DOS_BLOOM, window_len=4)
-    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=None)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    st.on_handle_safe(3)  # arms the clear four dispatches ahead
     for _ in range(3):
         st.on_dispatch()
     assert (st.filter_clears, st.version) == (0, 1)
@@ -141,16 +143,6 @@ def test_exact_record_dropped_by_handle_raises_version():
     assert st.issue_decision(9, 0x400, 0) is None
 
 
-def test_exact_record_dropped_by_deadline_raises_version():
-    st = _state(PolicyKind.DOS_PERFECT, window_len=2)
-    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=None)
-    st.on_dispatch()
-    assert st.version == 1
-    st.on_dispatch()
-    assert st.version == 2
-    assert st.issue_decision(9, 0x400, 0) is None
-
-
 def test_oracle_record_drop_raises_version():
     # the Bloom filter keeps the PC, but the exact verdict behind fp_count moves
     st = _state(PolicyKind.DOS_BLOOM, oracle=True, window_len=4)
@@ -159,39 +151,45 @@ def test_oracle_record_drop_raises_version():
     assert (st.filter_clears, st.version) == (0, 2)
 
 
-_BATCH_PCS = (0x400, 0x404, 0x500)
+_BATCH_PCS = (0x400, 0x404, 0x500, 0x600)
 
 
 def _batch_state(**kw):
-    # two timed squash records, due at dyn_count 6 and 7; with threshold 1
-    # the first squash rotates, so each Bloom filter holds one deadline
-    st = _state(window_len=4, threshold=1, **kw)
+    # three filters at threshold 1: each squash fills one and rotates on.
+    # The pops of handles 3 and 5 arm the first two filters' clears, due at
+    # dyn_count 6 and 7; handle 9's squash stays live in the third
+    st = _state(window_len=4, threshold=1, filters=3, **kw)
     st.on_dispatch(2)
-    st.on_squash(frozenset({0x400, 0x404}), [_mask(st, 0x400), _mask(st, 0x404)], None)
+    st.on_squash(frozenset({0x400, 0x404}), [_mask(st, 0x400), _mask(st, 0x404)], 3)
+    st.on_handle_safe(3)
     st.on_dispatch(1)
-    st.on_squash(frozenset({0x500}), [_mask(st, 0x500)], None)
+    st.on_squash(frozenset({0x500}), [_mask(st, 0x500)], 5)
+    st.on_handle_safe(5)
+    st.on_squash(frozenset({0x600}), [_mask(st, 0x600)], 9)
     return st
 
 
 def _batch_snapshot(st, version_before):
-    out = [st.dyn_count, st.filter_clears, st.version != version_before]
-    if st.filters is not None:
-        rf = st.filters
-        out += [list(rf.filters), list(rf.assoc), list(rf.deadline)]
+    rf = st.filters
+    out = [st.dyn_count, st.filter_clears, st.version != version_before,
+           list(rf.filters), list(rf.assoc), list(rf.deadline)]
     pf = st.perfect
-    out += [[pf.query(pc) for pc in _BATCH_PCS],
-            [(r.pcs, r.expire_seq, r.deadline) for r in pf.records()]]
+    if pf is not None:
+        out += [[pf.query(pc) for pc in _BATCH_PCS],
+                [(r.pcs, r.expire_seq) for r in pf.records()]]
     return out
 
 
+# dos-perfect has no state that falls due by dispatch count, so only the
+# Bloom filters' deferred clears are batched
 @pytest.mark.parametrize("kw", [dict(policy=PolicyKind.DOS_BLOOM, oracle=True),
-                                dict(policy=PolicyKind.DOS_PERFECT)])
+                                dict(policy=PolicyKind.DOS_BLOOM)])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_on_dispatch_batch_matches_single_steps(kw, n):
     batched, stepped = _batch_state(**kw), _batch_state(**kw)
-    assert [r.deadline for r in batched.perfect.records()] == [6, 7]
-    if batched.filters is not None:
-        assert batched.filters.deadline == [6, 7]
+    assert batched.filters.deadline == [6, 7, None]
+    if batched.perfect is not None:
+        assert [r.expire_seq for r in batched.perfect.records()] == [9]
     v0 = batched.version
     batched.on_dispatch(n)
     for _ in range(n):
@@ -383,7 +381,6 @@ def test_restore_rejects_threshold_out_of_range(threshold):
     (PolicyKind.DOS_BLOOM, {"threshold": 8, "window_len": 3}, False),
     (PolicyKind.DOS_BLOOM, {"threshold": 8}, False),
     (PolicyKind.DOS_BLOOM, {"window_len": 3}, False),
-    (PolicyKind.DOS_PERFECT, {"window_len": 3}, False),
     (PolicyKind.DOS_BLOOM, {"window_len": 3}, True),
 ])
 def test_restore_rejects_a_blob_whose_geometry_differs_from_the_config(policy, saved, oracle):
@@ -393,6 +390,63 @@ def test_restore_rejects_a_blob_whose_geometry_differs_from_the_config(policy, s
         restore_context(blob, MachineConfig(policy=policy, oracle=oracle))
     restored = restore_context(blob, MachineConfig(policy=policy, oracle=oracle, **saved))
     assert save_context(restored) == blob
+
+
+def test_dos_perfect_blob_round_trips_under_any_window_len():
+    # exact records expire by handle alone, so a dos-perfect blob holds no window
+    st = _state(PolicyKind.DOS_PERFECT, window_len=3)
+    st.handle_queue.push_handle(HandleEntry(4, ShadowKind.C))
+    st.on_squash(frozenset({0x400}), [0], youngest_handle=4)
+    blob = save_context(st)
+    for window_len in (0, 3, 64, None):
+        config = MachineConfig(policy=PolicyKind.DOS_PERFECT, window_len=window_len)
+        assert save_context(restore_context(blob, config)) == blob
+
+
+def test_restore_rejects_a_version_1_blob():
+    data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)).data)
+    assert struct.unpack_from("<H", data, 4) == (2,)
+    struct.pack_into("<H", data, 4, 1)
+    with pytest.raises(ContextBlobError, match="version 1"):
+        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_PERFECT))
+
+
+def test_restore_rejects_unknown_handle_flags():
+    config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
+    st = _state(PolicyKind.DOS_PERFECT)
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
+    data = bytearray(save_context(st).data)
+    # 32-byte header, handle count u32, then the handle's seq u64, code u8, flags u8
+    assert data[45] == 0
+    for flags in (1, 2, 3):  # resolved, squashed, both
+        data[45] = flags
+        blob = ContextBlob(0, bytes(data))
+        assert save_context(restore_context(blob, config)) == blob
+    data[45] = 0xFC
+    with pytest.raises(ContextBlobError, match="flag"):
+        restore_context(ContextBlob(0, bytes(data)), config)
+
+
+def test_restore_rejects_exact_records_out_of_expire_order():
+    config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
+    st = _state(PolicyKind.DOS_PERFECT)
+    for seq in (10, 12):
+        st.handle_queue.push_handle(HandleEntry(seq, ShadowKind.C))
+    st.on_squash(frozenset({0x400}), [0], youngest_handle=10)
+    st.on_squash(frozenset({0x500}), [0], youngest_handle=12)
+    data = bytearray(save_context(st).data)
+    # 32-byte header, two 10-byte handles, record count u32, then per record
+    # expire u64, pc count u32 and one pc u64
+    assert struct.unpack_from("<IQIQQIQ", data, 56) == (2, 10, 1, 0x400, 12, 1, 0x500)
+    restored = restore_context(ContextBlob(0, bytes(data)), config)
+    restored.on_handle_safe(10)
+    assert not restored.perfect.query(0x400) and restored.perfect.query(0x500)
+    # swapped, the record expiring at 10 would sit behind the one at 12, and
+    # expiry, which pops from the front, would keep it past handle 10
+    struct.pack_into("<Q", data, 60, 12)
+    struct.pack_into("<Q", data, 80, 10)
+    with pytest.raises(ContextBlobError, match="exact record"):
+        restore_context(ContextBlob(0, bytes(data)), config)
 
 
 def test_restore_rejects_policy_mismatch():
