@@ -116,13 +116,7 @@ _SINGLE_RESOLVE = 6
 
 def _pad(instructions: list[Instruction], n: int) -> None:
     for _ in range(n):
-        instructions.append(
-            Instruction(
-                seq=len(instructions),
-                pc=_PAD_PC_BASE + 4 * len(instructions),
-                kind=InstructionKind.PLAIN,
-            )
-        )
+        instructions.append(Instruction(_PAD_PC_BASE + 4 * len(instructions), InstructionKind.PLAIN))
 
 
 def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
@@ -139,12 +133,12 @@ def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
         slot = len(ins)
         force[slot] = ForceMisspeculate(slot, replays)
         ins.append(
-            Instruction(slot, _HANDLE_PC_BASE + 0x100 * i, InstructionKind.LOAD,
+            Instruction(_HANDLE_PC_BASE + 0x100 * i, InstructionKind.LOAD,
                         ShadowKind.E, exec_latency=1, resolve_latency=_SINGLE_RESOLVE)
         )
         _pad(ins, gap)
         transmit_pcs.append(_TRANSMIT_PC_BASE + 0x100 * i)
-        ins.append(Instruction(len(ins), transmit_pcs[-1], InstructionKind.TRANSMIT))
+        ins.append(Instruction(transmit_pcs[-1], InstructionKind.TRANSMIT))
         _pad(ins, pad)
     return Scenario(
         name=name,
@@ -224,14 +218,14 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
     for i in range(handles):
         slot = len(ins)
         ins.append(
-            Instruction(slot, _HANDLE_PC_BASE + 0x100 * i, InstructionKind.BRANCH,
+            Instruction(_HANDLE_PC_BASE + 0x100 * i, InstructionKind.BRANCH,
                         ShadowKind.C, exec_latency=1,
                         resolve_latency=resolve_latencies[i])
         )
         force[slot] = ForceMisspeculate(slot, replays, outer_slot=slot - 1 if i else None)
     _pad(ins, gap)
     s_pc = _TRANSMIT_PC_BASE
-    ins.append(Instruction(len(ins), s_pc, InstructionKind.TRANSMIT))
+    ins.append(Instruction(s_pc, InstructionKind.TRANSMIT))
     _pad(ins, pad)
     trace = Trace(name=f"nested-h{handles}-r{replays}", seed=0, instructions=ins)
     return Scenario(
@@ -274,7 +268,7 @@ class ScenarioResolver:
                 self._inner.setdefault(fm.outer_slot, []).append(fm.slot)
 
     def __call__(self, entry: RobEntry) -> bool:
-        pos = entry.instr.seq
+        pos = entry.pos
         fm = self.force.get(pos)
         if fm is None:
             return False  # victim instructions resolve correctly

@@ -44,7 +44,8 @@ class MachineConfig:
     window_len: int | None = None  # deferred-clear window in dynamic instructions; default rob_size
     seed: int = 0
     oracle: bool = False         # run the exact-set oracle in lockstep (false-positive accounting)
-    livelock_budget: int | None = None  # cycles without a commit before aborting; default 100 * rob_size
+    livelock_budget: int | None = None  # cycles without a commit before aborting (at most
+                                        # 2**20); default 100 * rob_size
     squash_recovery: int = 0     # extra front-end stall cycles after a squash
     fp_counting: str = "evaluation"  # "evaluation": one FP per delayed issue check per cycle;
                                      # "entry": at most one per entry per delay episode
@@ -82,8 +83,10 @@ class MachineConfig:
             raise ConfigError(f"threshold must be in [1, bits], got {self.threshold}")
         if self.window_len is not None and self.window_len < 0:
             raise ConfigError(f"window_len must be >= 0, got {self.window_len}")
-        if self.livelock_budget is not None and self.livelock_budget < 1:
-            raise ConfigError(f"livelock_budget must be >= 1, got {self.livelock_budget}")
+        if self.livelock_budget is not None and not 1 <= self.livelock_budget <= 1 << 20:
+            # a sustained replay runs until the budget is spent, so the cap
+            # bounds its host time (a million cycles take seconds)
+            raise ConfigError(f"livelock_budget must be in [1, 2**20], got {self.livelock_budget}")
         if self.squash_recovery < 0:
             raise ConfigError(f"squash_recovery must be >= 0, got {self.squash_recovery}")
         if self.fp_counting not in ("evaluation", "entry"):

@@ -28,7 +28,7 @@ def _segments(trace: Trace, boundaries: list[int]) -> list[Trace]:
     n = len(trace.instructions)
     cuts = sorted({b for b in boundaries if 0 < b < n})
     return [Trace(name=f"{trace.name}[{lo}:{hi}]", seed=trace.seed,
-                  instructions=trace.instructions[lo:hi])
+                  instructions=trace.instructions[lo:hi], start=trace.start + lo)
             for lo, hi in zip([0] + cuts, cuts + [n])]
 
 
@@ -37,12 +37,12 @@ def run_segmented(trace: Trace, config: MachineConfig, boundaries: list[int],
     """Run a trace in segments, draining and save/restoring the policy state
     at every boundary, and merge the per-segment metrics.
 
-    A segment is a plain slice of the trace, so every instruction keeps its
-    whole-trace ``seq``: a resolver keyed by trace position sees the same
-    positions as in an unsegmented run, and the pipeline restarts a squash
-    relative to the segment's first ``seq``.  A livelock in any segment
-    re-raises with the merged metrics of every segment run so far, under
-    the whole trace's id.
+    A segment is a slice of the trace whose ``start`` is the cut point, so
+    every instruction keeps its whole-trace position: a resolver keyed by
+    trace position sees the same positions as in an unsegmented run, and
+    the pipeline restarts a squash relative to the segment's ``start``.  A
+    livelock in any segment re-raises with the merged metrics of every
+    segment run so far, under the whole trace's id.
     """
     total = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
     state = PolicyState(config, context_id=context_id)

@@ -21,6 +21,13 @@ entry: dispatch pushes it, and its ``kind``, ``resolved`` and ``squashed``
 are what the queue reads.  After a squash the victims' entries stay queued
 as placeholders until they reach the queue head.
 
+An entry's ``seq`` is new on every dispatch; its ``pos`` is the whole-trace
+position of its instruction, ``trace.start`` plus the record index, and
+stays the same for every re-dispatched instance.  An ``Instruction`` holds
+no position (a loop trace holds one object per body slot), so the
+resolvers key on ``pos``, and a squash restarts the front end at the record
+after ``cause.pos``.
+
 Events wait in per-cycle buckets, one dict for completions ``(entry, gen)``
 and one for resolutions ``(seq, gen, entry)``.  A tick fires its cycle's
 completions first, then its resolutions in seq order: an older resolution
@@ -115,13 +122,18 @@ class SquashRecord:
 
 
 class RobEntry:
+    """One dispatched instance of an instruction: ``seq`` is its dynamic
+    sequence number, new on every dispatch, and ``pos`` its whole-trace
+    position, the same for every instance."""
+
     __slots__ = (
-        "seq", "instr", "state", "kind", "resolved", "squashed", "resolve_ready", "res_count",
+        "seq", "pos", "instr", "state", "kind", "resolved", "squashed", "resolve_ready", "res_count",
         "gen", "mask", "fp_counted", "delay_version", "delay_reason",
     )
 
-    def __init__(self, seq: int, instr: Instruction, mask: int) -> None:
+    def __init__(self, seq: int, pos: int, instr: Instruction, mask: int) -> None:
         self.seq = seq
+        self.pos = pos
         self.instr = instr
         self.state = DISPATCHED
         # the handle-queue fields, for a shadow-casting instruction
@@ -151,7 +163,7 @@ class TraceResolver:
         self._consumed: set[int] = set()
 
     def __call__(self, entry: RobEntry) -> bool:
-        pos = entry.instr.seq
+        pos = entry.pos
         if entry.instr.misspeculate and pos not in self._consumed:
             self._consumed.add(pos)
             return True
@@ -171,6 +183,7 @@ class Pipeline:
     ) -> None:
         self.config = config
         self.records = trace.instructions
+        self.start = trace.start  # the whole-trace position of records[0]
         self.policy = policy if policy is not None else PolicyState(config)
         self.hq = self.policy.handle_queue
         self.resolver = resolver if resolver is not None else TraceResolver()
@@ -378,6 +391,7 @@ class Pipeline:
         hq = self.hq
         masks = self._pc_masks
         seq = self.next_seq
+        pos = self.start + cursor
         for rec in records[cursor:cursor + room]:
             shadow = rec.shadow_class
             if shadow is not None and len(hq) >= rob_size:
@@ -389,12 +403,13 @@ class Pipeline:
                 if mask is None:
                     mask = masks[rec.pc] = indices_to_mask(
                         compute_hashes(rec.pc, self.policy.hash_seeds, self.config.bits))
-            e = RobEntry(seq, rec, mask)
+            e = RobEntry(seq, pos, rec, mask)
             rob.append(e)
             pending.append(e)  # seq is monotonic, the list stays in order
             if shadow is not None:
                 hq.push_handle(e)
             seq += 1
+            pos += 1
         n = seq - self.next_seq
         if n:  # an empty cycle sweeps nothing, so clears land on the same cycles
             self.next_seq = seq
@@ -431,8 +446,8 @@ class Pipeline:
         cause.fp_counted = False
         pending.append(cause)  # every entry still pending is older
 
-        # records may be a slice of a longer trace that keeps its seqs
-        self.cursor = cause.instr.seq - self.records[0].seq + 1
+        # records may be a slice of a longer trace, starting at self.start
+        self.cursor = cause.pos - self.start + 1
         self._dispatch_resume = self.cycle + self.config.squash_recovery
         if self.observer is not None:
             self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest))

@@ -214,6 +214,9 @@ class _Reader:
 
     def take_opt(self) -> int | None:
         flag, value = self.take("<BQ")
+        if flag > 1 or (not flag and value):
+            # _pack_opt writes (0, 0) or (1, value), and nothing else round-trips
+            raise ContextBlobError(f"optional field flag {flag} with value {value}")
         return value if flag else None
 
 
@@ -286,6 +289,8 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
     state = PolicyState(config, context_id=ctx)
     state.dyn_count = dyn
     state.next_seq = next_seq
+    if oracle > 1:
+        raise ContextBlobError(f"oracle flag {oracle} is neither 0 nor 1")
     if bool(oracle) != state.oracle:
         raise ContextBlobError("oracle flag mismatch between blob and config")
 
@@ -341,7 +346,12 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
                 raise ContextBlobError(f"exact record expiring at {expire_seq} "
                                        f"after one expiring at {prev_expire}")
             prev_expire = expire_seq
-            state.perfect.record(frozenset(r.take(f"<{n_pc}Q")), expire_seq)
+            pcs = r.take(f"<{n_pc}Q")
+            if not pcs or any(a >= b for a, b in zip(pcs, pcs[1:])):
+                # save_context writes each record's PC set, never empty, sorted
+                raise ContextBlobError(f"exact record expiring at {expire_seq}: its {n_pc} "
+                                       f"PCs are not a non-empty increasing list")
+            state.perfect.record(frozenset(pcs), expire_seq)
 
     if r.off != len(blob.data):
         raise ContextBlobError(f"{len(blob.data) - r.off} trailing bytes in blob")

@@ -2,20 +2,24 @@
 
 Instructions carry only what the defense mechanism reads: a program
 counter, a shadow class when they can cause squashing, and execute/resolve
-latencies.  There is no ISA, no registers, no memory values.
+latencies.  There is no ISA, no registers, no memory values.  An
+``Instruction`` holds no position: a trace position is a list index plus
+the trace's ``start``, so one object may stand at many positions.
 
 Trace file format (one instruction per line, ``#`` starts a comment)::
 
     <seq> <pc-hex> <KIND> <SHADOW|-> <exec_latency> <resolve_latency> [MISS]
 
-KIND is one of PLAIN, LOAD, STORE, BRANCH, TRANSMIT; SHADOW is one of
-E, C, D, M or ``-`` for none; MISS marks a pre-scheduled misspeculation.
+SEQ is the position: ``start`` plus the line's index among the
+instructions (a parsed trace starts at 0).  KIND is one of PLAIN, LOAD,
+STORE, BRANCH, TRANSMIT; SHADOW is one of E, C, D, M or ``-`` for none;
+MISS marks a pre-scheduled misspeculation.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .shadows import ShadowKind
@@ -52,13 +56,16 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Instruction:
-    """One dynamic instruction of a trace.
+    """What a trace says about one instruction, apart from where it sits.
 
-    ``seq`` is the position in the expanded dynamic stream; the pipeline
-    assigns its own sequence numbers to re-dispatched instances.
+    An instruction holds no position, so a trace may hold one object at
+    many positions: a loop trace holds one per body slot (and a
+    misspeculating twin per shadow-casting slot).  A position is the
+    list index plus the trace's ``start``; the pipeline keeps it in the
+    ``RobEntry`` and assigns its own sequence numbers to re-dispatched
+    instances.
     """
 
-    seq: int
     pc: int
     kind: InstructionKind
     shadow_class: ShadowKind | None = None
@@ -86,11 +93,16 @@ class Instruction:
 
 @dataclass
 class Trace:
-    """An ordered dynamic instruction stream with its generation metadata."""
+    """An ordered dynamic instruction stream with its generation metadata.
+
+    ``start`` is the whole-trace position of ``instructions[0]``: 0 for a
+    whole trace, the cut point for a segment sliced out of a longer one.
+    """
 
     name: str
     seed: int
     instructions: list[Instruction] = field(default_factory=list)
+    start: int = 0
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -127,6 +139,10 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
     dynamic stream in order and draw ``random.Random(seed).random()`` once
     per shadow-casting instruction; mark it when the draw is below the
     rate.
+
+    The trace holds one ``Instruction`` per body slot, and one
+    misspeculating twin per shadow-casting slot, each at every position
+    it fills.
     """
     if body_len < 1:
         raise ValueError(f"body_len must be >= 1, got {body_len}")
@@ -135,25 +151,17 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
     if not 0.0 <= squash_rate <= 1.0:
         raise ValueError(f"squash_rate must be in [0, 1], got {squash_rate}")
 
-    rng = random.Random(seed)
+    # per slot: the instruction, and its misspeculating twin when it casts a shadow
+    body: list[tuple[Instruction, Instruction | None]] = []
+    for j in range(body_len):
+        kind, shadow, exec_lat, res_lat = _loop_slot(j)
+        ins = Instruction(_LOOP_PC_BASE + 4 * j, kind, shadow, exec_lat, res_lat)
+        body.append((ins, None if shadow is None else replace(ins, misspeculate=True)))
+    draw = random.Random(seed).random
     out: list[Instruction] = []
     for _ in range(iterations):
-        for j in range(body_len):
-            kind, shadow, exec_lat, res_lat = _loop_slot(j)
-            miss = False
-            if shadow is not None:
-                miss = rng.random() < squash_rate
-            out.append(
-                Instruction(
-                    seq=len(out),
-                    pc=_LOOP_PC_BASE + 4 * j,
-                    kind=kind,
-                    shadow_class=shadow,
-                    exec_latency=exec_lat,
-                    resolve_latency=res_lat,
-                    misspeculate=miss,
-                )
-            )
+        for ins, twin in body:
+            out.append(twin if twin is not None and draw() < squash_rate else ins)
     return Trace(name=f"loop-{body_len}x{iterations}-r{squash_rate}", seed=seed, instructions=out)
 
 
@@ -201,7 +209,7 @@ def parse_trace(text: str, name: str = "trace", seed: int = 0) -> Trace:
             raise TraceFormatError(line_no, f"seq {seq} out of order, expected {len(instructions)}")
         try:
             instructions.append(
-                Instruction(seq, pc, kind, shadow, exec_lat, res_lat, miss)
+                Instruction(pc, kind, shadow, exec_lat, res_lat, miss)
             )
         except ValueError as exc:
             raise TraceFormatError(line_no, str(exc)) from None
@@ -211,9 +219,9 @@ def parse_trace(text: str, name: str = "trace", seed: int = 0) -> Trace:
 def serialize_trace(trace: Trace) -> str:
     """Render a trace in the file format (one instruction per line)."""
     lines = []
-    for ins in trace.instructions:
+    for seq, ins in enumerate(trace.instructions, trace.start):
         shadow = str(ins.shadow_class) if ins.shadow_class is not None else "-"
-        line = f"{ins.seq} 0x{ins.pc:x} {ins.kind} {shadow} {ins.exec_latency} {ins.resolve_latency}"
+        line = f"{seq} 0x{ins.pc:x} {ins.kind} {shadow} {ins.exec_latency} {ins.resolve_latency}"
         if ins.misspeculate:
             line += " MISS"
         lines.append(line)

@@ -161,6 +161,18 @@ def test_context_switch_mid_scenario_preserves_counts():
         assert a.squashes == b.squashes
 
 
+def test_segmented_scenario_resolves_by_whole_trace_position():
+    # a switch right before each later handle puts that handle first in a
+    # segment starting at its slot; the resolver must still see the slot
+    sc = build_serial(3, 2, window_pad=40)
+    slots = sorted(sc.force)
+    sc.switches = slots[1:]
+    rep = run_scenario(sc, MachineConfig(policy=PolicyKind.BASELINE))
+    assert rep.squashes == 3 * 2
+    assert list(rep.total_issues_of_s.values()) == [3, 3, 3]
+    assert rep.metrics.committed == len(sc.trace)
+
+
 def test_livelock_after_context_switch_keeps_earlier_segments():
     sc = build_serial(2, 1, window_pad=40)
     second = list(sc.force)[1]
@@ -296,17 +308,17 @@ def _random_attacks(draw, policy):
         row = draw(st.sampled_from(["plain", "transmit", "handle", "handle"]))
         if row == "handle":
             kind, shadow = draw(st.sampled_from(_HANDLE_ROWS))
-            ins.append(Instruction(seq, 0x4000 + 4 * seq, kind, shadow,
+            ins.append(Instruction(0x4000 + 4 * seq, kind, shadow,
                                    draw(st.integers(1, 3)), draw(st.integers(1, 12))))
             if draw(st.booleans()):
                 times = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
                 outer = draw(st.sampled_from([None, *force]))
                 force[seq] = ForceMisspeculate(seq, times, outer)
         elif row == "transmit":
-            ins.append(Instruction(seq, draw(st.sampled_from(_TRANSMIT_PCS)),
+            ins.append(Instruction(draw(st.sampled_from(_TRANSMIT_PCS)),
                                    InstructionKind.TRANSMIT, exec_latency=draw(st.integers(1, 3))))
         else:
-            ins.append(Instruction(seq, 0x70000 + 4 * seq, InstructionKind.PLAIN))
+            ins.append(Instruction(0x70000 + 4 * seq, InstructionKind.PLAIN))
     scenario = Scenario(
         name="random", pattern=ScenarioPattern.SERIAL,
         trace=Trace(name="random", seed=0, instructions=ins), force=force,

@@ -121,6 +121,14 @@ def test_simulate_livelock_exit_code(capsys, tmp_path):
     assert code == EXIT_LIVELOCK
 
 
+def test_budget_above_2_20_is_config_error(capsys, loop_trace):
+    argv = ["simulate", "--trace", loop_trace, "--budget"]
+    assert main(argv + [str(2**20)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + [str(2**20 + 1)]) == EXIT_CONFIG
+    assert "livelock_budget must be in [1, 2**20]" in capsys.readouterr().err
+
+
 def test_attack_nested_baseline_arithmetic(capsys):
     code, out = _run(capsys, ["attack", "--pattern", "nested", "--handles", "5",
                               "--replays", "1", "--policy", "baseline",

@@ -21,7 +21,6 @@ def _trace(*rows):
         kind, shadow = row[0], row[1]
         ins.append(
             Instruction(
-                seq=len(ins),
                 pc=row[2],
                 kind=kind,
                 shadow_class=shadow,
@@ -280,6 +279,13 @@ def test_config_bounds_what_the_blob_packs_as_u32(name, largest, too_big):
         MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, **{name: too_big})
 
 
+def test_livelock_budget_is_capped_at_2_20():
+    assert MachineConfig(livelock_budget=2**20).effective_budget == 2**20
+    for budget in (0, 2**20 + 1):
+        with pytest.raises(ConfigError, match=r"livelock_budget must be in \[1, 2\*\*20\]"):
+            MachineConfig(livelock_budget=budget)
+
+
 def test_bloom_hashes_are_capped_by_bits():
     assert MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=8, hashes=8).hashes == 8
     with pytest.raises(ConfigError, match="hashes must be <= bits"):
@@ -480,9 +486,9 @@ def _random_machines(draw, policy):
     rows = draw(st.lists(st.tuples(st.sampled_from(_ROWS), st.integers(0, 23), st.integers(1, 4),
                                    st.integers(1, 8), st.integers(0, 3)),
                          min_size=16, max_size=64))
-    ins = [Instruction(i, 0x400 + 4 * pc, kind, shadow, ex, res,
+    ins = [Instruction(0x400 + 4 * pc, kind, shadow, ex, res,
                        misspeculate=shadow is not None and miss == 0)
-           for i, ((kind, shadow), pc, ex, res, miss) in enumerate(rows)]
+           for (kind, shadow), pc, ex, res, miss in rows]
     config = MachineConfig(
         policy=policy, rob_size=draw(st.integers(2, 64)), width=draw(st.integers(1, 8)),
         window_len=draw(st.sampled_from([0, 4, None])),

@@ -292,6 +292,81 @@ def test_mutated_blob_restores_or_raises_blob_error(stop, draw):
         pass
 
 
+def test_every_single_byte_mutation_raises_or_round_trips():
+    # a mid-run blob with live, resolved and squashed handles, one filter
+    # associated with a handle, one waiting out its clear window, and an
+    # exact record
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, rob_size=12, bits=32,
+                           hashes=1, threshold=4)
+    p = Pipeline(gen_loop_trace(8, 12, 0.2, 2), config)
+    while p.cycle < 16:
+        p.cycle += 1
+        p.tick()
+    state = p.policy
+    handles = state.handle_queue.entries()
+    assert any(e.resolved for e in handles) and any(e.squashed for e in handles)
+    assert not (handles[0].resolved or handles[0].squashed)
+    assert None in state.filters.assoc and None in state.filters.deadline
+    assert set(state.filters.assoc) != {None} and set(state.filters.deadline) != {None}
+    assert state.perfect.records()
+    data = save_context(state).data
+    restored = 0
+    for i in range(len(data)):
+        for value in range(256):
+            if value == data[i]:
+                continue
+            blob = ContextBlob(0, data[:i] + bytes([value]) + data[i + 1:])
+            try:
+                again = save_context(restore_context(blob, config))
+            except ContextBlobError:
+                continue
+            assert again == blob, f"byte {i} set to {value:#x} restores but does not round-trip"
+            restored += 1
+    assert restored  # seqs, counts and filter bits take other values
+
+
+def test_restore_rejects_an_oracle_byte_other_than_0_or_1():
+    config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
+    data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)).data)
+    assert data[31] == 0  # the header's last byte
+    data[31] = 2
+    with pytest.raises(ContextBlobError, match="oracle flag 2"):
+        restore_context(ContextBlob(0, bytes(data)), config)
+
+
+@pytest.mark.parametrize("flag, value", [(2, 0), (0, 5), (255, 5)])
+def test_restore_rejects_an_optional_field_that_pack_opt_never_writes(flag, value):
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=8, hashes=1)
+    st = PolicyState(config)
+    st.handle_queue.push_handle(HandleEntry(3, ShadowKind.C))
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    data = bytearray(save_context(st).data)
+    # 32-byte header, handle count u32, one 10-byte handle, 24 bytes of
+    # geometry, one seed, then filter 0: one byte of bits, its assoc and its
+    # deadline
+    assert struct.unpack_from("<BQBQ", data, 79) == (1, 3, 0, 0)
+    for off in (79, 88):  # the assoc, then the deadline
+        bad = bytearray(data)
+        struct.pack_into("<BQ", bad, off, flag, value)
+        with pytest.raises(ContextBlobError, match="optional field"):
+            restore_context(ContextBlob(0, bytes(bad)), config)
+
+
+@pytest.mark.parametrize("pcs", [(), (0x500, 0x500), (0x500, 0x400)])
+def test_restore_rejects_an_exact_record_with_no_or_unordered_pcs(pcs):
+    config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
+    st = _state(PolicyKind.DOS_PERFECT)
+    st.handle_queue.push_handle(HandleEntry(10, ShadowKind.C))
+    st.on_squash(frozenset({0x400, 0x500}), [0, 0], youngest_handle=10)
+    data = save_context(st).data
+    # 32-byte header, handle count u32, one 10-byte handle, record count u32,
+    # then the record's expire u64, pc count u32 and pcs
+    assert struct.unpack_from("<IQIQQ", data, 46) == (1, 10, 2, 0x400, 0x500)
+    bad = data[:58] + struct.pack(f"<I{len(pcs)}Q", len(pcs), *pcs)
+    with pytest.raises(ContextBlobError, match="exact record expiring at 10"):
+        restore_context(ContextBlob(0, bad), config)
+
+
 def test_restore_rejects_wrong_context():
     st = PolicyState(MachineConfig(policy=PolicyKind.DOS_BLOOM), context_id=1)
     blob = save_context(st)

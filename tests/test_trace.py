@@ -55,6 +55,44 @@ def test_loop_trace_determinism():
     assert a.instructions != c.instructions
 
 
+def test_loop_trace_shares_one_object_per_slot_and_one_per_twin():
+    body_len = 40
+    t = gen_loop_trace(body_len, 500, 0.05, seed=7)
+    assert len({id(ins) for ins in t}) <= 2 * body_len
+    for j in range(body_len):  # each slot's positions hold it or its misspeculating twin
+        assert len({id(ins) for ins in t.instructions[j::body_len]}) <= 2
+
+
+def _reference_loop(body_len, iterations, rate, seed):
+    """The loop trace built one Instruction per position, from the slot
+    layout and one draw per shadow-casting position in stream order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(iterations):
+        for j in range(body_len):
+            if j % 11 == 7:
+                row = (InstructionKind.LOAD, ShadowKind.M, 2, 5)
+            elif j % 5 == 0:
+                row = (InstructionKind.BRANCH, ShadowKind.C, 1, 4)
+            elif j % 5 == 3:
+                row = (InstructionKind.STORE, ShadowKind.D, 1, 3)
+            elif j % 5 == 2:
+                row = (InstructionKind.LOAD, None, 2, 1)
+            else:
+                row = (InstructionKind.PLAIN, None, 1, 1)
+            miss = row[1] is not None and rng.random() < rate
+            out.append(Instruction(0x1000 + 4 * j, *row, misspeculate=miss))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 23])
+@pytest.mark.parametrize("body_len, rate", [(40, 0.05), (11, 0.5), (3, 1.0)])
+def test_loop_trace_equals_a_per_position_reference(body_len, rate, seed):
+    t = gen_loop_trace(body_len, 60, rate, seed)
+    assert t.instructions == _reference_loop(body_len, 60, rate, seed)
+    assert t.start == 0
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -73,7 +111,6 @@ def test_parse_single_line():
     t = parse_trace("0 0x400 LOAD E 1 10\n")
     assert len(t) == 1
     ins = t.instructions[0]
-    assert ins.seq == 0
     assert ins.pc == 0x400
     assert ins.kind is InstructionKind.LOAD
     assert ins.shadow_class is ShadowKind.E
@@ -93,6 +130,15 @@ def test_parse_miss_marker_and_comments():
     t = parse_trace(text)
     assert t.instructions[0].misspeculate
     assert not t.instructions[1].misspeculate
+
+
+def test_serialize_numbers_a_slice_from_its_start():
+    t = gen_loop_trace(4, 3, 0.5, seed=2)
+    seg = Trace(name="seg", seed=2, instructions=t.instructions[5:9], start=5)
+    lines = serialize_trace(seg).splitlines()
+    assert [int(line.split()[0]) for line in lines] == [5, 6, 7, 8]
+    assert [line.split(None, 1)[1] for line in lines] == \
+        [line.split(None, 1)[1] for line in serialize_trace(t).splitlines()[5:9]]
 
 
 def test_roundtrip_generated_file():
@@ -125,17 +171,17 @@ def test_parse_errors_name_line_and_field(line, fragment):
 
 def test_instruction_invariants():
     with pytest.raises(ValueError):
-        Instruction(0, -4, InstructionKind.PLAIN)
+        Instruction(-4, InstructionKind.PLAIN)
     with pytest.raises(ValueError):
-        Instruction(0, 0x10, InstructionKind.TRANSMIT, ShadowKind.C)
+        Instruction(0x10, InstructionKind.TRANSMIT, ShadowKind.C)
     with pytest.raises(ValueError):
-        Instruction(0, 0x10, InstructionKind.PLAIN, ShadowKind.E)
+        Instruction(0x10, InstructionKind.PLAIN, ShadowKind.E)
     with pytest.raises(ValueError):
-        Instruction(0, 0x10, InstructionKind.BRANCH, ShadowKind.D)
+        Instruction(0x10, InstructionKind.BRANCH, ShadowKind.D)
     with pytest.raises(ValueError):
-        Instruction(0, 0x10, InstructionKind.PLAIN, misspeculate=True)
+        Instruction(0x10, InstructionKind.PLAIN, misspeculate=True)
     with pytest.raises(ValueError):
-        Instruction(0, 0x10, InstructionKind.PLAIN, exec_latency=0)
+        Instruction(0x10, InstructionKind.PLAIN, exec_latency=0)
 
 
 _KIND_SHADOW = st.sampled_from(
@@ -157,7 +203,7 @@ def _traces(draw):
                                    st.integers(1, 20), st.booleans()), max_size=40))
     ins = []
     for (kind, shadow), pc, ex, res, miss in rows:
-        ins.append(Instruction(len(ins), pc, kind, shadow, ex, res,
+        ins.append(Instruction(pc, kind, shadow, ex, res,
                                misspeculate=miss and shadow is not None))
     return Trace(name="prop", seed=0, instructions=ins)
 
