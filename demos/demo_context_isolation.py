@@ -2,10 +2,11 @@
 Per-context defense state across context switches
 =================================================
 
-Filters and the handle queue belong to one execution context.  On a
-switch the state is serialized into a context blob and later restored;
-blobs are bound to their context id, so one context can never observe or
-pollute another context's filters.  Interleaving two contexts must leave
+Filters and the handle queue belong to one execution context.  A switch
+drains the pipeline, which empties the handle queue; the filter state is
+serialized into a context blob and later restored.  Blobs are bound to
+their context id, so one context can never observe or pollute another
+context's filters.  Interleaving two contexts must leave
 each one's metrics exactly as if it had run alone.
 """
 

@@ -167,6 +167,8 @@ def scenario_from_params(pattern: str, handles: int, replays: int, gap: int,
     for name, value in (("handles", handles), ("replays", replays), ("gap", gap)):
         if value > SCENARIO_CAPS[name]:
             raise ConfigError(f"scenario {name} must be <= {SCENARIO_CAPS[name]}, got {value}")
+    if latencies is not None and pattern != "nested":
+        raise ConfigError(f"latencies apply to the nested pattern only, not {pattern!r}")
     if pattern == "single":
         return build_single(replays, gap=gap)
     if pattern == "serial":
@@ -178,8 +180,9 @@ def scenario_from_params(pattern: str, handles: int, replays: int, gap: int,
 
 
 def parse_scenario_file(text: str):
-    """Scenario files are `key value` lines: pattern, handles, replays, gap,
-    latencies (comma-separated, nested only).  `#` starts a comment."""
+    """Scenario files are `key value` lines, one per key: pattern, handles,
+    replays, gap, latencies (comma-separated, nested only).  `#` starts a
+    comment."""
     keys: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -188,7 +191,11 @@ def parse_scenario_file(text: str):
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ConfigError(f"scenario line {line_no}: expected 'key value'")
-        keys[parts[0].lower()] = parts[1].strip()
+        key = parts[0].lower()
+        if key in keys or key not in ("pattern", "handles", "replays", "gap", "latencies"):
+            what = "repeated" if key in keys else "unknown"
+            raise ConfigError(f"scenario line {line_no}: {what} key {key!r}")
+        keys[key] = parts[1].strip()
     try:
         pattern = keys["pattern"]
         handles = int(keys.get("handles", "1"))

@@ -27,25 +27,24 @@ pipeline asks only what the rule can answer:
 Context blob layout (little-endian, versioned)::
 
     magic   4s   b"SQSM"
-    version u16  currently 2
+    version u16  currently 3
     kind    u8   policy variant (enum order)
     ctx     u64  context id
     dyn     u64  dynamic instructions dispatched so far
     next    u64  next pipeline sequence number
     oracle  u8
-    HQ section:      count u32, then per entry seq u64, kind u8, flags u8
     Bloom section (dos-bloom only): m u32, k u32, count u32, active u32,
         threshold u32, window u32, k seeds u64; per filter: bits (m/8
-        bytes, little-endian bit packing), assoc flag u8 + u64,
-        deadline flag u8 + u64
-    Perfect section (dos-perfect, or dos-bloom with oracle): record count
-        u32; per record, in non-decreasing expire order: expire u64 (the
-        youngest handle queued at its squash), pc count u32, pcs u64 each
+        bytes, little-endian bit packing), deadline flag u8 + u64
+
+A saved context is a drained one.  A context switch drains the reorder
+buffer, so no handle is queued, no exact record is live (each expires
+with its handle) and no filter is associated with a handle; only the
+filter bits and their pending clear deadlines survive.  ``save_context``
+refuses a state that still holds any of the three.
 
 A blob carries state only: restoring it under a config whose geometry,
-threshold, window or hash seeds differ raises ``ContextBlobError``.  So
-does a blob that no saved state could produce: handle flags other than
-resolved (1) and squashed (2), or exact records out of expire order.
+threshold, window or hash seeds differ raises ``ContextBlobError``.
 """
 
 from __future__ import annotations
@@ -55,15 +54,13 @@ from dataclasses import dataclass
 
 from .config import MachineConfig, PolicyKind
 from .filters import PerfectFilter, RollingFilters, derive_hash_seeds
-from .shadows import HandleEntry, HandleQueue, ShadowKind
+from .shadows import HandleQueue
 
 BLOB_MAGIC = b"SQSM"
-BLOB_VERSION = 2
+BLOB_VERSION = 3
 
 _KIND_CODE = {k: i for i, k in enumerate(PolicyKind)}
 _CODE_KIND = {i: k for i, k in enumerate(PolicyKind)}
-_SHADOW_CODE = {k: i for i, k in enumerate(ShadowKind)}
-_CODE_SHADOW = {i: k for i, k in enumerate(ShadowKind)}
 
 DELAY_UNSAFE_HANDLE = "unsafe-older-handle"
 DELAY_BLOOM_HIT = "bloom-hit"
@@ -186,12 +183,6 @@ class PolicyState:
 # -- context serialization ----------------------------------------------------
 
 
-def _pack_opt(value: int | None) -> bytes:
-    if value is None:
-        return struct.pack("<BQ", 0, 0)
-    return struct.pack("<BQ", 1, value)
-
-
 class _Reader:
     def __init__(self, data: bytes) -> None:
         self.data = data
@@ -212,16 +203,15 @@ class _Reader:
         self.off += n
         return out
 
-    def take_opt(self) -> int | None:
-        flag, value = self.take("<BQ")
-        if flag > 1 or (not flag and value):
-            # _pack_opt writes (0, 0) or (1, value), and nothing else round-trips
-            raise ContextBlobError(f"optional field flag {flag} with value {value}")
-        return value if flag else None
-
 
 def save_context(state: PolicyState) -> ContextBlob:
-    """Serialize a quiescent policy state (no in-flight squash)."""
+    """Serialize a drained policy state (module docstring)."""
+    if len(state.handle_queue):
+        raise ValueError("cannot save a context with queued handles")
+    if state.perfect is not None and state.perfect.records():
+        raise ValueError("cannot save a context with live exact records")
+    if state.filters is not None and any(a is not None for a in state.filters.assoc):
+        raise ValueError("cannot save a context with a filter associated with a handle")
     parts = [
         struct.pack(
             "<4sHBQQQB",
@@ -234,12 +224,6 @@ def save_context(state: PolicyState) -> ContextBlob:
             1 if state.oracle else 0,
         )
     ]
-    hq_entries = state.handle_queue.entries()
-    parts.append(struct.pack("<I", len(hq_entries)))
-    for e in hq_entries:
-        flags = (1 if e.resolved else 0) | (2 if e.squashed else 0)
-        parts.append(struct.pack("<QBB", e.seq, _SHADOW_CODE[e.kind], flags))
-
     if state.filters is not None:
         rf = state.filters
         cfg = state.config
@@ -251,17 +235,9 @@ def save_context(state: PolicyState) -> ContextBlob:
         )
         parts.append(struct.pack(f"<{len(state.hash_seeds)}Q", *state.hash_seeds))
         nbytes = max(1, cfg.bits // 8)
-        for i, bits in enumerate(rf.filters):
+        for bits, deadline in zip(rf.filters, rf.deadline):
             parts.append(bits.to_bytes(nbytes, "little"))
-            parts.append(_pack_opt(rf.assoc[i]))
-            parts.append(_pack_opt(rf.deadline[i]))
-
-    if state.perfect is not None:
-        records = state.perfect.records()
-        parts.append(struct.pack("<I", len(records)))
-        for rec in records:
-            pcs = sorted(rec.pcs)
-            parts.append(struct.pack(f"<QI{len(pcs)}Q", rec.expire_seq, len(pcs), *pcs))
+            parts.append(struct.pack("<BQ", deadline is not None, deadline or 0))
 
     return ContextBlob(context_id=state.context_id, data=b"".join(parts))
 
@@ -294,23 +270,6 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
     if bool(oracle) != state.oracle:
         raise ContextBlobError("oracle flag mismatch between blob and config")
 
-    (n_hq,) = r.take("<I")
-    prev_seq = -1
-    for _ in range(n_hq):
-        seq, shadow_code, flags = r.take("<QBB")
-        if shadow_code not in _CODE_SHADOW:
-            raise ContextBlobError(f"unknown shadow code {shadow_code}")
-        if seq <= prev_seq:
-            raise ContextBlobError(f"handle seq {seq} not after {prev_seq}")
-        prev_seq = seq
-        if flags & ~3:
-            raise ContextBlobError(f"handle {seq} has unknown flag bits {flags:#x}")
-        entry = state.handle_queue.push_handle(HandleEntry(seq, _CODE_SHADOW[shadow_code]))
-        if flags & 1:
-            state.handle_queue.mark_resolved(entry)
-        if flags & 2:
-            state.handle_queue.mark_squashed_after(seq - 1)
-
     if state.filters is not None:
         m, k, count, active, threshold, window = r.take("<IIIIII")
         rf = state.filters
@@ -332,26 +291,11 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
             if bits >> m:
                 raise ContextBlobError(f"filter {i} sets bits at or above its width of {m}")
             rf.filters[i] = bits
-            rf.assoc[i] = r.take_opt()
-            rf.deadline[i] = r.take_opt()
-
-    if state.perfect is not None:
-        (n_rec,) = r.take("<I")
-        prev_expire = 0
-        for _ in range(n_rec):
-            expire_seq, n_pc = r.take("<QI")
-            if expire_seq < prev_expire:
-                # expiry pops from the front, so a record behind a younger
-                # one would outlive its handle
-                raise ContextBlobError(f"exact record expiring at {expire_seq} "
-                                       f"after one expiring at {prev_expire}")
-            prev_expire = expire_seq
-            pcs = r.take(f"<{n_pc}Q")
-            if not pcs or any(a >= b for a, b in zip(pcs, pcs[1:])):
-                # save_context writes each record's PC set, never empty, sorted
-                raise ContextBlobError(f"exact record expiring at {expire_seq}: its {n_pc} "
-                                       f"PCs are not a non-empty increasing list")
-            state.perfect.record(frozenset(pcs), expire_seq)
+            flag, deadline = r.take("<BQ")
+            if flag > 1 or (not flag and deadline):
+                # save_context writes (0, 0) or (1, deadline), and nothing else round-trips
+                raise ContextBlobError(f"filter {i} deadline flag {flag} with value {deadline}")
+            rf.deadline[i] = deadline if flag else None
 
     if r.off != len(blob.data):
         raise ContextBlobError(f"{len(blob.data) - r.off} trailing bytes in blob")

@@ -7,10 +7,10 @@ in front of them.  Squashed entries stay queued as placeholders until they
 reach the head, which is what defeats serial and nested replay patterns.
 
 A queue entry is any object with ``seq``, ``kind``, ``resolved`` and
-``squashed``.  The pipeline queues its in-flight instruction, the
-``RobEntry``, itself; ``HandleEntry`` is the entry for a handle with no
-in-flight instruction behind it: one restored from a context blob, or one
-pushed by the golden walkthrough or a test.
+``squashed``.  The pipeline's queue holds only ``RobEntry`` objects,
+each in-flight instruction its own entry; a context blob restores no
+handles.  ``HandleEntry`` is the entry for a handle with no in-flight
+instruction behind it, pushed by the golden walkthrough or a test.
 """
 
 from __future__ import annotations

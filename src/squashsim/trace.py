@@ -11,9 +11,10 @@ Trace file format (one instruction per line, ``#`` starts a comment)::
     <seq> <pc-hex> <KIND> <SHADOW|-> <exec_latency> <resolve_latency> [MISS]
 
 SEQ is the position: ``start`` plus the line's index among the
-instructions (a parsed trace starts at 0).  KIND is one of PLAIN, LOAD,
-STORE, BRANCH, TRANSMIT; SHADOW is one of E, C, D, M or ``-`` for none;
-MISS marks a pre-scheduled misspeculation.
+instructions.  A parsed trace's ``start`` is its first SEQ, never negative,
+so a segment's file loads back as that segment.  KIND is one of PLAIN,
+LOAD, STORE, BRANCH, TRANSMIT; SHADOW is one of E, C, D, M or ``-`` for
+none; MISS marks a pre-scheduled misspeculation.
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
 def parse_trace(text: str, name: str = "trace", seed: int = 0) -> Trace:
     """Parse the trace file format; round-trips with :func:`serialize_trace`."""
     instructions: list[Instruction] = []
+    start = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -205,15 +207,20 @@ def parse_trace(text: str, name: str = "trace", seed: int = 0) -> Trace:
             if fields[6].upper() != "MISS":
                 raise TraceFormatError(line_no, f"unexpected trailing field {fields[6]!r}")
             miss = True
-        if seq != len(instructions):
-            raise TraceFormatError(line_no, f"seq {seq} out of order, expected {len(instructions)}")
+        if not instructions:
+            start = seq
+            if seq < 0:
+                raise TraceFormatError(line_no, f"negative first seq {seq}")
+        elif seq != start + len(instructions):
+            raise TraceFormatError(
+                line_no, f"seq {seq} out of order, expected {start + len(instructions)}")
         try:
             instructions.append(
                 Instruction(pc, kind, shadow, exec_lat, res_lat, miss)
             )
         except ValueError as exc:
             raise TraceFormatError(line_no, str(exc)) from None
-    return Trace(name=name, seed=seed, instructions=instructions)
+    return Trace(name=name, seed=seed, instructions=instructions, start=start)
 
 
 def serialize_trace(trace: Trace) -> str:

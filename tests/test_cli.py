@@ -195,6 +195,25 @@ def test_scenario_caps_admit_the_largest_scenario():
     assert scenario.params == caps
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("pattern serial\nhndles 5\n", "line 2: unknown key 'hndles'"),
+    ("pattern serial\nhandles 2\nHandles 3\n", "line 3: repeated key 'handles'"),
+    ("pattern single\nlatencies 9,3\n", "latencies apply to the nested pattern only"),
+])
+def test_attack_scenario_file_rejects_what_it_would_ignore(capsys, tmp_path, text, fragment):
+    path = tmp_path / "attack.sc"
+    path.write_text(text)
+    assert main(["attack", "--scenario", str(path), "--policy", "baseline"]) == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pattern", ["single", "serial"])
+def test_attack_latencies_flag_needs_the_nested_pattern(capsys, pattern):
+    code = main(["attack", "--pattern", pattern, "--handles", "2", "--latencies", "9,3"])
+    assert code == EXIT_CONFIG
+    assert "latencies apply to the nested pattern only" in capsys.readouterr().err
+
+
 def test_attack_bad_latencies(capsys):
     code = main(["attack", "--pattern", "nested", "--handles", "2", "--replays", "1",
                  "--latencies", "3,14"])

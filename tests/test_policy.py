@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from squashsim.config import MachineConfig, PolicyKind
+from squashsim.experiment import _segments
 from squashsim.filters import compute_hashes, indices_to_mask
 from squashsim.pipeline import Pipeline
 from squashsim.policy import (
@@ -259,28 +260,63 @@ def test_save_restore_midstream(policy):
     assert save_context(again).data == save_context(restored).data
 
 
-def _mid_run(policy, stop):
-    """Config and policy state of a small squashing run after `stop` cycles."""
+def test_save_refuses_a_queued_handle():
+    st = _state(PolicyKind.BASELINE)
+    handle = st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
+    with pytest.raises(ValueError, match="queued handles"):
+        save_context(st)
+    st.handle_queue.mark_resolved(handle)  # resolved but still queued: not drained
+    with pytest.raises(ValueError, match="queued handles"):
+        save_context(st)
+    st.handle_queue.pop_safe()
+    save_context(st)
+
+
+def test_save_refuses_a_live_exact_record():
+    st = _state(PolicyKind.DOS_PERFECT)
+    st.on_squash(frozenset({0x400}), [0], youngest_handle=3)
+    with pytest.raises(ValueError, match="live exact records"):
+        save_context(st)
+    st.on_handle_safe(3)
+    save_context(st)
+
+
+def test_save_refuses_a_filter_associated_with_a_handle():
+    st = _state(PolicyKind.DOS_BLOOM)
+    st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    assert st.filters.assoc == [3, None]
+    with pytest.raises(ValueError, match="associated with a handle"):
+        save_context(st)
+    st.on_handle_safe(3)  # drops the association and arms the clear
+    save_context(st)
+
+
+def _drained(config, trace, cut):
+    """Policy state after the first `cut` instructions of `trace`, run to
+    completion: drained, as ``run_segmented`` drains at a boundary."""
+    p = Pipeline(_segments(trace, [cut])[0], config)
+    p.run()
+    return p.policy
+
+
+def _mid_run(policy, cut):
+    """Config and drained policy state of a small squashing run cut at `cut`."""
     config = MachineConfig(policy=policy, oracle=True, window_len=8)
-    p = Pipeline(gen_loop_trace(8, 12, 0.2, 5), config)
-    while p.cycle < stop and (p.cursor < len(p.records) or p.rob):
-        p.cycle += 1
-        p.tick()
-    return config, p.policy
+    return config, _drained(config, gen_loop_trace(8, 12, 0.2, 5), cut)
 
 
 @settings(max_examples=40, deadline=None)
-@given(hs.sampled_from(list(PolicyKind)), hs.integers(0, 240))
-def test_save_restore_save_is_byte_identical(policy, stop):
-    config, state = _mid_run(policy, stop)
+@given(hs.sampled_from(list(PolicyKind)), hs.integers(0, 96))
+def test_save_restore_save_is_byte_identical(policy, cut):
+    config, state = _mid_run(policy, cut)
     data = save_context(state).data
     assert save_context(restore_context(ContextBlob(0, data), config)).data == data
 
 
 @settings(max_examples=150, deadline=None)
-@given(hs.integers(0, 160), hs.data())
-def test_mutated_blob_restores_or_raises_blob_error(stop, draw):
-    config, state = _mid_run(PolicyKind.DOS_BLOOM, stop)
+@given(hs.integers(0, 96), hs.data())
+def test_mutated_blob_restores_or_raises_blob_error(cut, draw):
+    config, state = _mid_run(PolicyKind.DOS_BLOOM, cut)
     data = bytearray(save_context(state).data)
     edits = draw.draw(hs.lists(hs.tuples(hs.integers(0, len(data) - 1), hs.integers(0, 255)),
                                min_size=1, max_size=3))
@@ -293,22 +329,14 @@ def test_mutated_blob_restores_or_raises_blob_error(stop, draw):
 
 
 def test_every_single_byte_mutation_raises_or_round_trips():
-    # a mid-run blob with live, resolved and squashed handles, one filter
-    # associated with a handle, one waiting out its clear window, and an
-    # exact record
+    # a blob drained at a cut, with bits and a pending clear in one filter
+    # and neither in the other
     config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, rob_size=12, bits=32,
                            hashes=1, threshold=4)
-    p = Pipeline(gen_loop_trace(8, 12, 0.2, 2), config)
-    while p.cycle < 16:
-        p.cycle += 1
-        p.tick()
-    state = p.policy
-    handles = state.handle_queue.entries()
-    assert any(e.resolved for e in handles) and any(e.squashed for e in handles)
-    assert not (handles[0].resolved or handles[0].squashed)
-    assert None in state.filters.assoc and None in state.filters.deadline
-    assert set(state.filters.assoc) != {None} and set(state.filters.deadline) != {None}
-    assert state.perfect.records()
+    state = _drained(config, gen_loop_trace(8, 12, 0.2, 2), 20)
+    rf = state.filters
+    assert 0 in rf.filters and any(rf.filters)
+    assert None in rf.deadline and set(rf.deadline) != {None}
     data = save_context(state).data
     restored = 0
     for i in range(len(data)):
@@ -322,7 +350,7 @@ def test_every_single_byte_mutation_raises_or_round_trips():
                 continue
             assert again == blob, f"byte {i} set to {value:#x} restores but does not round-trip"
             restored += 1
-    assert restored  # seqs, counts and filter bits take other values
+    assert restored  # counts, the deadline and filter bits take other values
 
 
 def test_restore_rejects_an_oracle_byte_other_than_0_or_1():
@@ -338,33 +366,17 @@ def test_restore_rejects_an_oracle_byte_other_than_0_or_1():
 def test_restore_rejects_an_optional_field_that_pack_opt_never_writes(flag, value):
     config = MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=8, hashes=1)
     st = PolicyState(config)
-    st.handle_queue.push_handle(HandleEntry(3, ShadowKind.C))
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
+    st.on_handle_safe(3)  # arms filter 0's clear
     data = bytearray(save_context(st).data)
-    # 32-byte header, handle count u32, one 10-byte handle, 24 bytes of
-    # geometry, one seed, then filter 0: one byte of bits, its assoc and its
-    # deadline
-    assert struct.unpack_from("<BQBQ", data, 79) == (1, 3, 0, 0)
-    for off in (79, 88):  # the assoc, then the deadline
+    # 32-byte header, 24 bytes of geometry, one seed, then per filter one
+    # byte of bits and its deadline
+    assert struct.unpack_from("<BQBBQ", data, 65) == (1, config.effective_window, 0, 0, 0)
+    for off in (65, 75):  # filter 0's pending deadline, then filter 1's absent one
         bad = bytearray(data)
         struct.pack_into("<BQ", bad, off, flag, value)
-        with pytest.raises(ContextBlobError, match="optional field"):
+        with pytest.raises(ContextBlobError, match="deadline flag"):
             restore_context(ContextBlob(0, bytes(bad)), config)
-
-
-@pytest.mark.parametrize("pcs", [(), (0x500, 0x500), (0x500, 0x400)])
-def test_restore_rejects_an_exact_record_with_no_or_unordered_pcs(pcs):
-    config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
-    st = _state(PolicyKind.DOS_PERFECT)
-    st.handle_queue.push_handle(HandleEntry(10, ShadowKind.C))
-    st.on_squash(frozenset({0x400, 0x500}), [0, 0], youngest_handle=10)
-    data = save_context(st).data
-    # 32-byte header, handle count u32, one 10-byte handle, record count u32,
-    # then the record's expire u64, pc count u32 and pcs
-    assert struct.unpack_from("<IQIQQ", data, 46) == (1, 10, 2, 0x400, 0x500)
-    bad = data[:58] + struct.pack(f"<I{len(pcs)}Q", len(pcs), *pcs)
-    with pytest.raises(ContextBlobError, match="exact record expiring at 10"):
-        restore_context(ContextBlob(0, bad), config)
 
 
 def test_restore_rejects_wrong_context():
@@ -385,47 +397,24 @@ def test_restore_rejects_corrupt_blob():
         restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM))
 
 
-def test_restore_rejects_unknown_shadow_code():
-    st = _state(PolicyKind.DOS_BLOOM)
-    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
-    data = bytearray(save_context(st).data)
-    # 32-byte header, handle count u32, then the first handle's seq u64 and code u8
-    assert data[44] == 0
-    data[44] = 9
-    with pytest.raises(ContextBlobError, match="shadow code"):
-        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
-
-
 def test_restore_rejects_active_filter_out_of_range():
     st = _state(PolicyKind.DOS_BLOOM)
     data = bytearray(save_context(st).data)
-    # 32-byte header, zero handles, then m, k, count, active as u32
-    assert struct.unpack_from("<4I", data, 36) == (64, 2, 2, 0)
-    struct.pack_into("<I", data, 48, 7)
+    # 32-byte header, then m, k, count, active as u32
+    assert struct.unpack_from("<4I", data, 32) == (64, 2, 2, 0)
+    struct.pack_into("<I", data, 44, 7)
     with pytest.raises(ContextBlobError, match="active filter"):
-        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
-
-
-def test_restore_rejects_handle_seqs_out_of_order():
-    st = _state(PolicyKind.DOS_BLOOM)
-    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
-    st.handle_queue.push_handle(HandleEntry(5, ShadowKind.C))
-    data = bytearray(save_context(st).data)
-    # 32-byte header, handle count u32, then seq u64, code u8, flags u8 per handle
-    assert struct.unpack_from("<Q", data, 46) == (5,)
-    struct.pack_into("<Q", data, 46, 1)
-    with pytest.raises(ContextBlobError, match="handle seq"):
         restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
 
 
 def _narrow_bloom_blob(filter0: int) -> bytes:
     """A bits=4, hashes=1 dos-bloom blob whose first filter's byte is ``filter0``."""
     data = bytearray(save_context(_state(PolicyKind.DOS_BLOOM, bits=4, hashes=1)).data)
-    # 32-byte header, zero handles, six u32 (m, k, count, active, threshold, window),
-    # one u64 hash seed, then filter 0 in max(1, m // 8) = 1 byte
-    assert struct.unpack_from("<6I", data, 36)[:5] == (4, 1, 2, 0, 2)
-    assert data[68] == 0
-    data[68] = filter0
+    # 32-byte header, six u32 (m, k, count, active, threshold, window), one
+    # u64 hash seed, then filter 0 in max(1, m // 8) = 1 byte
+    assert struct.unpack_from("<6I", data, 32)[:5] == (4, 1, 2, 0, 2)
+    assert data[64] == 0
+    data[64] = filter0
     return bytes(data)
 
 
@@ -445,9 +434,9 @@ def test_restore_rejects_bloom_bits_beyond_a_narrow_filter():
 def test_restore_rejects_threshold_out_of_range(threshold):
     st = _state(PolicyKind.DOS_BLOOM)
     data = bytearray(save_context(st).data)
-    # 32-byte header, zero handles, then m, k, count, active, threshold as u32
-    assert struct.unpack_from("<5I", data, 36) == (64, 2, 2, 0, 32)
-    struct.pack_into("<I", data, 52, threshold)
+    # 32-byte header, then m, k, count, active, threshold as u32
+    assert struct.unpack_from("<5I", data, 32) == (64, 2, 2, 0, 32)
+    struct.pack_into("<I", data, 48, threshold)
     with pytest.raises(ContextBlobError, match="threshold"):
         restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
 
@@ -470,8 +459,9 @@ def test_restore_rejects_a_blob_whose_geometry_differs_from_the_config(policy, s
 def test_dos_perfect_blob_round_trips_under_any_window_len():
     # exact records expire by handle alone, so a dos-perfect blob holds no window
     st = _state(PolicyKind.DOS_PERFECT, window_len=3)
-    st.handle_queue.push_handle(HandleEntry(4, ShadowKind.C))
     st.on_squash(frozenset({0x400}), [0], youngest_handle=4)
+    st.on_handle_safe(4)
+    st.on_dispatch(5)
     blob = save_context(st)
     for window_len in (0, 3, 64, None):
         config = MachineConfig(policy=PolicyKind.DOS_PERFECT, window_len=window_len)
@@ -479,70 +469,20 @@ def test_dos_perfect_blob_round_trips_under_any_window_len():
 
 
 def test_restore_rejects_a_version_1_blob():
+    # version 2 carried handles and exact records, version 1 exact-record deadlines
     data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)).data)
-    assert struct.unpack_from("<H", data, 4) == (2,)
-    struct.pack_into("<H", data, 4, 1)
-    with pytest.raises(ContextBlobError, match="version 1"):
-        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_PERFECT))
-
-
-def test_restore_rejects_unknown_handle_flags():
-    config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
-    st = _state(PolicyKind.DOS_PERFECT)
-    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
-    data = bytearray(save_context(st).data)
-    # 32-byte header, handle count u32, then the handle's seq u64, code u8, flags u8
-    assert data[45] == 0
-    for flags in (1, 2, 3):  # resolved, squashed, both
-        data[45] = flags
-        blob = ContextBlob(0, bytes(data))
-        assert save_context(restore_context(blob, config)) == blob
-    data[45] = 0xFC
-    with pytest.raises(ContextBlobError, match="flag"):
-        restore_context(ContextBlob(0, bytes(data)), config)
-
-
-def test_restore_rejects_exact_records_out_of_expire_order():
-    config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
-    st = _state(PolicyKind.DOS_PERFECT)
-    for seq in (10, 12):
-        st.handle_queue.push_handle(HandleEntry(seq, ShadowKind.C))
-    st.on_squash(frozenset({0x400}), [0], youngest_handle=10)
-    st.on_squash(frozenset({0x500}), [0], youngest_handle=12)
-    data = bytearray(save_context(st).data)
-    # 32-byte header, two 10-byte handles, record count u32, then per record
-    # expire u64, pc count u32 and one pc u64
-    assert struct.unpack_from("<IQIQQIQ", data, 56) == (2, 10, 1, 0x400, 12, 1, 0x500)
-    restored = restore_context(ContextBlob(0, bytes(data)), config)
-    restored.on_handle_safe(10)
-    assert not restored.perfect.query(0x400) and restored.perfect.query(0x500)
-    # swapped, the record expiring at 10 would sit behind the one at 12, and
-    # expiry, which pops from the front, would keep it past handle 10
-    struct.pack_into("<Q", data, 60, 12)
-    struct.pack_into("<Q", data, 80, 10)
-    with pytest.raises(ContextBlobError, match="exact record"):
-        restore_context(ContextBlob(0, bytes(data)), config)
+    assert struct.unpack_from("<H", data, 4) == (3,)
+    for version in (1, 2):
+        struct.pack_into("<H", data, 4, version)
+        with pytest.raises(ContextBlobError, match=f"version {version}"):
+            restore_context(ContextBlob(0, bytes(data)),
+                            MachineConfig(policy=PolicyKind.DOS_PERFECT))
 
 
 def test_restore_rejects_policy_mismatch():
     blob = save_context(PolicyState(MachineConfig(policy=PolicyKind.BASELINE)))
     with pytest.raises(ContextBlobError):
         restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM))
-
-
-def test_baseline_blob_keeps_its_handle_queue():
-    # under baseline the queue still drives shadows() and the dispatch stall
-    config = MachineConfig(policy=PolicyKind.BASELINE)
-    st = PolicyState(config)
-    hq = st.handle_queue
-    handles = {seq: hq.push_handle(HandleEntry(seq, kind)) for seq, kind in
-               ((1, ShadowKind.E), (4, ShadowKind.C), (6, ShadowKind.D), (9, ShadowKind.M))}
-    hq.mark_resolved(handles[4])
-    hq.mark_squashed_after(4)
-    hq.mark_resolved(handles[9])
-    restored = restore_context(save_context(st), config).handle_queue
-    assert restored.entries() == hq.entries()
-    assert restored.shadows(2) and not restored.shadows(1)
 
 
 def test_baseline_blob_is_minimal():

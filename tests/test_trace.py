@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from squashsim.experiment import _segments
 from squashsim.shadows import ShadowKind
 from squashsim.trace import (
     Instruction,
@@ -141,6 +142,18 @@ def test_serialize_numbers_a_slice_from_its_start():
         [line.split(None, 1)[1] for line in serialize_trace(t).splitlines()[5:9]]
 
 
+def test_a_serialized_segment_parses_back_from_its_start():
+    seg = _segments(gen_loop_trace(4, 3, 0.5, seed=2), [5])[1]
+    again = parse_trace(serialize_trace(seg))
+    assert (again.start, again.instructions) == (5, seg.instructions)
+    assert serialize_trace(again) == serialize_trace(seg)
+
+
+def test_parse_requires_each_seq_after_the_first_to_follow_on():
+    with pytest.raises(TraceFormatError, match="line 2: seq 8 out of order, expected 6"):
+        parse_trace("5 0x400 LOAD E 1 10\n8 0x404 PLAIN - 1 1\n")
+
+
 def test_roundtrip_generated_file():
     t = gen_loop_trace(10, 5, 0.4, seed=3)
     assert len(t) == 50
@@ -157,7 +170,7 @@ def test_roundtrip_generated_file():
         ("0 0x400 FROB E 1 10", "unknown kind"),
         ("0 0x400 LOAD Q 1 10", "unknown shadow"),
         ("0 0x400 LOAD E x 10", "latency"),
-        ("5 0x400 LOAD E 1 10", "out of order"),
+        ("-1 0x400 LOAD E 1 10", "negative"),
         ("0 0x400 LOAD E 1 10 WAT", "trailing"),
         ("0 -0x4 LOAD E 1 10", "pc must"),
     ],
