@@ -170,6 +170,8 @@ def scenario_from_params(pattern: str, handles: int, replays: int, gap: int,
     if latencies is not None and pattern != "nested":
         raise ConfigError(f"latencies apply to the nested pattern only, not {pattern!r}")
     if pattern == "single":
+        if handles != 1:
+            raise ConfigError(f"the single pattern has one handle, got handles {handles}")
         return build_single(replays, gap=gap)
     if pattern == "serial":
         return build_serial(handles, replays, gap=gap)

@@ -1,11 +1,10 @@
 """Simplified out-of-order engine with squash/replay semantics.
 
-Per-cycle phase order: execution completions, scheduled resolutions
-(which may squash), in-order commit (exception-class handles resolve only
-once they reach the reorder-buffer head), handle-queue pops, issue under
-the active policy, then dispatch.  The instruction at the head of the
-reorder buffer is never delayed, which guarantees forward progress under
-every policy.
+Per-cycle phase order: scheduled resolutions (which may squash), in-order
+commit (exception-class handles resolve only once they reach the
+reorder-buffer head), handle-queue pops, issue under the active policy,
+then dispatch.  The instruction at the head of the reorder buffer is
+never delayed, which guarantees forward progress under every policy.
 
 On a squash, every younger entry is drained, the PCs of the ones that had
 actually issued are recorded with the policy, and the front end restarts
@@ -15,11 +14,11 @@ yet, so the queue is never empty at a squash and the record always has a
 youngest handle.
 
 The ``RobEntry`` is the one handle on an in-flight instruction: the
-reorder buffer, the not-yet-issued list, the event buckets and the handle
-queue all hold entries.  A shadow-casting entry is its own handle-queue
-entry: dispatch pushes it, and its ``kind``, ``resolved`` and ``squashed``
-are what the queue reads.  After a squash the victims' entries stay queued
-as placeholders until they reach the queue head.
+reorder buffer, the not-yet-issued list, the resolution buckets and the
+handle queue all hold entries.  A shadow-casting entry is its own
+handle-queue entry: dispatch pushes it, and its ``kind``, ``resolved`` and
+``squashed`` are what the queue reads.  After a squash the victims' entries
+stay queued as placeholders until they reach the queue head.
 
 An entry's ``seq`` is new on every dispatch; its ``pos`` is the whole-trace
 position of its instruction, ``trace.start`` plus the record index, and
@@ -28,13 +27,19 @@ no position (a loop trace holds one object per body slot), so the
 resolvers key on ``pos``, and a squash restarts the front end at the record
 after ``cause.pos``.
 
-Events wait in per-cycle buckets, one dict for completions ``(entry, gen)``
-and one for resolutions ``(seq, gen, entry)``.  A tick fires its cycle's
-completions first, then its resolutions in seq order: an older resolution
-may squash a younger one due in the same cycle, which must then not fire.
-A squash bumps ``gen`` on the cause and on every victim, so an event is
-stale exactly when ``entry.gen != gen``.  Latencies are at least 1, so
-every event lands in a bucket the run has not reached yet.
+An entry's execution completes at a cycle stamp, ``done_at``: the issue
+cycle plus the execution latency once it issues, ``NEVER`` while it waits
+to issue, which a squash's cause does again.  Commit retires a head once
+``done_at <= cycle``, and a squash tells its issued victims by the stamp.
+
+Resolutions wait in per-cycle buckets as ``(seq, entry)``, and a tick fires
+its cycle's bucket in seq order: an older resolution may squash a younger
+one due in the same cycle, which must then not fire.  An entry with a
+resolution still due is a live queued handle.  A squash flags every queued
+handle younger than its cause (``mark_squashed_after``), and the cause's
+own event is the one firing, so an event is stale exactly when its entry
+is ``squashed``.  Latencies are at least 1, so every event lands in a
+bucket the run has not reached yet.
 
 Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
@@ -76,9 +81,9 @@ delay never adds to ``perfect_only_count``, so there is nothing to repeat
 there.
 
 Each phase is one method with its hot attributes bound to locals once per
-call: ``tick`` fires the due events and pops the safe handles itself, and
-calls ``commit``, ``try_issue`` (which also issues) and ``dispatch``
-(which also computes the Bloom masks).  The benchmark's tracer
+call: ``tick`` fires the due resolutions and pops the safe handles
+itself, and calls ``commit``, ``try_issue`` (which also issues) and
+``dispatch`` (which also computes the Bloom masks).  The benchmark's tracer
 (``perfbench/tracing.py``) wraps these methods, ``squash_from``, the
 ``HandleQueue`` and ``PolicyState`` methods and this module's
 ``compute_hashes`` by name, so each is looked up when it is called, not
@@ -97,11 +102,7 @@ from .policy import DELAY_BLOOM_FP, PolicyState
 from .shadows import ShadowKind
 from .trace import Instruction, Trace
 
-DISPATCHED = 0
-ISSUED = 1
-EXECUTED = 2
-
-_STATE_NAMES = {DISPATCHED: "Dispatched", ISSUED: "Issued", EXECUTED: "Executed"}
+NEVER = 1 << 62  # the ``done_at`` of an entry that waits to issue
 
 
 class LivelockError(RuntimeError):
@@ -127,31 +128,35 @@ class RobEntry:
     position, the same for every instance."""
 
     __slots__ = (
-        "seq", "pos", "instr", "state", "kind", "resolved", "squashed", "resolve_ready", "res_count",
-        "gen", "mask", "fp_counted", "delay_version", "delay_reason",
+        "seq", "pos", "instr", "done_at", "kind", "resolved", "squashed", "resolve_ready",
+        "res_count", "mask", "fp_counted", "delay_version", "delay_reason",
     )
 
     def __init__(self, seq: int, pos: int, instr: Instruction, mask: int) -> None:
         self.seq = seq
         self.pos = pos
         self.instr = instr
-        self.state = DISPATCHED
+        self.done_at = NEVER  # the cycle its execution completes
         # the handle-queue fields, for a shadow-casting instruction
         self.kind: ShadowKind | None = instr.shadow_class
         self.resolved = False
         self.squashed = False
         self.resolve_ready: int | None = None
         self.res_count = 0
-        self.gen = 0
         self.mask = mask
         self.fp_counted = False  # one FP per delay episode in "entry" counting
         self.delay_version = -1  # PolicyState.version at the last decision
         self.delay_reason: str | None = None  # what that decision returned
 
-    def __repr__(self) -> str:  # diagnostics only
+    def describe(self, cycle: int) -> str:
+        """The entry as of ``cycle``, for diagnostics."""
+        if self.done_at == NEVER:
+            state = "Dispatched"
+        else:
+            state = "Executed" if self.done_at <= cycle else "Issued"
         return (
             f"RobEntry(seq={self.seq}, pc=0x{self.instr.pc:x}, "
-            f"state={_STATE_NAMES[self.state]}, resolved={self.resolved})"
+            f"state={state}, resolved={self.resolved})"
         )
 
 
@@ -195,9 +200,8 @@ class Pipeline:
         self.next_seq = self.policy.next_seq
         self.rob: list[RobEntry] = []
         self.pending: list[RobEntry] = []  # dispatched, not yet issued; in seq order
-        # cycle -> the (entry, gen) completions and (seq, gen, entry) resolutions due then
-        self._completions: defaultdict[int, list[tuple[RobEntry, int]]] = defaultdict(list)
-        self._resolutions: defaultdict[int, list[tuple[int, int, RobEntry]]] = defaultdict(list)
+        # cycle -> the (seq, entry) resolutions due then
+        self._resolutions: defaultdict[int, list[tuple[int, RobEntry]]] = defaultdict(list)
         # Bloom filter bit mask per PC, for the one policy that reads masks
         self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
@@ -217,7 +221,7 @@ class Pipeline:
             tick()
             if self.cycle - self._last_commit_cycle > budget:
                 self._finalize()
-                head = f" (head={self.rob[0]!r})" if self.rob else ""
+                head = f" (head={self.rob[0].describe(self.cycle)})" if self.rob else ""
                 raise LivelockError(
                     f"no commit for {budget} cycles at cycle {self.cycle}{head}",
                     self.metrics,
@@ -233,20 +237,14 @@ class Pipeline:
         self.metrics.filter_clears = self.policy.filter_clears
 
     def tick(self) -> None:
-        """One cycle: complete the executions, then fire the resolutions,
-        due now; commit; pop the safe handles; issue; dispatch."""
-        cycle = self.cycle
-        due = self._completions.pop(cycle, None)
-        if due is not None:
-            for e, gen in due:
-                if e.gen == gen:  # else squashed since the event was scheduled
-                    e.state = EXECUTED
-        due = self._resolutions.pop(cycle, None)
+        """One cycle: fire the resolutions due now; commit; pop the safe
+        handles; issue; dispatch."""
+        due = self._resolutions.pop(self.cycle, None)
         if due is not None:
             if len(due) > 1:
                 due.sort()  # oldest first: an older squash makes the younger ones stale
-            for _, gen, e in due:
-                if e.gen == gen:
+            for _, e in due:
+                if not e.squashed:  # else squashed since the event was scheduled
                     self._resolve(e)
         self.commit()
         popped = self.hq.pop_safe()
@@ -275,10 +273,11 @@ class Pipeline:
         """Retire up to `width` executed entries from the head, in order."""
         rob = self.rob
         width = self.config.width
+        cycle = self.cycle
         retired = 0
         while rob and retired < width:
             head = rob[0]
-            if head.state != EXECUTED:
+            if head.done_at > cycle:
                 break
             kind = head.kind
             if kind is None or head.resolved:
@@ -287,7 +286,7 @@ class Pipeline:
                 continue
             if kind is ShadowKind.E:
                 # fault handling happens only at the head of the ROB
-                if self.cycle >= head.resolve_ready:
+                if cycle >= head.resolve_ready:
                     self._resolve(head)
                     if not head.resolved:
                         break  # squashed and re-executing
@@ -295,7 +294,7 @@ class Pipeline:
             break
         if retired:
             self.metrics.committed += retired
-            self._last_commit_cycle = self.cycle
+            self._last_commit_cycle = cycle
         return retired
 
     def try_issue(self) -> None:
@@ -346,7 +345,6 @@ class Pipeline:
                 return
             pending[:len(window)] = held
         cycle = self.cycle
-        completions = self._completions
         resolutions = self._resolutions
         issues = m.per_pc_issues
         spec_issues = m.per_pc_spec_issues
@@ -356,16 +354,15 @@ class Pipeline:
             oldest = self.next_seq  # no queued handle: nothing issuing is younger
         observer = self.observer
         for e in ready:
-            e.state = ISSUED
             instr = e.instr
             seq = e.seq
-            completions[cycle + instr.exec_latency].append((e, e.gen))
+            e.done_at = cycle + instr.exec_latency
             shadow = e.kind
             if shadow is not None:
                 if shadow is ShadowKind.E:
                     e.resolve_ready = cycle + instr.resolve_latency
                 else:
-                    resolutions[cycle + instr.resolve_latency].append((seq, e.gen, e))
+                    resolutions[cycle + instr.resolve_latency].append((seq, e))
             pc = instr.pc
             issues[pc] = issues.get(pc, 0) + 1
             speculative = oldest < seq
@@ -422,17 +419,16 @@ class Pipeline:
     def squash_from(self, cause: RobEntry) -> None:
         """Drain every entry younger than the issued ``cause``, which
         re-executes."""
-        victims: list[RobEntry] = []
-        while self.rob and self.rob[-1].seq > cause.seq:
-            victims.append(self.rob.pop())
-        issued = [v for v in victims if v.state != DISPATCHED]
-        for v in victims:
-            v.gen += 1  # their queued events are stale now
+        rob = self.rob
+        cut = rob.index(cause) + 1
+        victims = rob[cut:]
+        del rob[cut:]
+        issued = [v for v in victims if v.done_at != NEVER]
+        # the victims that never issued are the pending ones younger than the cause
         pending = self.pending
-        while pending and pending[-1].seq > cause.seq:
-            pending.pop()
+        del pending[len(pending) - (len(victims) - len(issued)):]
 
-        self.hq.mark_squashed_after(cause.seq)
+        self.hq.mark_squashed_after(cause.seq)  # their due resolutions are stale now
         youngest = self.hq.youngest_handle()  # never None: the cause is queued
         # the policy reads the PCs (exact records) and the masks (Bloom filters)
         pcs = frozenset(v.instr.pc for v in issued)
@@ -440,8 +436,7 @@ class Pipeline:
 
         # the misspeculated execution of the cause itself is discarded too
         self.metrics.squashed_executions += len(issued) + 1
-        cause.state = DISPATCHED
-        cause.gen += 1
+        cause.done_at = NEVER
         cause.resolve_ready = None
         cause.fp_counted = False
         pending.append(cause)  # every entry still pending is older

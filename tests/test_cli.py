@@ -199,6 +199,7 @@ def test_scenario_caps_admit_the_largest_scenario():
     ("pattern serial\nhndles 5\n", "line 2: unknown key 'hndles'"),
     ("pattern serial\nhandles 2\nHandles 3\n", "line 3: repeated key 'handles'"),
     ("pattern single\nlatencies 9,3\n", "latencies apply to the nested pattern only"),
+    ("pattern single\nhandles 5\n", "the single pattern has one handle, got handles 5"),
 ])
 def test_attack_scenario_file_rejects_what_it_would_ignore(capsys, tmp_path, text, fragment):
     path = tmp_path / "attack.sc"
@@ -212,6 +213,17 @@ def test_attack_latencies_flag_needs_the_nested_pattern(capsys, pattern):
     code = main(["attack", "--pattern", pattern, "--handles", "2", "--latencies", "9,3"])
     assert code == EXIT_CONFIG
     assert "latencies apply to the nested pattern only" in capsys.readouterr().err
+
+
+def test_attack_single_pattern_takes_one_handle(capsys):
+    code = main(["attack", "--pattern", "single", "--handles", "5", "--policy", "baseline"])
+    assert code == EXIT_CONFIG
+    assert "the single pattern has one handle, got handles 5" in capsys.readouterr().err
+    code, out = _run(capsys, ["attack", "--pattern", "single", "--handles", "1",
+                              "--policy", "baseline", "--format", "json-lines"])
+    assert code == EXIT_OK
+    (row,) = _json_rows(out)
+    assert row["handles"] == 1
 
 
 def test_attack_bad_latencies(capsys):

@@ -9,7 +9,8 @@ from squashsim.attacks import ScenarioResolver, build_unbounded
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.experiment import run_segmented
 from squashsim.filters import compute_hashes
-from squashsim.pipeline import ISSUED, LivelockError, Pipeline, run
+from squashsim.metrics import Metrics
+from squashsim.pipeline import NEVER, LivelockError, Pipeline, TraceResolver, run
 from squashsim.policy import DELAY_BLOOM_FP, PolicyState
 from squashsim.shadows import ShadowKind
 from squashsim.trace import Instruction, InstructionKind, Trace, gen_loop_trace
@@ -96,7 +97,7 @@ def test_issue_respects_width():
     assert len(p.rob) == 3  # dispatch is width-bound too
     p.cycle = 2
     p.try_issue()
-    assert sum(1 for e in p.rob if e.state == ISSUED) == 3
+    assert sum(1 for e in p.rob if e.done_at != NEVER) == 3
 
 
 def test_empty_trace_zero_metrics():
@@ -308,12 +309,118 @@ def test_commit_width_and_head_blocking():
     p.cycle = 1
     p.dispatch()
     assert p.commit() == 0  # head still Dispatched
+    p.dispatch()
+    assert len(p.rob) == 6
     p.cycle = 2
     p.try_issue()
+    p.try_issue()
+    assert p.commit() == 0  # issued, still executing
     p.cycle = 3
-    assert p.commit() == 0  # the completions due now have not fired yet
-    p.tick()  # fires them, then commits
-    assert p.metrics.committed == 3  # full width of Executed entries at the head
+    assert p.commit() == 3  # full width of Executed entries at the head
+    assert p.metrics.committed == 3 and len(p.rob) == 3
+
+
+class _Retirements(Pipeline):
+    """Logs the position and cycle of each commit, by seq."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.committed_at = {}
+
+    def commit(self):
+        head = self.rob[:self.config.width]
+        n = super().commit()
+        for e in head[:n]:
+            self.committed_at[e.seq] = (e.pos, self.cycle)
+        return n
+
+
+def _slow_cause(pc):
+    return (InstructionKind.BRANCH, ShadowKind.C, pc, 6, 1, True)  # exec 6 > resolve 1
+
+
+# case -> (the slow cause's position, trace rows)
+_STALE_CAUSE_TRACES = {
+    # the cause squashes its younger work and re-issues the same cycle
+    "alone": (0, [_slow_cause(0x100), *_plains(4, 0x200)]),
+    # an older slow branch stays live; a younger same-PC branch puts the cause's
+    # PC in the filters, so the filter policies hold the cause back after its
+    # squash until the older branch squashes it before it has re-issued
+    "waits": (1, [
+        (InstructionKind.BRANCH, ShadowKind.C, 0x100, 1, 8, True),
+        _slow_cause(0x200),
+        (InstructionKind.PLAIN, None, 0x300),
+        (InstructionKind.BRANCH, ShadowKind.C, 0x200),
+        *_plains(3, 0x400),
+    ]),
+}
+# Metrics recorded before execution completed at a cycle stamp (completion
+# events with generation counters): cycles, dynamic_executed, committed,
+# squashes, squashed_executions, delayed_issues, per-PC issues, per-PC
+# speculative issues; every other field is 0
+_STALE_CAUSE_PINNED = {
+    ("alone", "baseline"): (9, 10, 5, 1, 5, 0, {0x100: 2, 0x200: 2, 0x204: 2, 0x208: 2, 0x20c: 2},
+                            {0x200: 1, 0x204: 1, 0x208: 1, 0x20c: 1}),
+    ("alone", "delay-all"): (9, 6, 5, 1, 1, 4, {0x100: 2, 0x200: 1, 0x204: 1, 0x208: 1, 0x20c: 1},
+                             {}),
+    ("alone", "dos-perfect"): (9, 10, 5, 1, 5, 0,
+                               {0x100: 2, 0x200: 2, 0x204: 2, 0x208: 2, 0x20c: 2},
+                               {0x200: 1, 0x204: 1, 0x208: 1, 0x20c: 1}),
+    ("alone", "dos-bloom"): (13, 10, 5, 1, 5, 26,
+                             {0x100: 2, 0x200: 2, 0x204: 2, 0x208: 2, 0x20c: 2},
+                             {0x200: 1, 0x204: 1, 0x208: 1, 0x20c: 1}),
+    ("waits", "baseline"): (18, 20, 7, 2, 13, 0,
+                            {0x100: 2, 0x200: 6, 0x300: 3, 0x400: 3, 0x404: 3, 0x408: 3},
+                            {0x200: 6, 0x300: 3, 0x400: 3, 0x404: 3, 0x408: 3}),
+    ("waits", "delay-all"): (25, 9, 7, 2, 2, 98,
+                             {0x100: 2, 0x200: 3, 0x300: 1, 0x400: 1, 0x404: 1, 0x408: 1}, {}),
+    ("waits", "dos-perfect"): (24, 14, 7, 2, 7, 79,
+                               {0x100: 2, 0x200: 4, 0x300: 2, 0x400: 2, 0x404: 2, 0x408: 2},
+                               {0x200: 3, 0x300: 2, 0x400: 2, 0x404: 2, 0x408: 2}),
+    ("waits", "dos-bloom"): (29, 14, 7, 2, 7, 119,
+                             {0x100: 2, 0x200: 4, 0x300: 2, 0x400: 2, 0x404: 2, 0x408: 2},
+                             {0x200: 2, 0x300: 1, 0x400: 1, 0x404: 1, 0x408: 1}),
+}
+
+
+@pytest.mark.parametrize("case, policy", sorted(_STALE_CAUSE_PINNED))
+def test_squashed_cause_completes_from_its_reissue(case, policy):
+    # a squash's cause re-executes: its first execution, still in flight at
+    # the squash, must not let it commit before the re-issue completes
+    cause, rows = _STALE_CAUSE_TRACES[case]
+    t = _trace(*rows)
+    observer = _IssueStream()
+    p = _Retirements(t, MachineConfig(policy=policy), observer=observer)
+    m = p.run()
+    issued_at = {seq: cycle for seq, _, cycle in observer.issues}  # the last issue of each
+    for seq, (pos, cycle) in p.committed_at.items():
+        assert cycle >= issued_at[seq] + t.instructions[pos].exec_latency, (seq, pos)
+    (cause_seq,) = [seq for seq, (pos, _) in p.committed_at.items() if pos == cause]
+    assert p.committed_at[cause_seq][1] >= issued_at[cause_seq] + 6
+    cycles, executed, committed, squashes, squashed, delayed, issues, spec = (
+        _STALE_CAUSE_PINNED[case, policy])
+    assert m == Metrics(
+        trace_id=t.trace_id, policy=policy, cycles=cycles, dynamic_executed=executed,
+        committed=committed, squashes=squashes, squashed_executions=squashed,
+        delayed_issues=delayed, per_pc_issues=issues, per_pc_spec_issues=spec)
+
+
+def test_resolver_never_sees_a_squashed_entry():
+    # the pinned order/dos-bloom run: several resolutions fall due in one
+    # cycle, and an older one squashes younger ones, whose events go stale
+    trace = gen_loop_trace(64, 10, 0.1, 1)
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, seed=5)
+    resolve = TraceResolver()
+    calls = []
+
+    def live_only(entry):
+        assert not entry.squashed, entry.describe(0)
+        calls.append(entry.seq)
+        return resolve(entry)
+
+    m = Pipeline(trace, config, resolver=live_only).run()
+    assert m == run(trace, config)
+    assert m.squashes > 0 and len(calls) > m.squashes
 
 
 def test_squash_completeness():
@@ -437,14 +544,12 @@ class _AskEveryCycle(Pipeline):
                         e.fp_counted = self.config.fp_counting == "entry"
                     continue
             self.pending.remove(e)
-            e.state = ISSUED
             instr = e.instr
-            self._completions.setdefault(cycle + instr.exec_latency, []).append((e, e.gen))
+            e.done_at = cycle + instr.exec_latency
             if instr.shadow_class is ShadowKind.E:
                 e.resolve_ready = cycle + instr.resolve_latency
             elif instr.shadow_class is not None:
-                self._resolutions.setdefault(cycle + instr.resolve_latency, []).append(
-                    (e.seq, e.gen, e))
+                self._resolutions[cycle + instr.resolve_latency].append((e.seq, e))
             m.dynamic_executed += 1
             m.per_pc_issues[instr.pc] = m.per_pc_issues.get(instr.pc, 0) + 1
             speculative = self.hq.shadows(e.seq)
