@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -27,6 +28,8 @@ EXIT_LIVELOCK = 3
 # The largest scenario the CLI builds (the builders take any size): a run
 # grows with handles * replays, and its trace with handles * gap.
 SCENARIO_CAPS = {"handles": 64, "replays": 256, "gap": 256}
+# The most points a sweep runs, each one a whole simulation of the trace.
+SWEEP_POINTS_CAP = 256
 
 def _add_machine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
@@ -236,14 +239,17 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_config(args)
+    grid = {
+        "bits": args.sweep_bits or [config.bits],
+        "hashes": args.sweep_hashes or [config.hashes],
+        "filters": args.sweep_filters or [config.filters],
+        "thresholds": args.sweep_threshold or [config.threshold],
+    }
+    n_points = math.prod(len(values) for values in grid.values())
+    if n_points > SWEEP_POINTS_CAP:
+        raise ConfigError(f"a sweep must have <= {SWEEP_POINTS_CAP} points, got {n_points}")
     trace = load_trace(args.trace)
-    points = sweep_points(
-        config,
-        bits=args.sweep_bits or [config.bits],
-        hashes=args.sweep_hashes or [config.hashes],
-        filters=args.sweep_filters or [config.filters],
-        thresholds=args.sweep_threshold or [config.threshold],
-    )
+    points = sweep_points(config, **grid)
     try:
         rows = run_sweep(trace, points, jobs=args.jobs)
     except LivelockError as err:

@@ -12,6 +12,12 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 
+# The largest livelock budget, in cycles: a sustained replay runs until the
+# budget is spent, so the cap bounds its host time (a million cycles take
+# seconds).
+MAX_BUDGET = 1 << 20
+
+
 class PolicyKind(str, Enum):
     BASELINE = "baseline"
     DELAY_ALL = "delay-all"
@@ -83,9 +89,7 @@ class MachineConfig:
             raise ConfigError(f"threshold must be in [1, bits], got {self.threshold}")
         if self.window_len is not None and self.window_len < 0:
             raise ConfigError(f"window_len must be >= 0, got {self.window_len}")
-        if self.livelock_budget is not None and not 1 <= self.livelock_budget <= 1 << 20:
-            # a sustained replay runs until the budget is spent, so the cap
-            # bounds its host time (a million cycles take seconds)
+        if self.livelock_budget is not None and not 1 <= self.livelock_budget <= MAX_BUDGET:
             raise ConfigError(f"livelock_budget must be in [1, 2**20], got {self.livelock_budget}")
         if self.squash_recovery < 0:
             raise ConfigError(f"squash_recovery must be >= 0, got {self.squash_recovery}")

@@ -103,6 +103,7 @@ from .shadows import ShadowKind
 from .trace import Instruction, Trace
 
 NEVER = 1 << 62  # the ``done_at`` of an entry that waits to issue
+_E = ShadowKind.E  # an enum member read through its class is slow before Python 3.12
 
 
 class LivelockError(RuntimeError):
@@ -284,7 +285,7 @@ class Pipeline:
                 del rob[0]
                 retired += 1
                 continue
-            if kind is ShadowKind.E:
+            if kind is _E:
                 # fault handling happens only at the head of the ROB
                 if cycle >= head.resolve_ready:
                     self._resolve(head)
@@ -359,7 +360,7 @@ class Pipeline:
             e.done_at = cycle + instr.exec_latency
             shadow = e.kind
             if shadow is not None:
-                if shadow is ShadowKind.E:
+                if shadow is _E:
                     e.resolve_ready = cycle + instr.resolve_latency
                 else:
                     resolutions[cycle + instr.resolve_latency].append((seq, e))

@@ -24,6 +24,12 @@ pipeline asks only what the rule can answer:
   the oldest queued handle is older than the instruction), so a delay of
   one instruction is also a delay of every younger one.
 
+The rule and the hooks branch on these facts and on which filters the
+state holds (dos-perfect is the filter policy without Bloom filters),
+never on ``kind``, which only the context blob reads: before Python 3.12
+an enum member read through its class costs several times a plain
+attribute read, and the rule runs once per delayed-issue check.
+
 Context blob layout (little-endian, versioned)::
 
     magic   4s   b"SQSM"
@@ -115,18 +121,18 @@ class PolicyState:
 
     def issue_decision(self, seq: int, pc: int, mask: int) -> str | None:
         """Reason to delay, or None to allow.  The ROB head never gets here."""
-        kind = self.kind
-        if kind is PolicyKind.BASELINE:
+        if self.never_delays:  # baseline
             return None
-        if kind is PolicyKind.DELAY_ALL:
+        if self.delay_covers_younger:  # delay-all
             oldest = self.handle_queue.oldest_seq()
             if oldest is not None and oldest < seq:
                 return DELAY_UNSAFE_HANDLE
             return None
-        if kind is PolicyKind.DOS_PERFECT:
+        filters = self.filters
+        if filters is None:  # dos-perfect
             return DELAY_PERFECT_HIT if self.perfect.query(pc) else None
         # dos-bloom
-        hit = self.filters.query(mask)
+        hit = filters.query(mask)
         if self.oracle:
             exact = self.perfect.query(pc)
             if hit and not exact:
@@ -148,7 +154,7 @@ class PolicyState:
 
     def on_handle_safe(self, seq: int) -> None:
         """Every queued handle up to ``seq`` has just been popped."""
-        if self.kind is PolicyKind.DELAY_ALL:
+        if self.delay_covers_younger:  # delay-all
             self.version += 1  # the oldest queued handle changed
             return
         if self.filters is not None and self.filters.on_handle_safe(seq, self.dyn_count):

@@ -14,7 +14,8 @@ SEQ is the position: ``start`` plus the line's index among the
 instructions.  A parsed trace's ``start`` is its first SEQ, never negative,
 so a segment's file loads back as that segment.  KIND is one of PLAIN,
 LOAD, STORE, BRANCH, TRANSMIT; SHADOW is one of E, C, D, M or ``-`` for
-none; MISS marks a pre-scheduled misspeculation.
+none; MISS marks a pre-scheduled misspeculation.  A latency is from 1 to
+2**20 cycles, the largest livelock budget.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from .config import MAX_BUDGET
 from .shadows import ShadowKind
 
 
@@ -80,10 +82,12 @@ class Instruction:
             object.__setattr__(self, "shadow_class", ShadowKind(shadow))
         if self.pc < 0:
             raise ValueError(f"pc must be >= 0, got {self.pc}")
-        if self.exec_latency < 1:
-            raise ValueError(f"exec_latency must be >= 1, got {self.exec_latency}")
-        if self.resolve_latency < 1:
-            raise ValueError(f"resolve_latency must be >= 1, got {self.resolve_latency}")
+        # a latency above the largest livelock budget livelocks under every
+        # budget, and the cap keeps ``done_at`` clear of the pipeline's NEVER
+        if not 1 <= self.exec_latency <= MAX_BUDGET:
+            raise ValueError(f"exec_latency must be in [1, 2**20], got {self.exec_latency}")
+        if not 1 <= self.resolve_latency <= MAX_BUDGET:
+            raise ValueError(f"resolve_latency must be in [1, 2**20], got {self.resolve_latency}")
         if self.kind is InstructionKind.TRANSMIT and self.shadow_class is not None:
             raise ValueError("transmit instructions never cast a shadow")
         if self.shadow_class is not None and self.shadow_class not in _KIND_SHADOWS[self.kind]:

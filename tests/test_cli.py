@@ -1,18 +1,25 @@
+import contextlib
 import csv
+import io
 import json
+import string
+from dataclasses import fields as dataclass_fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squashsim.cli import (
     EXIT_CONFIG,
     EXIT_LIVELOCK,
     EXIT_OK,
     SCENARIO_CAPS,
+    SWEEP_POINTS_CAP,
     build_config,
     main,
     make_parser,
     scenario_from_params,
 )
+from squashsim.config import MachineConfig
 from squashsim.trace import gen_loop_trace, save_trace
 
 
@@ -127,6 +134,18 @@ def test_budget_above_2_20_is_config_error(capsys, loop_trace):
     capsys.readouterr()
     assert main(argv + [str(2**20 + 1)]) == EXIT_CONFIG
     assert "livelock_budget must be in [1, 2**20]" in capsys.readouterr().err
+
+
+def test_latency_above_2_20_is_config_error(capsys, tmp_path):
+    # 2**62 - 1: issued at cycle 1, its done_at would equal the pipeline's NEVER
+    path = tmp_path / "slow.tr"
+    path.write_text("0 0x400 PLAIN - 4611686018427387903 1\n")
+    assert main(["simulate", "--trace", str(path)]) == EXIT_CONFIG
+    assert "line 1: exec_latency must be in [1, 2**20]" in capsys.readouterr().err
+    code = main(["attack", "--pattern", "nested", "--handles", "2", "--replays", "1",
+                 "--latencies", "4611686018427387903,3"])
+    assert code == EXIT_CONFIG
+    assert "resolve_latency must be in [1, 2**20]" in capsys.readouterr().err
 
 
 def test_attack_nested_baseline_arithmetic(capsys):
@@ -257,6 +276,28 @@ def test_sweep_single_point_matches_simulate(capsys, loop_trace):
         assert srow[key] == mrow[key]
 
 
+@pytest.fixture()
+def tiny_trace(tmp_path):
+    path = tmp_path / "tiny.tr"
+    path.write_text("0 0x10 PLAIN - 1 1\n1 0x14 BRANCH C 1 2\n2 0x18 LOAD - 2 1\n")
+    return str(path)
+
+
+def test_sweep_runs_at_most_the_capped_number_of_points(capsys, tiny_trace):
+    assert SWEEP_POINTS_CAP == 256
+    grid = ["--sweep-bits", "64,128,256,512", "--sweep-hashes", "1,2,3,4",
+            "--sweep-filters", "2,3,4,5", "--sweep-threshold", "1,2,3,4"]
+    code, out = _run(capsys, ["sweep", "--trace", tiny_trace, *grid])
+    assert code == EXIT_OK
+    assert len(list(csv.DictReader(out.splitlines()))) == 256
+    thresholds = ",".join(str(t) for t in range(1, 258))
+    code = main(["sweep", "--trace", tiny_trace, "--bits", "512", "--sweep-threshold", thresholds])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""  # rejected before any run
+    assert "a sweep must have <= 256 points, got 257" in err
+
+
 def test_sweep_rejects_empty_range(capsys, loop_trace):
     with pytest.raises(SystemExit):
         main(["sweep", "--trace", loop_trace, "--sweep-bits", ""])
@@ -315,3 +356,125 @@ def test_out_file_written(capsys, tmp_path, loop_trace):
     assert code == EXIT_OK
     rows = list(csv.DictReader(out_path.read_text().splitlines()))
     assert len(rows) == 1
+
+
+# -- every outside input ends in exit 0, 2 or 3 -----------------------------------
+# One strategy per channel.  Each mostly builds well-formed input with a value
+# at or past a bound, so the paths that reject input are the ones exercised.
+
+_NUMS = st.integers(-2, 9) | st.sampled_from([65, 257, 2**20 + 1, 2**32, 2**64, 2**62 - 1])
+_SMALL = st.integers(-1, 6).map(str)  # a scenario's host time grows with its size
+# a fixed alphabet: no Unicode tables to build, and still a NUL and a line separator
+_ALPHABET = string.printable + "\x00\u00e9\u2028"
+_JUNK = st.text(alphabet=_ALPHABET, max_size=6)
+_JUNK_LINE = st.text(alphabet=_ALPHABET, max_size=24)
+_WORDS = _SMALL | _NUMS.map(str) | _JUNK
+_LATENCIES = st.sampled_from(["9,3", "3,14", "4611686018427387903,3", "5,x", ",", "7"]) | _JUNK
+_BUDGETS = st.integers(1, 500).map(str)  # bounds the host time of every run
+_POLICIES = st.sampled_from(["baseline", "delay-all", "dos-perfect", "dos-bloom"])
+_TINY_TRACE = "0 0x10 PLAIN - 1 1\n1 0x14 BRANCH C 1 2 MISS\n2 0x18 LOAD E 2 1\n"
+
+
+def _some(draw, options: dict) -> list[tuple[str, str]]:
+    """About half the keys of ``options``, each with a drawn value."""
+    return [(key, draw(values)) for key, values in options.items() if draw(st.booleans())]
+
+
+@st.composite
+def _config_channel(draw):
+    values = st.none() | st.booleans() | _NUMS | st.floats() | _JUNK | st.lists(_NUMS, max_size=2)
+    keys = st.sampled_from([f.name for f in dataclass_fields(MachineConfig)] + ["nonsense"])
+    text = draw(st.dictionaries(keys, values, max_size=5).map(json.dumps)
+                | values.map(json.dumps) | _JUNK_LINE)
+    command = draw(st.sampled_from([["simulate", "--trace", "{trace}"],
+                                    ["attack", "--pattern", "single"]]))
+    return command + ["--config", "{file}", "--budget", draw(_BUDGETS)], text
+
+
+@st.composite
+def _trace_channel(draw):
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(_JUNK_LINE))
+            continue
+        fields = [
+            str(i) if draw(st.integers(0, 9)) else draw(_WORDS),
+            draw(st.integers(0, 2**64).map(hex) | _JUNK),
+            draw(st.sampled_from(["PLAIN", "LOAD", "STORE", "BRANCH", "TRANSMIT", "load", "FROB"])),
+            draw(st.sampled_from(["-", "E", "C", "D", "M", "m", "Q"])),
+            draw(_WORDS),
+            draw(_WORDS),
+        ]
+        fields += draw(st.sampled_from([[], ["MISS"], ["miss"], ["WAT"], ["MISS", "x"]]))
+        lines.append(" ".join(fields))
+    argv = ["simulate", "--trace", "{file}", "--policy", draw(_POLICIES), "--budget", draw(_BUDGETS)]
+    return argv, "\n".join(lines)
+
+
+_SIZES = _SMALL | _WORDS  # mostly small, so that a drawn scenario runs quickly
+_SCENARIO_KEYS = {"handles": _SIZES, "replays": _SIZES, "gap": _SIZES, "latencies": _LATENCIES}
+
+
+@st.composite
+def _scenario_channel(draw):
+    pattern = draw(st.sampled_from(["single", "serial", "nested", "ring"]))
+    lines = [f"pattern {pattern}"] if draw(st.integers(0, 9)) else []
+    lines += [f"{key} {value}" for key, value in _some(draw, _SCENARIO_KEYS)]
+    lines += draw(st.lists(st.sampled_from(["Handles 2", "hndles 2", "gap 1", "pattern"])
+                           | _JUNK_LINE, max_size=2))
+    argv = ["attack", "--scenario", "{file}", "--budget", draw(_BUDGETS)]
+    return argv + draw(st.sampled_from([[], ["--policy", "dos-bloom"]])), "\n".join(lines)
+
+
+_LISTS = st.lists(st.integers(-1, 130).map(str), max_size=3).map(",".join) | _JUNK
+_MACHINE_FLAGS = {
+    "--policy": _POLICIES | _JUNK,
+    "--bits": st.sampled_from(["2", "3", "32", "64", "65536", "131072"]) | _WORDS,
+    **{flag: _WORDS for flag in ("--hashes", "--filters", "--threshold", "--rob", "--width",
+                                 "--seed", "--window-len", "--recovery")},
+    "--fp-counting": st.sampled_from(["entry", "evaluation"]) | _JUNK,
+    "--format": st.sampled_from(["table", "csv", "json-lines"]) | _JUNK,
+}
+_COMMAND_FLAGS = {
+    "simulate": {},
+    "attack": {"--pattern": st.sampled_from(["single", "serial", "nested", "ring"]),
+               **{f"--{key}": values for key, values in _SCENARIO_KEYS.items()}},
+    "sweep": {f"--sweep-{name}": _LISTS for name in ("bits", "hashes", "filters", "threshold")},
+}
+
+
+@st.composite
+def _flag_channel(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command] if command == "attack" else [command, "--trace", "{trace}"]
+    for flag, value in _some(draw, {**_MACHINE_FLAGS, **_COMMAND_FLAGS[command]}):
+        argv += [flag, value]
+    if draw(st.booleans()):
+        argv.append("--oracle")
+    return argv + ["--budget", draw(_BUDGETS)], ""
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "tiny.tr").write_text(_TINY_TRACE)
+    return {"{file}": work / "in.txt", "{trace}": work / "tiny.tr"}
+
+
+@pytest.mark.parametrize("channel", [_config_channel, _trace_channel, _scenario_channel,
+                                     _flag_channel], ids=lambda c: c.__name__[1:])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_maps_every_outside_input_to_an_exit_code(fuzz_paths, channel, data):
+    argv, text = data.draw(channel())
+    fuzz_paths["{file}"].write_text(text, encoding="utf-8")
+    argv = [str(fuzz_paths.get(a, a)) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_LIVELOCK), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,6 @@
+import ast
+import inspect
+import textwrap
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
@@ -614,3 +617,28 @@ def test_issue_phase_matches_asking_every_cycle(policy, data):
     # window is where a delay-all shortcut applied to another policy shows
     trace, config = data.draw(_random_machines(policy))
     assert _outcome(Pipeline, trace, config) == _outcome(_AskEveryCycle, trace, config)
+
+
+# Before Python 3.12, reading an enum member through its class (``ShadowKind.E``)
+# takes the enum type's slow attribute path, several times the cost of a module
+# global, so the per-cycle methods compare with module aliases and policy facts.
+_HOT_METHODS = [
+    *(getattr(Pipeline, name)
+      for name in ("tick", "commit", "try_issue", "dispatch", "squash_from", "_resolve")),
+    *(getattr(PolicyState, name)
+      for name in ("issue_decision", "on_squash", "on_handle_safe", "on_dispatch")),
+]
+_ENUMS = {"ShadowKind", "PolicyKind", "InstructionKind"}
+
+
+@pytest.mark.parametrize("method", _HOT_METHODS, ids=lambda m: m.__qualname__)
+def test_per_cycle_path_reads_no_enum_member_through_its_class(method):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+    reads = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            isinstance(node.value, ast.Name) and node.value.id in _ENUMS
+            or isinstance(node.value, ast.Attribute) and node.value.attr in _ENUMS)
+    ]
+    assert not reads, reads

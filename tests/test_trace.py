@@ -197,6 +197,19 @@ def test_instruction_invariants():
         Instruction(0x10, InstructionKind.PLAIN, exec_latency=0)
 
 
+@pytest.mark.parametrize("field", ["exec_latency", "resolve_latency"])
+def test_latencies_are_capped_at_2_20(field):
+    # the largest livelock budget: a longer latency livelocks under any budget
+    assert getattr(Instruction(0x10, InstructionKind.LOAD, **{field: 2**20}), field) == 2**20
+    with pytest.raises(ValueError, match=rf"{field} must be in \[1, 2\*\*20\], got 1048577"):
+        Instruction(0x10, InstructionKind.LOAD, **{field: 2**20 + 1})
+    line = {"exec_latency": "1 0x10 LOAD E {} 1", "resolve_latency": "1 0x10 LOAD E 1 {}"}[field]
+    (_, ins) = parse_trace("0 0x10 PLAIN - 1 1\n" + line.format(2**20)).instructions
+    assert getattr(ins, field) == 2**20
+    with pytest.raises(TraceFormatError, match=rf"line 2: {field} must be in \[1, 2\*\*20\]"):
+        parse_trace("0 0x10 PLAIN - 1 1\n" + line.format(2**20 + 1))
+
+
 _KIND_SHADOW = st.sampled_from(
     [
         (InstructionKind.PLAIN, None),
