@@ -38,7 +38,7 @@ print("context 2:", "identical" if mixed[2] == solo_b else "DIVERGED",
 
 state = PolicyState(cfg, context_id=1)
 blob = save_context(state)
-print(f"\ncontext blob: {len(blob.data)} bytes for a fresh dos-bloom context")
+print(f"\ncontext blob: {len(blob)} bytes for a fresh dos-bloom context")
 try:
     restore_context(blob, cfg, context_id=2)
 except ContextBlobError as err:

@@ -49,9 +49,10 @@ print(f"0x400 still hits via the inactive filter: {rf.query(mask(0x400))}")
 
 ############################################################
 # Once the associated handle leaves the window of speculation, the clear
-# is armed, deferred by the dynamic-instruction window, then applied.
+# is armed, deferred by a window of dispatches, then applied.  The clock
+# is the context's next sequence number, which counts its dispatches.
 
-rf.on_handle_safe(handle, dyn_count=100)
+rf.on_handle_safe(handle, next_seq=100)
 print(f"deadline armed at dispatch count {rf.deadline[0]} (window {rf.window_len})")
 rf.on_dispatch(100 + rf.window_len)
 print(f"after the window passes: filter bits = {[bits.bit_count() for bits in rf.filters]}, "

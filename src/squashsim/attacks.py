@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .config import MachineConfig
+from .config import MAX_BUDGET, ConfigError, MachineConfig
 from .experiment import run_segmented
 from .metrics import Metrics
 from .pipeline import LivelockError, RobEntry, SquashRecord
@@ -125,7 +125,7 @@ def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
     misspeculates `replays` times, `gap` plain instructions, a transmit
     instruction of its own and `pad` plain instructions."""
     if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
+        raise ConfigError(f"gap must be >= 0, got {gap}")
     ins: list[Instruction] = []
     force: dict[int, ForceMisspeculate] = {}
     transmit_pcs = []
@@ -153,7 +153,7 @@ def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
 def build_single(replays: int, gap: int = 2, pad: int = 8) -> Scenario:
     """One page-faulting handle replayed `replays` times before release."""
     if replays < 0:
-        raise ValueError(f"replays must be >= 0, got {replays}")
+        raise ConfigError(f"replays must be >= 0, got {replays}")
     return _episodes(f"single-r{replays}", ScenarioPattern.SINGLE, 1, replays, gap, pad)
 
 
@@ -166,9 +166,9 @@ def build_serial(handles: int, replays: int, gap: int = 2, window_pad: int = 64)
     the single pattern.
     """
     if handles < 1:
-        raise ValueError(f"handles must be >= 1, got {handles}")
+        raise ConfigError(f"handles must be >= 1, got {handles}")
     if replays < 1:
-        raise ValueError(f"replays must be >= 1, got {replays}")
+        raise ConfigError(f"replays must be >= 1, got {replays}")
     return _episodes(f"serial-h{handles}-r{replays}", ScenarioPattern.SERIAL,
                      handles, replays, gap, window_pad)
 
@@ -194,24 +194,26 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
     """h nested control-flow handles; outer handles resolve slower than
     inner ones so each outer squash re-arms the whole inner subtree."""
     if handles < 1:
-        raise ValueError(f"handles must be >= 1, got {handles}")
+        raise ConfigError(f"handles must be >= 1, got {handles}")
     if replays < 1:
-        raise ValueError(f"replays must be >= 1, got {replays}")
+        raise ConfigError(f"replays must be >= 1, got {replays}")
     if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
+        raise ConfigError(f"gap must be >= 0, got {gap}")
     if resolve_latencies is None:
         resolve_latencies = nested_latencies(handles, replays)
     if len(resolve_latencies) != handles:
-        raise ValueError(
+        raise ConfigError(
             f"expected {handles} resolve latencies, got {len(resolve_latencies)}"
         )
     if any(a <= b for a, b in zip(resolve_latencies, resolve_latencies[1:])):
-        raise ValueError(
+        raise ConfigError(
             "outer handles must resolve slower than inner ones: "
             f"latencies {resolve_latencies} are not strictly decreasing"
         )
-    if resolve_latencies[-1] < 1:
-        raise ValueError("innermost resolve latency must be >= 1")
+    if resolve_latencies[-1] < 1 or resolve_latencies[0] > MAX_BUDGET:
+        # strictly decreasing, so the ends bound every handle's Instruction
+        raise ConfigError(f"resolve_latency must be in [1, 2**20], got latencies from "
+                          f"{resolve_latencies[0]} down to {resolve_latencies[-1]}")
 
     ins: list[Instruction] = []
     force: dict[int, ForceMisspeculate] = {}

@@ -65,7 +65,10 @@ def build_config(args: argparse.Namespace) -> MachineConfig:
     values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(names)
@@ -136,11 +139,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     config = build_config(args)
     trace = load_trace(args.trace)
-    try:
-        metrics = run_workload(trace, config)
-    except LivelockError as err:
-        print(f"livelock: {err}", file=sys.stderr)
-        return EXIT_LIVELOCK
+    metrics = run_workload(trace, config)
     row = {
         "policy": str(config.policy),
         "seed": config.seed,
@@ -179,7 +178,10 @@ def scenario_from_params(pattern: str, handles: int, replays: int, gap: int,
     if pattern == "serial":
         return build_serial(handles, replays, gap=gap)
     if pattern == "nested":
-        lats = [int(x) for x in latencies.split(",")] if latencies else None
+        try:
+            lats = [int(x) for x in latencies.split(",")] if latencies else None
+        except ValueError:
+            raise ConfigError(f"latencies must be integers, got {latencies!r}") from None
         return build_nested(handles, replays, gap=gap, resolve_latencies=lats)
     raise ConfigError(f"unknown pattern {pattern!r}")
 
@@ -250,11 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"a sweep must have <= {SWEEP_POINTS_CAP} points, got {n_points}")
     trace = load_trace(args.trace)
     points = sweep_points(config, **grid)
-    try:
-        rows = run_sweep(trace, points, jobs=args.jobs)
-    except LivelockError as err:
-        print(f"livelock: {err}", file=sys.stderr)
-        return EXIT_LIVELOCK
+    rows = run_sweep(trace, points, jobs=args.jobs)
     _emit(rows, args)
     return EXIT_OK
 
@@ -304,7 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError, ValueError, OSError, json.JSONDecodeError) as err:
+    except LivelockError as err:
+        print(f"livelock: {err}", file=sys.stderr)
+        return EXIT_LIVELOCK
+    # the typed input errors only: a ValueError from a program bug is a traceback
+    except (ConfigError, TraceFormatError, UnicodeDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

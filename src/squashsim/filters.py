@@ -110,28 +110,28 @@ class RollingFilters:
         self.rotations += 1
         return True
 
-    def on_handle_safe(self, safe_seq: int, dyn_count: int) -> list[int]:
+    def on_handle_safe(self, safe_seq: int, next_seq: int) -> list[int]:
         """Arm clear deadlines for filters whose handle is now safe; return
         the filters this cleared (a zero window clears right away)."""
         armed = False
         for i, assoc in enumerate(self.assoc):
             if assoc is not None and assoc <= safe_seq:
                 self.assoc[i] = None
-                self.deadline[i] = dyn_count + self.window_len
+                self.deadline[i] = next_seq + self.window_len
                 armed = True
-        return self._sweep(dyn_count) if armed else []
+        return self._sweep(next_seq) if armed else []
 
-    def on_dispatch(self, dyn_count: int) -> list[int]:
-        """Bulk-reset filters whose deferred clear deadline has passed;
-        return the filters this cleared."""
-        return self._sweep(dyn_count)
+    def on_dispatch(self, next_seq: int) -> list[int]:
+        """Bulk-reset filters whose deferred clear deadline the clock
+        ``next_seq`` has reached; return the filters this cleared."""
+        return self._sweep(next_seq)
 
-    def _sweep(self, dyn_count: int) -> list[int]:
+    def _sweep(self, next_seq: int) -> list[int]:
         """Reset every filter whose deadline has passed and return the ones
         that held bits; an empty filter only drops its deadline."""
         cleared = []
         for i, dl in enumerate(self.deadline):
-            if dl is not None and dyn_count >= dl:
+            if dl is not None and next_seq >= dl:
                 if self.filters[i]:
                     self.filters[i] = 0
                     self.clears += 1
@@ -185,7 +185,7 @@ class PerfectFilter:
             dropped = True
         return dropped
 
-    def on_dispatch(self, dyn_count: int) -> bool:
+    def on_dispatch(self, next_seq: int) -> bool:
         """Nothing calls this: no record expires by dispatch count.  The
         benchmark's tracer wraps it by name; it goes when that stops
         (ROADMAP item 1)."""

@@ -109,8 +109,7 @@ def run_golden() -> list[GoldenStep]:
 
     # Step 1: potential handles enter the queue at dispatch.
     c = _Check()
-    for _ in range(6):
-        state.on_dispatch()
+    state.on_dispatch(_SEQ_X2 + 1)  # the clock passes the window's six seqs
     h1 = hq.push_handle(HandleEntry(_SEQ_H1, ShadowKind.E))
     hq.push_handle(HandleEntry(_SEQ_H2, ShadowKind.E))
     hq.push_handle(HandleEntry(_SEQ_H3, ShadowKind.C))
@@ -141,8 +140,7 @@ def run_golden() -> list[GoldenStep]:
 
     # Step 3: re-execution after H2 takes a slightly different path with Y.
     c = _Check()
-    for _ in range(3):
-        state.on_dispatch()
+    state.on_dispatch(_SEQ_Y + 1)
     hq.push_handle(HandleEntry(_SEQ_H3B, ShadowKind.C))
     c.expect(decide(_SEQ_S2, PC_S) == DELAY_BLOOM_HIT, "S hits and is delayed")
     c.expect(decide(_SEQ_H3B, PC_H3) == DELAY_BLOOM_HIT, "H3 hits and is delayed")

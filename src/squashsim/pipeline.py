@@ -44,12 +44,12 @@ bucket the run has not reached yet.
 Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
 once per run and PC, and kept in the entry; under every other policy the
-mask is 0, since only the rolling filters read it.  The policy's dispatch
-hook runs once per cycle with the number dispatched rather than once per
-instruction.  That is exact: every dispatch of a cycle happens in the last
-phase, and nothing in it reads the dynamic-instruction count or the
-filters (the resolve, commit, pop and issue phases do), so a deferred
-Bloom clear lands in the same cycle either way.
+mask is 0, since only the rolling filters read it.  Each dispatch takes
+the next seq, so ``next_seq`` is also the dispatch count: the clock of a
+deferred Bloom clear.  The policy's dispatch hook runs once per cycle with
+the new ``next_seq``, not once per instruction.  That is exact: nothing in
+the dispatch phase reads the clock or the filters (the earlier phases do),
+so a deferred clear lands in the same cycle either way.
 
 The issue phase asks the policy only what its rule can answer.  Under
 baseline (``PolicyState.never_delays``) the window issues without a
@@ -198,7 +198,7 @@ class Pipeline:
         self.metrics = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
         self.cycle = 0
         self.cursor = 0
-        self.next_seq = self.policy.next_seq
+        self.next_seq = self.policy.next_seq  # kept equal by the dispatch hook
         self.rob: list[RobEntry] = []
         self.pending: list[RobEntry] = []  # dispatched, not yet issued; in seq order
         # cycle -> the (seq, entry) resolutions due then
@@ -228,7 +228,6 @@ class Pipeline:
                     self.metrics,
                 )
         self._finalize()
-        self.policy.next_seq = self.next_seq
         return self.metrics
 
     def _finalize(self) -> None:
@@ -250,7 +249,7 @@ class Pipeline:
         self.commit()
         popped = self.hq.pop_safe()
         if popped:
-            # both filters expire everything up to the given seq, and dyn_count
+            # both filters expire everything up to the given seq, and the clock
             # is fixed within a cycle, so one call for the youngest pop is exact
             self.policy.on_handle_safe(popped[-1])
             observer = self.observer
@@ -412,7 +411,7 @@ class Pipeline:
         if n:  # an empty cycle sweeps nothing, so clears land on the same cycles
             self.next_seq = seq
             self.cursor = cursor + n
-            self.policy.on_dispatch(n)
+            self.policy.on_dispatch(seq)
         return n
 
     # -- squash ----------------------------------------------------------------

@@ -33,11 +33,10 @@ attribute read, and the rule runs once per delayed-issue check.
 Context blob layout (little-endian, versioned)::
 
     magic   4s   b"SQSM"
-    version u16  currently 3
+    version u16  currently 4
     kind    u8   policy variant (enum order)
     ctx     u64  context id
-    dyn     u64  dynamic instructions dispatched so far
-    next    u64  next pipeline sequence number
+    next    u64  next pipeline sequence number, the context's clock
     oracle  u8
     Bloom section (dos-bloom only): m u32, k u32, count u32, active u32,
         threshold u32, window u32, k seeds u64; per filter: bits (m/8
@@ -49,24 +48,22 @@ with its handle) and no filter is associated with a handle; only the
 filter bits and their pending clear deadlines survive.  ``save_context``
 refuses a state that still holds any of the three.
 
-A blob carries state only: restoring it under a config whose geometry,
-threshold, window or hash seeds differ raises ``ContextBlobError``.
+A blob is ``bytes`` carrying state only: restoring it under a config whose
+geometry, threshold, window or hash seeds differ raises ``ContextBlobError``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .config import MachineConfig, PolicyKind
 from .filters import PerfectFilter, RollingFilters, derive_hash_seeds
 from .shadows import HandleQueue
 
 BLOB_MAGIC = b"SQSM"
-BLOB_VERSION = 3
+BLOB_VERSION = 4
 
 _KIND_CODE = {k: i for i, k in enumerate(PolicyKind)}
-_CODE_KIND = {i: k for i, k in enumerate(PolicyKind)}
 
 DELAY_UNSAFE_HANDLE = "unsafe-older-handle"
 DELAY_BLOOM_HIT = "bloom-hit"
@@ -78,12 +75,6 @@ class ContextBlobError(ValueError):
     """Raised when a context blob is corrupt or bound to another context."""
 
 
-@dataclass
-class ContextBlob:
-    context_id: int
-    data: bytes
-
-
 class PolicyState:
     """Per-context defense state: handle queue plus policy-specific filters."""
 
@@ -92,8 +83,7 @@ class PolicyState:
         self.config = config
         self.context_id = context_id
         self.handle_queue = HandleQueue()
-        self.dyn_count = 0       # dynamic instructions dispatched in this context
-        self.next_seq = 0        # pipeline seq continuity across context switches
+        self.next_seq = 0  # the next dispatch's seq, also the dispatch count: the clears' clock
         self.oracle = config.oracle and self.kind is PolicyKind.DOS_BLOOM
 
         self.hash_seeds: tuple[int, ...] = ()  # read only by the Bloom masks
@@ -157,24 +147,19 @@ class PolicyState:
         if self.delay_covers_younger:  # delay-all
             self.version += 1  # the oldest queued handle changed
             return
-        if self.filters is not None and self.filters.on_handle_safe(seq, self.dyn_count):
+        if self.filters is not None and self.filters.on_handle_safe(seq, self.next_seq):
             self.version += 1
         if self.perfect is not None and self.perfect.on_handle_safe(seq):
             self.version += 1
 
-    def on_dispatch(self, n: int = 1) -> None:
-        """``n`` more instructions have been dispatched.
-
-        Only the Bloom filters' deferred clears fall due by dispatch count;
-        exact records expire by handle alone.  One call for a whole
-        dispatch group is the same as ``n`` calls of one: the sweep clears
-        whatever fell due by the new ``dyn_count``, and the clears of a
-        group land in its one cycle either way, because nothing reads the
-        filters or ``dyn_count`` between two dispatches of one cycle.
-        ``version`` still moves if and only if a filter was cleared.
-        """
-        self.dyn_count += n
-        if self.filters is not None and self.filters.on_dispatch(self.dyn_count):
+    def on_dispatch(self, next_seq: int) -> None:
+        """Every seq below ``next_seq`` has been dispatched.  Only the Bloom
+        filters' deferred clears fall due on this clock (exact records
+        expire by handle alone); one call for a cycle's whole dispatch
+        group is exact (pipeline module docstring).  ``version`` moves if
+        and only if a filter was cleared."""
+        self.next_seq = next_seq
+        if self.filters is not None and self.filters.on_dispatch(next_seq):
             self.version += 1
 
     @property
@@ -210,7 +195,7 @@ class _Reader:
         return out
 
 
-def save_context(state: PolicyState) -> ContextBlob:
+def save_context(state: PolicyState) -> bytes:
     """Serialize a drained policy state (module docstring)."""
     if len(state.handle_queue):
         raise ValueError("cannot save a context with queued handles")
@@ -220,12 +205,11 @@ def save_context(state: PolicyState) -> ContextBlob:
         raise ValueError("cannot save a context with a filter associated with a handle")
     parts = [
         struct.pack(
-            "<4sHBQQQB",
+            "<4sHBQQB",
             BLOB_MAGIC,
             BLOB_VERSION,
             _KIND_CODE[state.kind],
             state.context_id,
-            state.dyn_count,
             state.next_seq,
             1 if state.oracle else 0,
         )
@@ -245,36 +229,26 @@ def save_context(state: PolicyState) -> ContextBlob:
             parts.append(bits.to_bytes(nbytes, "little"))
             parts.append(struct.pack("<BQ", deadline is not None, deadline or 0))
 
-    return ContextBlob(context_id=state.context_id, data=b"".join(parts))
+    return b"".join(parts)
 
 
-def restore_context(blob: ContextBlob, config: MachineConfig,
-                    context_id: int | None = None) -> PolicyState:
-    """Rebuild a policy state; rejects blobs bound to a different context."""
-    r = _Reader(blob.data)
-    magic, version, kind_code, ctx, dyn, next_seq, oracle = r.take("<4sHBQQQB")
+def restore_context(data: bytes, config: MachineConfig, context_id: int) -> PolicyState:
+    """Rebuild the policy state of context ``context_id`` from its blob."""
+    r = _Reader(data)
+    magic, version, kind_code, ctx, next_seq, oracle = r.take("<4sHBQQB")
     if magic != BLOB_MAGIC:
         raise ContextBlobError(f"bad magic {magic!r}")
     if version != BLOB_VERSION:
         raise ContextBlobError(f"unsupported blob version {version}")
-    if kind_code not in _CODE_KIND:
-        raise ContextBlobError(f"unknown policy code {kind_code}")
-    if ctx != blob.context_id:
-        raise ContextBlobError(f"blob header context {ctx} != envelope {blob.context_id}")
-    expected = blob.context_id if context_id is None else context_id
-    if ctx != expected:
-        raise ContextBlobError(f"blob belongs to context {ctx}, not {expected}")
-
-    kind = _CODE_KIND[kind_code]
-    if kind is not config.policy:
-        raise ContextBlobError(f"blob policy {kind} != config policy {config.policy}")
+    if ctx != context_id:
+        raise ContextBlobError(f"blob belongs to context {ctx}, not {context_id}")
+    if kind_code != _KIND_CODE[config.policy]:
+        raise ContextBlobError(f"blob policy code {kind_code} is not config policy {config.policy}"
+                               f" (code {_KIND_CODE[config.policy]})")
     state = PolicyState(config, context_id=ctx)
-    state.dyn_count = dyn
     state.next_seq = next_seq
-    if oracle > 1:
-        raise ContextBlobError(f"oracle flag {oracle} is neither 0 nor 1")
-    if bool(oracle) != state.oracle:
-        raise ContextBlobError("oracle flag mismatch between blob and config")
+    if oracle != state.oracle:
+        raise ContextBlobError(f"oracle flag {oracle} in the blob, {state.oracle:d} in the config")
 
     if state.filters is not None:
         m, k, count, active, threshold, window = r.take("<IIIIII")
@@ -303,6 +277,6 @@ def restore_context(blob: ContextBlob, config: MachineConfig,
                 raise ContextBlobError(f"filter {i} deadline flag {flag} with value {deadline}")
             rf.deadline[i] = deadline if flag else None
 
-    if r.off != len(blob.data):
-        raise ContextBlobError(f"{len(blob.data) - r.off} trailing bytes in blob")
+    if r.off != len(data):
+        raise ContextBlobError(f"{len(data) - r.off} trailing bytes in blob")
     return state

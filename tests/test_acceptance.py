@@ -91,7 +91,7 @@ def test_criterion_4_no_false_negatives():
     held: list[set[int]] = [set(), set()]
     pairs = 0
     handle = 0
-    dyn = 0
+    next_seq = 0
     safe_upto = 0
     for step in range(40_000):
         pc = rng.getrandbits(48)
@@ -107,9 +107,9 @@ def test_criterion_4_no_false_negatives():
             pairs += 1
         if rng.random() < 0.3:
             safe_upto = rng.randint(safe_upto, handle)
-            rf.on_handle_safe(safe_upto, dyn)
-        dyn += rng.randint(0, 3)
-        for idx in rf.on_dispatch(dyn):
+            rf.on_handle_safe(safe_upto, next_seq)
+        next_seq += rng.randint(0, 3)
+        for idx in rf.on_dispatch(next_seq):
             held[idx].clear()
     assert pairs >= 100_000
     assert rf.rotations > 10, "rotations must be exercised"

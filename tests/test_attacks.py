@@ -15,7 +15,7 @@ from squashsim.attacks import (
     build_unbounded,
     run_scenario,
 )
-from squashsim.config import MachineConfig, PolicyKind
+from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.pipeline import LivelockError, Pipeline
 from squashsim.shadows import ShadowKind
 from squashsim.trace import Instruction, InstructionKind, Trace
@@ -112,11 +112,11 @@ def test_nested_dos_policies_block_replay():
 
 
 def test_nested_rejects_bad_latency_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_nested(3, 1, resolve_latencies=[3, 14, 36])  # inner slower than outer
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_nested(2, 1, resolve_latencies=[5, 5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_nested(2, 1, resolve_latencies=[5])
 
 
@@ -137,6 +137,19 @@ def test_unbounded_replay_flags_livelock_under_baseline():
                                                         livelock_budget=500))
     assert rep.livelock
     assert rep.squashes > 0
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_policy_clock_keeps_up_through_a_livelock(policy):
+    # the deferred-clear clock is the policy's next_seq, kept on every
+    # dispatch rather than written back when a run ends
+    sc = build_unbounded()
+    pipe = Pipeline(sc.trace, MachineConfig(policy=policy, livelock_budget=200),
+                    resolver=ScenarioResolver(sc.force))
+    with pytest.raises(LivelockError):
+        pipe.run()
+    assert pipe.next_seq > len(sc.trace)  # every replay dispatched again
+    assert pipe.policy.next_seq == pipe.next_seq
 
 
 def test_monotonic_containment_bloom_vs_baseline():

@@ -8,6 +8,7 @@ from dataclasses import fields as dataclass_fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from squashsim import cli
 from squashsim.cli import (
     EXIT_CONFIG,
     EXIT_LIVELOCK,
@@ -251,6 +252,18 @@ def test_attack_bad_latencies(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["--handles", "2", "--latencies", "9,x"], "latencies must be integers, got '9,x'"),
+    # the default latencies of nine handles at nine replays pass 2**20
+    (["--handles", "9", "--replays", "9"], "resolve_latency must be in [1, 2**20]"),
+    (["--handles", "0"], "handles must be >= 1, got 0"),
+    (["--replays", "0"], "replays must be >= 1, got 0"),
+])
+def test_attack_builder_errors_are_config_errors(capsys, argv, fragment):
+    assert main(["attack", "--pattern", "nested", "--policy", "baseline"] + argv) == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
+
+
 def test_sweep_bits_rows_and_fp_direction(capsys, tmp_path):
     path = tmp_path / "sweep.tr"
     save_trace(gen_loop_trace(64, 60, 0.01, seed=42), str(path))
@@ -332,6 +345,30 @@ def test_config_file_mistyped_value(capsys, tmp_path, loop_trace, content, field
     cfg.write_text(json.dumps(content))
     assert main(["simulate", "--trace", loop_trace, "--config", str(cfg)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, fragment", [
+    (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+    (b'{"seed": ' + b"1" * 5000 + b"}", "digits"),
+    (b'{"seed": 1', "Expecting"),
+    (b'{"seed": "\xff"}', "utf-8"),
+], ids=["nested-100000-deep", "5000-digit-int", "truncated", "not-utf-8"])
+def test_config_file_that_does_not_decode_is_config_error(capsys, tmp_path, loop_trace,
+                                                          data, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    assert main(["simulate", "--trace", loop_trace, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file is not valid JSON") and fragment in err
+
+
+def test_main_does_not_read_a_program_bug_as_bad_input(monkeypatch, loop_trace):
+    def bug(*args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "run_workload", bug)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["simulate", "--trace", loop_trace])
 
 
 def test_machine_flags_store_under_config_field_names():

@@ -143,7 +143,7 @@ def test_handle_safe_arms_deferred_clear():
     rf = RollingFilters(count=2, threshold=32, window_len=10)
     rf.filters[0] = 0b111
     rf.assoc[0] = 5
-    rf.on_handle_safe(5, dyn_count=100)
+    rf.on_handle_safe(5, next_seq=100)
     assert rf.assoc[0] is None
     assert rf.deadline[0] == 110
     assert rf.filters[0] == 0b111  # still deferred
@@ -158,13 +158,13 @@ def test_sweeps_report_only_the_filters_they_cleared():
     rf = RollingFilters(count=3, threshold=32, window_len=0)
     rf.filters[1] = 0b1
     rf.assoc[0] = rf.assoc[1] = 3
-    assert rf.on_handle_safe(3, dyn_count=0) == [1]  # filter 0 was already empty
+    assert rf.on_handle_safe(3, next_seq=0) == [1]  # filter 0 was already empty
     rf.assoc[2] = 4
-    assert rf.on_handle_safe(4, dyn_count=0) == []
+    assert rf.on_handle_safe(4, next_seq=0) == []
     rf.window_len = 5
     rf.filters[0] = 0b10
     rf.assoc[0] = 6
-    assert rf.on_handle_safe(6, dyn_count=0) == []  # only armed
+    assert rf.on_handle_safe(6, next_seq=0) == []  # only armed
     assert rf.on_dispatch(4) == []
     assert rf.on_dispatch(5) == [0]
     assert rf.clears == 2
@@ -174,7 +174,7 @@ def test_handle_safe_ignores_younger_assoc():
     rf = RollingFilters(count=2, threshold=32, window_len=0)
     rf.filters[0] = 0b1
     rf.assoc[0] = 9
-    rf.on_handle_safe(5, dyn_count=0)
+    rf.on_handle_safe(5, next_seq=0)
     assert rf.assoc[0] == 9
     assert rf.filters[0] == 0b1
 
@@ -183,7 +183,7 @@ def test_window_zero_clears_immediately():
     rf = RollingFilters(count=2, threshold=32, window_len=0)
     rf.filters[0] = 0b1010
     rf.assoc[0] = 3
-    rf.on_handle_safe(3, dyn_count=42)
+    rf.on_handle_safe(3, next_seq=42)
     assert rf.filters[0] == 0
     assert rf.clears == 1
 
@@ -192,7 +192,7 @@ def test_reassociation_cancels_pending_clear():
     rf = RollingFilters(count=2, threshold=32, window_len=10)
     rf.filters[0] = 0b1
     rf.assoc[0] = 3
-    rf.on_handle_safe(3, dyn_count=0)
+    rf.on_handle_safe(3, next_seq=0)
     assert rf.deadline[0] == 10
     rf.record_squash([0b10], youngest_handle=8)
     assert rf.assoc[0] == 8
@@ -221,11 +221,11 @@ def test_perfect_hits_subset_of_pair_hits():
     rf = RollingFilters(count=2, threshold=m // 2, window_len=6)
     pf = PerfectFilter()
     pcs = [rng.getrandbits(48) for _ in range(60)]
-    dyn = 0
+    next_seq = 0
     handle = 0
     for step in range(3_000):
-        dyn += 1
-        rf.on_dispatch(dyn)
+        next_seq += 1
+        rf.on_dispatch(next_seq)
         r = rng.random()
         if r < 0.25:
             batch = frozenset(rng.sample(pcs, rng.randint(1, 4)))
@@ -234,7 +234,7 @@ def test_perfect_hits_subset_of_pair_hits():
             pf.record(batch, handle)
         elif r < 0.45 and handle:
             safe = rng.randint(max(0, handle - 5), handle)
-            rf.on_handle_safe(safe, dyn)
+            rf.on_handle_safe(safe, next_seq)
             pf.on_handle_safe(safe)
         probe = rng.choice(pcs)
         if pf.query(probe):

@@ -12,7 +12,6 @@ from squashsim.policy import (
     DELAY_BLOOM_HIT,
     DELAY_PERFECT_HIT,
     DELAY_UNSAFE_HANDLE,
-    ContextBlob,
     ContextBlobError,
     PolicyState,
     restore_context,
@@ -28,6 +27,12 @@ def _state(policy, **kw):
 
 def _mask(state, pc):
     return indices_to_mask(compute_hashes(pc, state.hash_seeds, state.config.bits))
+
+
+def _dispatch(state, n=1):
+    """Dispatch ``n`` instructions, one hook call each, on the state's clock."""
+    for _ in range(n):
+        state.on_dispatch(state.next_seq + 1)
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.BASELINE, PolicyKind.DELAY_ALL,
@@ -97,8 +102,7 @@ def test_squash_raises_version():
 def test_delay_all_pop_raises_version_and_dispatch_does_not():
     st = _state(PolicyKind.DELAY_ALL)
     handle = st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
-    for _ in range(100):
-        st.on_dispatch()  # nothing is ever due under delay-all
+    _dispatch(st, 100)  # nothing is ever due under delay-all
     assert st.version == 0
     st.handle_queue.mark_resolved(handle)
     st.on_handle_safe(st.handle_queue.pop_safe()[-1])
@@ -109,12 +113,11 @@ def test_bloom_clear_on_dispatch_raises_version():
     st = _state(PolicyKind.DOS_BLOOM, window_len=4)
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
     st.on_handle_safe(3)  # arms the clear four dispatches ahead
-    for _ in range(3):
-        st.on_dispatch()
+    _dispatch(st, 3)
     assert (st.filter_clears, st.version) == (0, 1)
-    st.on_dispatch()  # the deferred clear falls due
+    _dispatch(st)  # the deferred clear falls due
     assert (st.filter_clears, st.version) == (1, 2)
-    st.on_dispatch()
+    _dispatch(st)
     assert st.version == 2
 
 
@@ -158,12 +161,12 @@ _BATCH_PCS = (0x400, 0x404, 0x500, 0x600)
 def _batch_state(**kw):
     # three filters at threshold 1: each squash fills one and rotates on.
     # The pops of handles 3 and 5 arm the first two filters' clears, due at
-    # dyn_count 6 and 7; handle 9's squash stays live in the third
+    # clock 6 and 7; handle 9's squash stays live in the third
     st = _state(window_len=4, threshold=1, filters=3, **kw)
     st.on_dispatch(2)
     st.on_squash(frozenset({0x400, 0x404}), [_mask(st, 0x400), _mask(st, 0x404)], 3)
     st.on_handle_safe(3)
-    st.on_dispatch(1)
+    st.on_dispatch(3)
     st.on_squash(frozenset({0x500}), [_mask(st, 0x500)], 5)
     st.on_handle_safe(5)
     st.on_squash(frozenset({0x600}), [_mask(st, 0x600)], 9)
@@ -172,7 +175,7 @@ def _batch_state(**kw):
 
 def _batch_snapshot(st, version_before):
     rf = st.filters
-    out = [st.dyn_count, st.filter_clears, st.version != version_before,
+    out = [st.next_seq, st.filter_clears, st.version != version_before,
            list(rf.filters), list(rf.assoc), list(rf.deadline)]
     pf = st.perfect
     if pf is not None:
@@ -192,9 +195,10 @@ def test_on_dispatch_batch_matches_single_steps(kw, n):
     if batched.perfect is not None:
         assert [r.expire_seq for r in batched.perfect.records()] == [9]
     v0 = batched.version
-    batched.on_dispatch(n)
-    for _ in range(n):
-        stepped.on_dispatch()
+    c = batched.next_seq
+    batched.on_dispatch(c + n)
+    for i in range(1, n + 1):
+        stepped.on_dispatch(c + i)
     assert _batch_snapshot(batched, v0) == _batch_snapshot(stepped, v0)
 
 
@@ -203,7 +207,7 @@ def _exercise(state):
     out = []
     hq = state.handle_queue
     handle = hq.push_handle(HandleEntry(10, ShadowKind.E))
-    state.on_dispatch()
+    _dispatch(state)
     state.on_squash(frozenset({0x400, 0x404}),
                     [_mask(state, 0x400), _mask(state, 0x404)], youngest_handle=10)
     for seq, pc in ((11, 0x400), (12, 0x404), (13, 0x500)):
@@ -211,8 +215,7 @@ def _exercise(state):
     hq.mark_resolved(handle)
     for s in hq.pop_safe():
         state.on_handle_safe(s)
-    for _ in range(80):
-        state.on_dispatch()
+    _dispatch(state, 80)
     for seq, pc in ((14, 0x400), (15, 0x500)):
         out.append(state.issue_decision(seq, pc, _mask(state, pc)))
     return out
@@ -221,13 +224,13 @@ def _exercise(state):
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_save_restore_reproduces_decisions(policy):
     a = _state(policy)
-    b = restore_context(save_context(_state(policy)), MachineConfig(policy=policy))
+    b = restore_context(save_context(_state(policy)), MachineConfig(policy=policy), 0)
     assert _exercise(a) == _exercise(b)
 
 
 def _phase_one(state):
     handle = state.handle_queue.push_handle(HandleEntry(10, ShadowKind.E))
-    state.on_dispatch()
+    _dispatch(state)
     state.on_squash(frozenset({0x400, 0x404}),
                     [_mask(state, 0x400), _mask(state, 0x404)], youngest_handle=10)
     state.handle_queue.mark_resolved(handle)
@@ -238,7 +241,7 @@ def _phase_one(state):
 def _phase_two(state):
     out = []
     for _ in range(10):
-        state.on_dispatch()
+        _dispatch(state)
         for seq, pc in ((14, 0x400), (15, 0x404), (16, 0x500)):
             out.append(state.issue_decision(seq, pc, _mask(state, pc)))
     return out
@@ -253,11 +256,11 @@ def test_save_restore_midstream(policy):
 
     interrupted = _state(policy)
     _phase_one(interrupted)
-    restored = restore_context(save_context(interrupted), MachineConfig(policy=policy))
+    restored = restore_context(save_context(interrupted), MachineConfig(policy=policy), 0)
     trail_b = _phase_two(restored)
     assert trail_a == trail_b
-    again = restore_context(save_context(restored), MachineConfig(policy=policy))
-    assert save_context(again).data == save_context(restored).data
+    again = restore_context(save_context(restored), MachineConfig(policy=policy), 0)
+    assert save_context(again) == save_context(restored)
 
 
 def test_save_refuses_a_queued_handle():
@@ -309,21 +312,21 @@ def _mid_run(policy, cut):
 @given(hs.sampled_from(list(PolicyKind)), hs.integers(0, 96))
 def test_save_restore_save_is_byte_identical(policy, cut):
     config, state = _mid_run(policy, cut)
-    data = save_context(state).data
-    assert save_context(restore_context(ContextBlob(0, data), config)).data == data
+    data = save_context(state)
+    assert save_context(restore_context(data, config, 0)) == data
 
 
 @settings(max_examples=150, deadline=None)
 @given(hs.integers(0, 96), hs.data())
 def test_mutated_blob_restores_or_raises_blob_error(cut, draw):
     config, state = _mid_run(PolicyKind.DOS_BLOOM, cut)
-    data = bytearray(save_context(state).data)
+    data = bytearray(save_context(state))
     edits = draw.draw(hs.lists(hs.tuples(hs.integers(0, len(data) - 1), hs.integers(0, 255)),
                                min_size=1, max_size=3))
     for pos, value in edits:
         data[pos] = value
     try:
-        restore_context(ContextBlob(0, bytes(data)), config)
+        restore_context(bytes(data), config, 0)
     except ContextBlobError:
         pass
 
@@ -337,15 +340,15 @@ def test_every_single_byte_mutation_raises_or_round_trips():
     rf = state.filters
     assert 0 in rf.filters and any(rf.filters)
     assert None in rf.deadline and set(rf.deadline) != {None}
-    data = save_context(state).data
+    data = save_context(state)
     restored = 0
     for i in range(len(data)):
         for value in range(256):
             if value == data[i]:
                 continue
-            blob = ContextBlob(0, data[:i] + bytes([value]) + data[i + 1:])
+            blob = data[:i] + bytes([value]) + data[i + 1:]
             try:
-                again = save_context(restore_context(blob, config))
+                again = save_context(restore_context(blob, config, 0))
             except ContextBlobError:
                 continue
             assert again == blob, f"byte {i} set to {value:#x} restores but does not round-trip"
@@ -355,11 +358,11 @@ def test_every_single_byte_mutation_raises_or_round_trips():
 
 def test_restore_rejects_an_oracle_byte_other_than_0_or_1():
     config = MachineConfig(policy=PolicyKind.DOS_PERFECT)
-    data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)).data)
-    assert data[31] == 0  # the header's last byte
-    data[31] = 2
+    data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)))
+    assert data[23] == 0  # the header's last byte
+    data[23] = 2
     with pytest.raises(ContextBlobError, match="oracle flag 2"):
-        restore_context(ContextBlob(0, bytes(data)), config)
+        restore_context(bytes(data), config, 0)
 
 
 @pytest.mark.parametrize("flag, value", [(2, 0), (0, 5), (255, 5)])
@@ -368,15 +371,15 @@ def test_restore_rejects_an_optional_field_that_pack_opt_never_writes(flag, valu
     st = PolicyState(config)
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
     st.on_handle_safe(3)  # arms filter 0's clear
-    data = bytearray(save_context(st).data)
-    # 32-byte header, 24 bytes of geometry, one seed, then per filter one
+    data = bytearray(save_context(st))
+    # 24-byte header, 24 bytes of geometry, one seed, then per filter one
     # byte of bits and its deadline
-    assert struct.unpack_from("<BQBBQ", data, 65) == (1, config.effective_window, 0, 0, 0)
-    for off in (65, 75):  # filter 0's pending deadline, then filter 1's absent one
+    assert struct.unpack_from("<BQBBQ", data, 57) == (1, config.effective_window, 0, 0, 0)
+    for off in (57, 67):  # filter 0's pending deadline, then filter 1's absent one
         bad = bytearray(data)
         struct.pack_into("<BQ", bad, off, flag, value)
         with pytest.raises(ContextBlobError, match="deadline flag"):
-            restore_context(ContextBlob(0, bytes(bad)), config)
+            restore_context(bytes(bad), config, 0)
 
 
 def test_restore_rejects_wrong_context():
@@ -388,33 +391,32 @@ def test_restore_rejects_wrong_context():
 
 def test_restore_rejects_corrupt_blob():
     st = PolicyState(MachineConfig(policy=PolicyKind.DOS_BLOOM), context_id=0)
-    blob = save_context(st)
-    blob.data = blob.data[:-3]
+    blob = save_context(st)[:-3]
     with pytest.raises(ContextBlobError):
-        restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM))
-    blob.data = b"XXXX" + blob.data[4:]
+        restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM), 0)
+    blob = b"XXXX" + blob[4:]
     with pytest.raises(ContextBlobError):
-        restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM))
+        restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM), 0)
 
 
 def test_restore_rejects_active_filter_out_of_range():
     st = _state(PolicyKind.DOS_BLOOM)
-    data = bytearray(save_context(st).data)
-    # 32-byte header, then m, k, count, active as u32
-    assert struct.unpack_from("<4I", data, 32) == (64, 2, 2, 0)
-    struct.pack_into("<I", data, 44, 7)
+    data = bytearray(save_context(st))
+    # 24-byte header, then m, k, count, active as u32
+    assert struct.unpack_from("<4I", data, 24) == (64, 2, 2, 0)
+    struct.pack_into("<I", data, 36, 7)
     with pytest.raises(ContextBlobError, match="active filter"):
-        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
+        restore_context(bytes(data), MachineConfig(policy=PolicyKind.DOS_BLOOM), 0)
 
 
 def _narrow_bloom_blob(filter0: int) -> bytes:
     """A bits=4, hashes=1 dos-bloom blob whose first filter's byte is ``filter0``."""
-    data = bytearray(save_context(_state(PolicyKind.DOS_BLOOM, bits=4, hashes=1)).data)
-    # 32-byte header, six u32 (m, k, count, active, threshold, window), one
+    data = bytearray(save_context(_state(PolicyKind.DOS_BLOOM, bits=4, hashes=1)))
+    # 24-byte header, six u32 (m, k, count, active, threshold, window), one
     # u64 hash seed, then filter 0 in max(1, m // 8) = 1 byte
-    assert struct.unpack_from("<6I", data, 32)[:5] == (4, 1, 2, 0, 2)
-    assert data[64] == 0
-    data[64] = filter0
+    assert struct.unpack_from("<6I", data, 24)[:5] == (4, 1, 2, 0, 2)
+    assert data[56] == 0
+    data[56] = filter0
     return bytes(data)
 
 
@@ -423,9 +425,9 @@ def test_restore_rejects_bloom_bits_beyond_a_narrow_filter():
     # they would count toward the rotation threshold
     config = MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=4, hashes=1)
     with pytest.raises(ContextBlobError, match="width"):
-        restore_context(ContextBlob(0, _narrow_bloom_blob(0xF0)), config)
-    blob = ContextBlob(0, _narrow_bloom_blob(0x05))
-    restored = restore_context(blob, config)
+        restore_context(_narrow_bloom_blob(0xF0), config, 0)
+    blob = _narrow_bloom_blob(0x05)
+    restored = restore_context(blob, config, 0)
     assert restored.filters.filters == [0x05, 0]
     assert save_context(restored) == blob
 
@@ -433,12 +435,12 @@ def test_restore_rejects_bloom_bits_beyond_a_narrow_filter():
 @pytest.mark.parametrize("threshold", [0, 999])
 def test_restore_rejects_threshold_out_of_range(threshold):
     st = _state(PolicyKind.DOS_BLOOM)
-    data = bytearray(save_context(st).data)
-    # 32-byte header, then m, k, count, active, threshold as u32
-    assert struct.unpack_from("<5I", data, 32) == (64, 2, 2, 0, 32)
-    struct.pack_into("<I", data, 48, threshold)
+    data = bytearray(save_context(st))
+    # 24-byte header, then m, k, count, active, threshold as u32
+    assert struct.unpack_from("<5I", data, 24) == (64, 2, 2, 0, 32)
+    struct.pack_into("<I", data, 40, threshold)
     with pytest.raises(ContextBlobError, match="threshold"):
-        restore_context(ContextBlob(0, bytes(data)), MachineConfig(policy=PolicyKind.DOS_BLOOM))
+        restore_context(bytes(data), MachineConfig(policy=PolicyKind.DOS_BLOOM), 0)
 
 
 @pytest.mark.parametrize("policy, saved, oracle", [
@@ -451,8 +453,8 @@ def test_restore_rejects_a_blob_whose_geometry_differs_from_the_config(policy, s
     # the config decides the threshold and the windows; a blob carries state only
     blob = save_context(_state(policy, oracle=oracle, **saved))
     with pytest.raises(ContextBlobError, match="window|threshold"):
-        restore_context(blob, MachineConfig(policy=policy, oracle=oracle))
-    restored = restore_context(blob, MachineConfig(policy=policy, oracle=oracle, **saved))
+        restore_context(blob, MachineConfig(policy=policy, oracle=oracle), 0)
+    restored = restore_context(blob, MachineConfig(policy=policy, oracle=oracle, **saved), 0)
     assert save_context(restored) == blob
 
 
@@ -465,29 +467,29 @@ def test_dos_perfect_blob_round_trips_under_any_window_len():
     blob = save_context(st)
     for window_len in (0, 3, 64, None):
         config = MachineConfig(policy=PolicyKind.DOS_PERFECT, window_len=window_len)
-        assert save_context(restore_context(blob, config)) == blob
+        assert save_context(restore_context(blob, config, 0)) == blob
 
 
 def test_restore_rejects_a_version_1_blob():
-    # version 2 carried handles and exact records, version 1 exact-record deadlines
-    data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)).data)
-    assert struct.unpack_from("<H", data, 4) == (3,)
-    for version in (1, 2):
+    # version 3 carried a dispatch count beside next_seq, version 2 handles
+    # and exact records, version 1 exact-record deadlines
+    data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)))
+    assert struct.unpack_from("<H", data, 4) == (4,)
+    for version in (1, 2, 3):
         struct.pack_into("<H", data, 4, version)
         with pytest.raises(ContextBlobError, match=f"version {version}"):
-            restore_context(ContextBlob(0, bytes(data)),
-                            MachineConfig(policy=PolicyKind.DOS_PERFECT))
+            restore_context(bytes(data), MachineConfig(policy=PolicyKind.DOS_PERFECT), 0)
 
 
 def test_restore_rejects_policy_mismatch():
     blob = save_context(PolicyState(MachineConfig(policy=PolicyKind.BASELINE)))
     with pytest.raises(ContextBlobError):
-        restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM))
+        restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM), 0)
 
 
 def test_baseline_blob_is_minimal():
     base = save_context(PolicyState(MachineConfig(policy=PolicyKind.BASELINE)))
     bloom = save_context(PolicyState(MachineConfig(policy=PolicyKind.DOS_BLOOM)))
-    assert len(base.data) < len(bloom.data)
-    restored = restore_context(base, MachineConfig(policy=PolicyKind.BASELINE))
+    assert len(base) < len(bloom)
+    restored = restore_context(base, MachineConfig(policy=PolicyKind.BASELINE), 0)
     assert restored.kind is PolicyKind.BASELINE
