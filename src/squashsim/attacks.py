@@ -252,13 +252,13 @@ def build_unbounded(gap: int = 2, pad: int = 8) -> Scenario:
 
 
 class ScenarioResolver:
-    """Resolution outcomes under attacker control.
-
-    An armed instance misspeculates on its first `times` resolutions and
-    resolves correctly afterwards.  Releasing a handle releases every
-    handle nested inside it, so once the outermost handle of a chain has
-    resolved correctly for good, in-flight inner instances stop
-    misspeculating instead of opening a fresh replay round.
+    """Resolution outcomes under attacker control.  A finished slot
+    resolves correctly; any other slot misspeculates on the first `times`
+    resolutions of each instance and then resolves correctly, and an
+    outermost slot finishes there.  Finishing cascades inward, since a
+    squash by an outer handle would re-arm the slots nested inside it:
+    once the outermost handle of a chain is released, in-flight inner
+    instances stop misspeculating instead of opening a fresh round.
     """
 
     def __init__(self, force: dict[int, ForceMisspeculate]) -> None:
@@ -272,17 +272,12 @@ class ScenarioResolver:
     def __call__(self, entry: RobEntry) -> bool:
         pos = entry.pos
         fm = self.force.get(pos)
-        if fm is None:
-            return False  # victim instructions resolve correctly
-        armed = pos not in self.finished and (
-            fm.outer_slot is None or fm.outer_slot not in self.finished
-        )
-        if armed and (fm.times is None or entry.res_count <= fm.times):
+        if fm is None or pos in self.finished:
+            return False  # victims and released slots resolve correctly
+        if fm.times is None or entry.res_count <= fm.times:
             return True
-        if fm.outer_slot is None or fm.outer_slot in self.finished:
-            # released for good; a squash by the outer handle would have
-            # re-armed this slot, so the release cascades inward
-            self._finish(pos)
+        if fm.outer_slot is None:
+            self._finish(pos)  # released for good
         return False
 
     def _finish(self, pos: int) -> None:

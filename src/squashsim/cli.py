@@ -36,7 +36,7 @@ def _add_machine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", choices=[str(k) for k in PolicyKind])
     p.add_argument("--bits", type=int, help="Bloom filter bits m (power of two, at most 65536)")
     p.add_argument("--hashes", type=int, help="hash functions k per filter")
-    p.add_argument("--filters", type=int, help="rolling filter count")
+    p.add_argument("--filters", type=int, help="rolling filter count (2 to 64)")
     p.add_argument("--threshold", type=int, help="saturation threshold in set bits")
     p.add_argument("--rob", type=int, dest="rob_size", help="reorder buffer entries")
     p.add_argument("--width", type=int, help="issue/commit width")
@@ -58,7 +58,7 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "table")
     p.add_argument("--out", help="also write the records to this file in the chosen format")
 
 
-def build_config(args: argparse.Namespace) -> MachineConfig:
+def config_values(args: argparse.Namespace) -> dict:
     """Config file values, overridden by the machine flags (each flag's
     dest is its MachineConfig field)."""
     names = [f.name for f in dataclass_fields(MachineConfig)]
@@ -79,7 +79,11 @@ def build_config(args: argparse.Namespace) -> MachineConfig:
         v = getattr(args, name, None)
         if v is not None:
             values[name] = v
-    return MachineConfig(**values)
+    return values
+
+
+def build_config(args: argparse.Namespace) -> MachineConfig:
+    return MachineConfig(**config_values(args))
 
 
 # -- report rendering -----------------------------------------------------------
@@ -217,8 +221,10 @@ def parse_scenario_file(text: str):
 
 def cmd_attack(args: argparse.Namespace) -> int:
     scenario = _build_scenario(args)
-    config = build_config(args)
-    policies = [config.policy] if args.policy else list(PolicyKind)
+    values = config_values(args)
+    config = MachineConfig(**values)
+    # a policy named by --policy or in the config file runs alone
+    policies = [config.policy] if "policy" in values else list(PolicyKind)
     rows = []
     saw_livelock = False
     for kind in policies:

@@ -83,8 +83,9 @@ class MachineConfig:
             raise ConfigError(f"bits must be a power of two in [2, 2**16], got {self.bits}")
         if self.hashes < 1:
             raise ConfigError(f"hashes must be >= 1, got {self.hashes}")
-        if self.filters < 2:
-            raise ConfigError(f"filters must be >= 2, got {self.filters}")
+        if not 2 <= self.filters <= 64:
+            # each filter is a query step per decision and a sweep step per dispatching cycle
+            raise ConfigError(f"filters must be in [2, 64], got {self.filters}")
         if self.threshold is not None and not 1 <= self.threshold <= self.bits:
             raise ConfigError(f"threshold must be in [1, bits], got {self.threshold}")
         if self.window_len is not None and self.window_len < 0:
@@ -95,7 +96,7 @@ class MachineConfig:
             raise ConfigError(f"squash_recovery must be >= 0, got {self.squash_recovery}")
         if self.fp_counting not in ("evaluation", "entry"):
             raise ConfigError(f"fp_counting must be 'evaluation' or 'entry', got {self.fp_counting}")
-        for name in ("hashes", "filters", "effective_window"):  # bits, threshold <= 2**16
+        for name in ("hashes", "effective_window"):  # bits, threshold <= 2**16; filters <= 64
             value = getattr(self, name)
             if value >= 1 << 32:  # the context blob packs it as u32
                 raise ConfigError(f"{name} must be < 2**32, got {value}")

@@ -45,9 +45,10 @@ Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
 once per run and PC, and kept in the entry; under every other policy the
 mask is 0, since only the rolling filters read it.  Each dispatch takes
-the next seq, so ``next_seq`` is also the dispatch count: the clock of a
-deferred Bloom clear.  The policy's dispatch hook runs once per cycle with
-the new ``next_seq``, not once per instruction.  That is exact: nothing in
+the next seq, so ``PolicyState.next_seq`` is also the dispatch count: the
+clock of a deferred Bloom clear, held by the policy alone and moved only
+by its dispatch hook, which runs once per cycle with the new
+``next_seq``, not once per instruction.  That is exact: nothing in
 the dispatch phase reads the clock or the filters (the earlier phases do),
 so a deferred clear lands in the same cycle either way.
 
@@ -198,7 +199,6 @@ class Pipeline:
         self.metrics = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
         self.cycle = 0
         self.cursor = 0
-        self.next_seq = self.policy.next_seq  # kept equal by the dispatch hook
         self.rob: list[RobEntry] = []
         self.pending: list[RobEntry] = []  # dispatched, not yet issued; in seq order
         # cycle -> the (seq, entry) resolutions due then
@@ -206,8 +206,6 @@ class Pipeline:
         # Bloom filter bit mask per PC, for the one policy that reads masks
         self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
-        self._never_delays = self.policy.never_delays
-        self._delay_covers_younger = self.policy.delay_covers_younger
         self._last_commit_cycle = 0
         self._dispatch_resume = 0
 
@@ -230,11 +228,14 @@ class Pipeline:
         self._finalize()
         return self.metrics
 
+    next_seq = property(lambda self: self.policy.next_seq)  # the tracer's read of the clock
+
     def _finalize(self) -> None:
         self.metrics.cycles = self.cycle
         self.metrics.perfect_only_count = self.policy.perfect_only_count
-        self.metrics.rotations = self.policy.rotations
-        self.metrics.filter_clears = self.policy.filter_clears
+        rf = self.policy.filters
+        if rf is not None:
+            self.metrics.rotations, self.metrics.filter_clears = rf.rotations, rf.clears
 
     def tick(self) -> None:
         """One cycle: fire the resolutions due now; commit; pop the safe
@@ -305,16 +306,16 @@ class Pipeline:
             return
         window = pending[:self.config.width]
         m = self.metrics
-        if self._never_delays:
+        policy = self.policy
+        if policy.never_delays:
             del pending[:len(window)]
             ready = window
         else:
-            policy = self.policy
             decide = policy.issue_decision
             version = policy.version
             head = self.rob[0]
             ready = []
-            if self._delay_covers_younger:
+            if policy.delay_covers_younger:
                 # the first delay holds every younger window entry too
                 for e in window:
                     if e is not head:  # the ROB head is never delayed
@@ -351,7 +352,7 @@ class Pipeline:
         # pop_safe has just left a live head, so hq.shadows(seq) is oldest < seq
         oldest = self.hq.oldest_seq()
         if oldest is None:
-            oldest = self.next_seq  # no queued handle: nothing issuing is younger
+            oldest = policy.next_seq  # no queued handle: nothing issuing is younger
         observer = self.observer
         for e in ready:
             instr = e.instr
@@ -387,7 +388,8 @@ class Pipeline:
         pending = self.pending
         hq = self.hq
         masks = self._pc_masks
-        seq = self.next_seq
+        policy = self.policy
+        seq = policy.next_seq
         pos = self.start + cursor
         for rec in records[cursor:cursor + room]:
             shadow = rec.shadow_class
@@ -399,7 +401,7 @@ class Pipeline:
                 mask = masks.get(rec.pc)
                 if mask is None:
                     mask = masks[rec.pc] = indices_to_mask(
-                        compute_hashes(rec.pc, self.policy.hash_seeds, self.config.bits))
+                        compute_hashes(rec.pc, policy.hash_seeds, self.config.bits))
             e = RobEntry(seq, pos, rec, mask)
             rob.append(e)
             pending.append(e)  # seq is monotonic, the list stays in order
@@ -407,11 +409,10 @@ class Pipeline:
                 hq.push_handle(e)
             seq += 1
             pos += 1
-        n = seq - self.next_seq
+        n = seq - policy.next_seq
         if n:  # an empty cycle sweeps nothing, so clears land on the same cycles
-            self.next_seq = seq
             self.cursor = cursor + n
-            self.policy.on_dispatch(seq)
+            policy.on_dispatch(seq)  # moves the clock
         return n
 
     # -- squash ----------------------------------------------------------------

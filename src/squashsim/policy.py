@@ -26,27 +26,29 @@ pipeline asks only what the rule can answer:
 
 The rule and the hooks branch on these facts and on which filters the
 state holds (dos-perfect is the filter policy without Bloom filters),
-never on ``kind``, which only the context blob reads: before Python 3.12
+never on ``config.policy``, which only the context blob reads: before Python 3.12
 an enum member read through its class costs several times a plain
 attribute read, and the rule runs once per delayed-issue check.
 
 Context blob layout (little-endian, versioned)::
 
     magic   4s   b"SQSM"
-    version u16  currently 4
+    version u16  currently 5
     kind    u8   policy variant (enum order)
     ctx     u64  context id
-    next    u64  next pipeline sequence number, the context's clock
+    next    u64  next pipeline sequence number, the context's clock (< 2**63)
     oracle  u8
     Bloom section (dos-bloom only): m u32, k u32, count u32, active u32,
         threshold u32, window u32, k seeds u64; per filter: bits (m/8
-        bytes, little-endian bit packing), deadline flag u8 + u64
+        bytes, little-endian bit packing), clear countdown u32 (0: none)
 
 A saved context is a drained one.  A context switch drains the reorder
 buffer, so no handle is queued, no exact record is live (each expires
 with its handle) and no filter is associated with a handle; only the
-filter bits and their pending clear deadlines survive.  ``save_context``
-refuses a state that still holds any of the three.
+filter bits and their pending clears survive, a clear as the dispatches
+left until it lands, at most the window (``next < deadline <= next +
+window``).  ``save_context`` refuses a state that still holds any of the
+three.  A restored clock is below 2**63: 2**63 dispatches before its u64 fills.
 
 A blob is ``bytes`` carrying state only: restoring it under a config whose
 geometry, threshold, window or hash seeds differ raises ``ContextBlobError``.
@@ -61,7 +63,7 @@ from .filters import PerfectFilter, RollingFilters, derive_hash_seeds
 from .shadows import HandleQueue
 
 BLOB_MAGIC = b"SQSM"
-BLOB_VERSION = 4
+BLOB_VERSION = 5
 
 _KIND_CODE = {k: i for i, k in enumerate(PolicyKind)}
 
@@ -79,24 +81,24 @@ class PolicyState:
     """Per-context defense state: handle queue plus policy-specific filters."""
 
     def __init__(self, config: MachineConfig, context_id: int = 0) -> None:
-        self.kind = config.policy
+        kind = config.policy
         self.config = config
         self.context_id = context_id
         self.handle_queue = HandleQueue()
         self.next_seq = 0  # the next dispatch's seq, also the dispatch count: the clears' clock
-        self.oracle = config.oracle and self.kind is PolicyKind.DOS_BLOOM
+        self.oracle = config.oracle and kind is PolicyKind.DOS_BLOOM
 
         self.hash_seeds: tuple[int, ...] = ()  # read only by the Bloom masks
         self.filters: RollingFilters | None = None
         self.perfect: PerfectFilter | None = None
-        if self.kind is PolicyKind.DOS_BLOOM:
+        if kind is PolicyKind.DOS_BLOOM:
             self.hash_seeds = derive_hash_seeds(config.seed, config.hashes)
             self.filters = RollingFilters(
                 count=config.filters,
                 threshold=config.effective_threshold,
                 window_len=config.effective_window,
             )
-        if self.kind is PolicyKind.DOS_PERFECT or self.oracle:
+        if kind is PolicyKind.DOS_PERFECT or self.oracle:
             self.perfect = PerfectFilter()
 
         # lockstep accounting (dos-bloom with oracle): exact hits the Bloom filters miss
@@ -104,8 +106,8 @@ class PolicyState:
         # goes up whenever something issue_decision reads changes
         self.version = 0
         # what the rule implies, for callers that can skip asking (module docstring)
-        self.never_delays = self.kind is PolicyKind.BASELINE
-        self.delay_covers_younger = self.kind is PolicyKind.DELAY_ALL
+        self.never_delays = kind is PolicyKind.BASELINE
+        self.delay_covers_younger = kind is PolicyKind.DELAY_ALL
 
     # -- issue-time decision ------------------------------------------------
 
@@ -162,14 +164,6 @@ class PolicyState:
         if self.filters is not None and self.filters.on_dispatch(next_seq):
             self.version += 1
 
-    @property
-    def rotations(self) -> int:
-        return self.filters.rotations if self.filters is not None else 0
-
-    @property
-    def filter_clears(self) -> int:
-        return self.filters.clears if self.filters is not None else 0
-
 
 # -- context serialization ----------------------------------------------------
 
@@ -208,7 +202,7 @@ def save_context(state: PolicyState) -> bytes:
             "<4sHBQQB",
             BLOB_MAGIC,
             BLOB_VERSION,
-            _KIND_CODE[state.kind],
+            _KIND_CODE[state.config.policy],
             state.context_id,
             state.next_seq,
             1 if state.oracle else 0,
@@ -227,7 +221,7 @@ def save_context(state: PolicyState) -> bytes:
         nbytes = max(1, cfg.bits // 8)
         for bits, deadline in zip(rf.filters, rf.deadline):
             parts.append(bits.to_bytes(nbytes, "little"))
-            parts.append(struct.pack("<BQ", deadline is not None, deadline or 0))
+            parts.append(struct.pack("<I", 0 if deadline is None else deadline - state.next_seq))
 
     return b"".join(parts)
 
@@ -240,6 +234,8 @@ def restore_context(data: bytes, config: MachineConfig, context_id: int) -> Poli
         raise ContextBlobError(f"bad magic {magic!r}")
     if version != BLOB_VERSION:
         raise ContextBlobError(f"unsupported blob version {version}")
+    if next_seq >= 1 << 63:
+        raise ContextBlobError(f"clock {next_seq} is not below 2**63")
     if ctx != context_id:
         raise ContextBlobError(f"blob belongs to context {ctx}, not {context_id}")
     if kind_code != _KIND_CODE[config.policy]:
@@ -271,11 +267,11 @@ def restore_context(data: bytes, config: MachineConfig, context_id: int) -> Poli
             if bits >> m:
                 raise ContextBlobError(f"filter {i} sets bits at or above its width of {m}")
             rf.filters[i] = bits
-            flag, deadline = r.take("<BQ")
-            if flag > 1 or (not flag and deadline):
-                # save_context writes (0, 0) or (1, deadline), and nothing else round-trips
-                raise ContextBlobError(f"filter {i} deadline flag {flag} with value {deadline}")
-            rf.deadline[i] = deadline if flag else None
+            (countdown,) = r.take("<I")
+            if countdown > window:
+                raise ContextBlobError(f"filter {i} clear countdown {countdown} "
+                                       f"exceeds the window of {window}")
+            rf.deadline[i] = next_seq + countdown if countdown else None
 
     if r.off != len(data):
         raise ContextBlobError(f"{len(data) - r.off} trailing bytes in blob")

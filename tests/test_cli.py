@@ -102,6 +102,14 @@ def test_simulate_window_beyond_u32_is_config_error(capsys, loop_trace):
     assert code == EXIT_CONFIG
 
 
+def test_simulate_more_than_64_filters_is_config_error(capsys, monkeypatch, loop_trace):
+    # rejected when the config is made, before any trace or filter is built
+    monkeypatch.setattr(cli, "load_trace", None)
+    code = main(["simulate", "--trace", loop_trace, "--policy", "dos-bloom", "--filters", "65"])
+    assert code == EXIT_CONFIG
+    assert "filters must be in [2, 64], got 65" in capsys.readouterr().err
+
+
 def test_simulate_more_hashes_than_bits_is_config_error(capsys, loop_trace):
     # u32-sized, so only the cap stops a seed derivation that would run for hours
     code = main(["simulate", "--trace", loop_trace, "--policy", "dos-bloom",
@@ -181,6 +189,20 @@ def test_attack_default_compares_all_policies(capsys):
     assert code == EXIT_OK
     rows = _json_rows(out)
     assert [r["policy"] for r in rows] == ["baseline", "delay-all", "dos-perfect", "dos-bloom"]
+
+
+def test_attack_runs_only_the_policy_the_config_file_names(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"policy": "dos-bloom"}')
+    code, out = _run(capsys, ["attack", "--pattern", "single", "--replays", "2",
+                              "--config", str(path), "--format", "json-lines"])
+    assert code == EXIT_OK
+    assert [r["policy"] for r in _json_rows(out)] == ["dos-bloom"]
+    # a flag still overrides the file
+    code, out = _run(capsys, ["attack", "--pattern", "single", "--replays", "2",
+                              "--config", str(path), "--policy", "baseline",
+                              "--format", "json-lines"])
+    assert [r["policy"] for r in _json_rows(out)] == ["baseline"]
 
 
 def test_attack_scenario_file(capsys, tmp_path):

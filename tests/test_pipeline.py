@@ -271,14 +271,15 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name, largest, too_big", [
-    ("bits", 2**16, 2**17), ("hashes", 2**32 - 1, 2**32), ("filters", 2**32 - 1, 2**32),
+    ("bits", 2**16, 2**17), ("hashes", 2**32 - 1, 2**32), ("filters", 64, 65),
     ("window_len", 2**32 - 1, 2**33),
     ("rob_size", 2**32 - 1, 2**33),  # the window defaults to rob_size
 ])
 def test_config_bounds_what_the_blob_packs_as_u32(name, largest, too_big):
     MachineConfig(**{name: largest})  # the checks allocate nothing
-    # bits has a tighter cap, which bounds the hash seeds a config derives
-    message = r"in \[2, 2\*\*16\]" if name == "bits" else r"< 2\*\*32"
+    # bits and filters have tighter caps: bits bounds the hash seeds a config
+    # derives, filters the per-decision query and per-cycle sweep
+    message = {"bits": r"in \[2, 2\*\*16\]", "filters": r"in \[2, 64\]"}.get(name, r"< 2\*\*32")
     with pytest.raises(ConfigError, match=message):
         MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, **{name: too_big})
 

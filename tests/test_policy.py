@@ -114,9 +114,9 @@ def test_bloom_clear_on_dispatch_raises_version():
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
     st.on_handle_safe(3)  # arms the clear four dispatches ahead
     _dispatch(st, 3)
-    assert (st.filter_clears, st.version) == (0, 1)
+    assert (st.filters.clears, st.version) == (0, 1)
     _dispatch(st)  # the deferred clear falls due
-    assert (st.filter_clears, st.version) == (1, 2)
+    assert (st.filters.clears, st.version) == (1, 2)
     _dispatch(st)
     assert st.version == 2
 
@@ -127,14 +127,14 @@ def test_bloom_clear_on_handle_safe_raises_version():
     st.on_handle_safe(2)
     assert st.version == 1
     st.on_handle_safe(3)  # a zero window clears right away
-    assert (st.filter_clears, st.version) == (1, 2)
+    assert (st.filters.clears, st.version) == (1, 2)
 
 
 def test_bloom_arming_without_a_clear_keeps_version():
     st = _state(PolicyKind.DOS_BLOOM, window_len=4)
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
     st.on_handle_safe(3)  # only arms the deferred clear
-    assert (st.filter_clears, st.version) == (0, 1)
+    assert (st.filters.clears, st.version) == (0, 1)
 
 
 def test_exact_record_dropped_by_handle_raises_version():
@@ -152,7 +152,7 @@ def test_oracle_record_drop_raises_version():
     st = _state(PolicyKind.DOS_BLOOM, oracle=True, window_len=4)
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
     st.on_handle_safe(3)
-    assert (st.filter_clears, st.version) == (0, 2)
+    assert (st.filters.clears, st.version) == (0, 2)
 
 
 _BATCH_PCS = (0x400, 0x404, 0x500, 0x600)
@@ -175,7 +175,7 @@ def _batch_state(**kw):
 
 def _batch_snapshot(st, version_before):
     rf = st.filters
-    out = [st.next_seq, st.filter_clears, st.version != version_before,
+    out = [st.next_seq, st.filters.clears, st.version != version_before,
            list(rf.filters), list(rf.assoc), list(rf.deadline)]
     pf = st.perfect
     if pf is not None:
@@ -365,21 +365,43 @@ def test_restore_rejects_an_oracle_byte_other_than_0_or_1():
         restore_context(bytes(data), config, 0)
 
 
-@pytest.mark.parametrize("flag, value", [(2, 0), (0, 5), (255, 5)])
-def test_restore_rejects_an_optional_field_that_pack_opt_never_writes(flag, value):
-    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=8, hashes=1)
+@pytest.mark.parametrize("off", [57, 62], ids=["armed", "unarmed"])
+@pytest.mark.parametrize("countdown", [33, 2**32 - 1])
+def test_restore_rejects_a_clear_countdown_beyond_the_window(countdown, off):
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, bits=8, hashes=1, window_len=32)
     st = PolicyState(config)
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
-    st.on_handle_safe(3)  # arms filter 0's clear
+    st.on_dispatch(7)
+    st.on_handle_safe(3)  # arms filter 0's clear a window ahead of the clock
     data = bytearray(save_context(st))
     # 24-byte header, 24 bytes of geometry, one seed, then per filter one
-    # byte of bits and its deadline
-    assert struct.unpack_from("<BQBBQ", data, 57) == (1, config.effective_window, 0, 0, 0)
-    for off in (57, 67):  # filter 0's pending deadline, then filter 1's absent one
-        bad = bytearray(data)
-        struct.pack_into("<BQ", bad, off, flag, value)
-        with pytest.raises(ContextBlobError, match="deadline flag"):
-            restore_context(bytes(bad), config, 0)
+    # byte of bits and its clear countdown
+    assert struct.unpack_from("<IBI", data, 57) == (32, 0, 0)
+    for fits in (0, 1, 32):  # a countdown within the window round-trips
+        struct.pack_into("<I", data, off, fits)
+        restored = restore_context(bytes(data), config, 0)
+        assert restored.filters.deadline[off == 62] == (7 + fits if fits else None)
+        assert save_context(restored) == data
+    struct.pack_into("<I", data, off, countdown)
+    with pytest.raises(ContextBlobError, match=f"countdown {countdown} exceeds the window"):
+        restore_context(bytes(data), config, 0)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.BASELINE, PolicyKind.DOS_BLOOM])
+def test_restore_rejects_a_clock_at_2_63_or_above(policy):
+    config = MachineConfig(policy=policy)
+    data = bytearray(save_context(PolicyState(config)))
+    # the header's clock follows magic, version, kind and context id
+    for clock in (2**63, 2**64 - 1):
+        struct.pack_into("<Q", data, 15, clock)
+        with pytest.raises(ContextBlobError, match=f"clock {clock} is not below 2\\*\\*63"):
+            restore_context(bytes(data), config, 0)
+    # the largest clock restores, runs a segment and saves again
+    struct.pack_into("<Q", data, 15, 2**63 - 1)
+    state = restore_context(bytes(data), config, 0)
+    Pipeline(gen_loop_trace(4, 3, 0.2, 1), config, policy=state).run()
+    assert state.next_seq >= 2**63 + 11
+    assert struct.unpack_from("<Q", save_context(state), 15) == (state.next_seq,)
 
 
 def test_restore_rejects_wrong_context():
@@ -471,11 +493,12 @@ def test_dos_perfect_blob_round_trips_under_any_window_len():
 
 
 def test_restore_rejects_a_version_1_blob():
-    # version 3 carried a dispatch count beside next_seq, version 2 handles
-    # and exact records, version 1 exact-record deadlines
+    # version 4 carried absolute clear deadlines, version 3 a dispatch count
+    # beside next_seq, version 2 handles and exact records, version 1
+    # exact-record deadlines
     data = bytearray(save_context(_state(PolicyKind.DOS_PERFECT)))
-    assert struct.unpack_from("<H", data, 4) == (4,)
-    for version in (1, 2, 3):
+    assert struct.unpack_from("<H", data, 4) == (5,)
+    for version in (1, 2, 3, 4):
         struct.pack_into("<H", data, 4, version)
         with pytest.raises(ContextBlobError, match=f"version {version}"):
             restore_context(bytes(data), MachineConfig(policy=PolicyKind.DOS_PERFECT), 0)
@@ -492,4 +515,4 @@ def test_baseline_blob_is_minimal():
     bloom = save_context(PolicyState(MachineConfig(policy=PolicyKind.DOS_BLOOM)))
     assert len(base) < len(bloom)
     restored = restore_context(base, MachineConfig(policy=PolicyKind.BASELINE), 0)
-    assert restored.kind is PolicyKind.BASELINE
+    assert restored.config.policy is PolicyKind.BASELINE
