@@ -14,17 +14,19 @@ Three patterns are modeled:
   multiply across handles.
 
 The attacker controls resolution outcomes through a budget per handle
-slot, ``Scenario.force``: acquiring a handle is ``ForceMisspeculate(slot,
-None)``, which misspeculates on every resolution, and acquiring it and
-releasing it after r replays is ``ForceMisspeculate(slot, r)``, whose
-armed instances misspeculate on their first r resolutions and then
-resolve correctly.  A release cascades inward: once a handle's outer
-neighbour has finished for good, the handle itself stops misspeculating,
-ending the attack after a single unsafe epoch.  ``Scenario.switches``
-lists the trace positions at which the context is switched out and back.
+slot, ``Scenario.force``, keyed by the slot's trace position: acquiring a
+handle is ``ForceMisspeculate(None)``, which misspeculates on every
+resolution, and acquiring it and releasing it after r replays is
+``ForceMisspeculate(r)``, whose armed instances misspeculate on their
+first r resolutions and then resolve correctly.  A release cascades
+inward: once a handle's outer neighbour has finished for good, the
+handle itself stops misspeculating, ending the attack after a single
+unsafe epoch.  ``Scenario.switches`` lists the trace positions at which
+the context is switched out and back.
 
 The pipeline counts the transmit instructions' issues per PC; the
-``AttackObserver`` only checks the security bound.
+``AttackObserver`` only checks the security bound, and an ``AttackReport``
+reads the rest from the scenario and the run's metrics.
 """
 
 from __future__ import annotations
@@ -51,11 +53,10 @@ class ScenarioPattern(str, Enum):
 
 @dataclass(frozen=True)
 class ForceMisspeculate:
-    """Slot misspeculates on the first `times` resolutions of each dynamic
+    """A slot misspeculates on the first `times` resolutions of each dynamic
     instance (None = unbounded); `outer_slot` is the enclosing handle for
     nested patterns."""
 
-    slot: int
     times: int | None
     outer_slot: int | None = None
 
@@ -68,7 +69,7 @@ class Scenario:
     name: str
     pattern: ScenarioPattern
     trace: Trace
-    force: dict[int, ForceMisspeculate]
+    force: dict[int, ForceMisspeculate]  # slot (trace position) -> its budget
     transmit_pcs: tuple[int, ...]
     switches: list[int] = field(default_factory=list)
     params: dict = field(default_factory=dict)
@@ -76,22 +77,29 @@ class Scenario:
 
 @dataclass
 class AttackReport:
-    scenario: str
-    pattern: ScenarioPattern
-    policy: str
-    params: dict
-    cycles: int
-    squashes: int
+    """One scenario run; every figure but these four fields is a view over them."""
+
+    scenario: Scenario
     livelock: bool
-    spec_executions_of_s: dict[int, int]
-    total_issues_of_s: dict[int, int]
-    attack_region_executions: int
     hot_spec_issues: int  # speculative S issues while a squash-time handle was still unsafe
     metrics: Metrics
 
+    pattern = property(lambda self: self.scenario.pattern)
+    params = property(lambda self: self.scenario.params)
+    policy = property(lambda self: self.metrics.policy)
+    cycles = property(lambda self: self.metrics.cycles)
+    squashes = property(lambda self: self.metrics.squashes)
+    # issues per transmit PC: the speculative ones, and all of them
+    spec_executions_of_s = property(lambda self: self._of_s(self.metrics.per_pc_spec_issues))
+    total_issues_of_s = property(lambda self: self._of_s(self.metrics.per_pc_issues))
+    attack_region_executions = property(lambda self: sum(self.total_issues_of_s.values()))
+
+    def _of_s(self, per_pc: dict[int, int]) -> dict[int, int]:
+        return {pc: per_pc.get(pc, 0) for pc in self.scenario.transmit_pcs}
+
     def as_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
+            "scenario": self.scenario.name,
             "pattern": str(self.pattern),
             "policy": self.policy,
             **{k: v for k, v in sorted(self.params.items())},
@@ -131,7 +139,7 @@ def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
     transmit_pcs = []
     for i in range(handles):
         slot = len(ins)
-        force[slot] = ForceMisspeculate(slot, replays)
+        force[slot] = ForceMisspeculate(replays)
         ins.append(
             Instruction(_HANDLE_PC_BASE + 0x100 * i, InstructionKind.LOAD,
                         ShadowKind.E, exec_latency=1, resolve_latency=_SINGLE_RESOLVE)
@@ -224,7 +232,7 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
                         ShadowKind.C, exec_latency=1,
                         resolve_latency=resolve_latencies[i])
         )
-        force[slot] = ForceMisspeculate(slot, replays, outer_slot=slot - 1 if i else None)
+        force[slot] = ForceMisspeculate(replays, outer_slot=slot - 1 if i else None)
     _pad(ins, gap)
     s_pc = _TRANSMIT_PC_BASE
     ins.append(Instruction(s_pc, InstructionKind.TRANSMIT))
@@ -244,7 +252,7 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
 def build_unbounded(gap: int = 2, pad: int = 8) -> Scenario:
     """A handle that never resolves correctly: sustained replay (livelock)."""
     return replace(build_single(0, gap=gap, pad=pad), name="unbounded-replay",
-                   force={0: ForceMisspeculate(0, None)},
+                   force={0: ForceMisspeculate(None)},
                    params={"handles": 1, "replays": None, "gap": gap})
 
 
@@ -264,17 +272,21 @@ class ScenarioResolver:
     def __init__(self, force: dict[int, ForceMisspeculate]) -> None:
         self.force = force
         self.finished: set[int] = set()
+        # seq -> resolutions: an instance re-executes under its seq after its
+        # own squash and is re-dispatched under a new one after an older squash
+        self._resolutions: dict[int, int] = {}
         self._inner: dict[int, list[int]] = {}
-        for fm in force.values():
+        for slot, fm in force.items():
             if fm.outer_slot is not None:
-                self._inner.setdefault(fm.outer_slot, []).append(fm.slot)
+                self._inner.setdefault(fm.outer_slot, []).append(slot)
 
     def __call__(self, entry: RobEntry) -> bool:
         pos = entry.pos
         fm = self.force.get(pos)
         if fm is None or pos in self.finished:
             return False  # victims and released slots resolve correctly
-        if fm.times is None or entry.res_count <= fm.times:
+        n = self._resolutions[entry.seq] = self._resolutions.get(entry.seq, 0) + 1
+        if fm.times is None or n <= fm.times:
             return True
         if fm.outer_slot is None:
             self._finish(pos)  # released for good
@@ -323,7 +335,7 @@ class AttackObserver:
 def run_scenario(scenario: Scenario, config: MachineConfig,
                  context_id: int = 0) -> AttackReport:
     """Drive the pipeline under the attacker's control; exact counts,
-    deterministic.  The transmit counts are the pipeline's per-PC ones."""
+    deterministic."""
     observer = AttackObserver(scenario.transmit_pcs)
     livelock = False
     try:
@@ -332,19 +344,4 @@ def run_scenario(scenario: Scenario, config: MachineConfig,
     except LivelockError as err:
         metrics = err.metrics
         livelock = True
-    total = {pc: metrics.per_pc_issues.get(pc, 0) for pc in scenario.transmit_pcs}
-    return AttackReport(
-        scenario=scenario.name,
-        pattern=scenario.pattern,
-        policy=str(config.policy),
-        params=dict(scenario.params),
-        cycles=metrics.cycles,
-        squashes=metrics.squashes,
-        livelock=livelock,
-        spec_executions_of_s={pc: metrics.per_pc_spec_issues.get(pc, 0)
-                              for pc in scenario.transmit_pcs},
-        total_issues_of_s=total,
-        attack_region_executions=sum(total.values()),
-        hot_spec_issues=observer.hot_spec_issues,
-        metrics=metrics,
-    )
+    return AttackReport(scenario, livelock, observer.hot_spec_issues, metrics)

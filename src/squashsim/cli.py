@@ -131,6 +131,9 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.golden:
+        # config_values holds the machine flags once --config is ruled out
+        if args.trace or args.config or args.out or args.format != "table" or config_values(args):
+            raise ConfigError("simulate: --golden takes no trace, config, output or machine flags")
         steps = run_golden()
         for s in steps:
             status = "pass" if s.passed else "FAIL"
@@ -139,8 +142,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"    mismatch: {f}")
         return EXIT_OK if golden_passed(steps) else 1
     if not args.trace:
-        print("simulate: --trace is required (or --golden)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("simulate: --trace is required (or --golden)")
     config = build_config(args)
     trace = load_trace(args.trace)
     metrics = run_workload(trace, config)
@@ -246,6 +248,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"sweep: --jobs must be >= 1, got {args.jobs}")
     config = build_config(args)
     grid = {
         "bits": args.sweep_bits or [config.bits],

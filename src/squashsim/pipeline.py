@@ -131,7 +131,7 @@ class RobEntry:
 
     __slots__ = (
         "seq", "pos", "instr", "done_at", "kind", "resolved", "squashed", "resolve_ready",
-        "res_count", "mask", "fp_counted", "delay_version", "delay_reason",
+        "mask", "fp_counted", "delay_version", "delay_reason",
     )
 
     def __init__(self, seq: int, pos: int, instr: Instruction, mask: int) -> None:
@@ -144,7 +144,6 @@ class RobEntry:
         self.resolved = False
         self.squashed = False
         self.resolve_ready: int | None = None
-        self.res_count = 0
         self.mask = mask
         self.fp_counted = False  # one FP per delay episode in "entry" counting
         self.delay_version = -1  # PolicyState.version at the last decision
@@ -263,7 +262,6 @@ class Pipeline:
     # -- phases ----------------------------------------------------------------
 
     def _resolve(self, e: RobEntry) -> None:
-        e.res_count += 1
         if self.resolver(e):
             self.metrics.squashes += 1
             self.squash_from(e)
@@ -438,7 +436,6 @@ class Pipeline:
         # the misspeculated execution of the cause itself is discarded too
         self.metrics.squashed_executions += len(issued) + 1
         cause.done_at = NEVER
-        cause.resolve_ready = None
         cause.fp_counted = False
         pending.append(cause)  # every entry still pending is older
 

@@ -190,7 +190,7 @@ def test_livelock_after_context_switch_keeps_earlier_segments():
     sc = build_serial(2, 1, window_pad=40)
     second = list(sc.force)[1]
     # release the first handle, switch, then hold the second one forever
-    sc.force = {0: ForceMisspeculate(0, 1), second: ForceMisspeculate(second, None)}
+    sc.force = {0: ForceMisspeculate(1), second: ForceMisspeculate(None)}
     sc.switches = [second]
     for policy in PolicyKind:
         rep = run_scenario(sc, MachineConfig(policy=policy, livelock_budget=200))
@@ -232,13 +232,13 @@ def test_security_bound_independent_of_machine_shape(rob, width):
 
 def test_builders_budget_each_handle_slot():
     single = build_single(3)
-    assert single.force == {0: ForceMisspeculate(0, 3)}
+    assert single.force == {0: ForceMisspeculate(3)}
     assert single.switches == []
     serial = build_serial(2, 1, gap=1, window_pad=4)
-    assert serial.force == {0: ForceMisspeculate(0, 1), 7: ForceMisspeculate(7, 1)}
+    assert serial.force == {0: ForceMisspeculate(1), 7: ForceMisspeculate(1)}
     assert serial.trace.instructions[7].pc == 0x4100
     unbounded = build_unbounded()
-    assert unbounded.force == {0: ForceMisspeculate(0, None)}
+    assert unbounded.force == {0: ForceMisspeculate(None)}
     assert unbounded.trace.instructions == single.trace.instructions
     assert (unbounded.name, unbounded.params["replays"]) == ("unbounded-replay", None)
     nested = build_nested(3, 1)
@@ -326,7 +326,7 @@ def _random_attacks(draw, policy):
             if draw(st.booleans()):
                 times = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
                 outer = draw(st.sampled_from([None, *force]))
-                force[seq] = ForceMisspeculate(seq, times, outer)
+                force[seq] = ForceMisspeculate(times, outer)
         elif row == "transmit":
             ins.append(Instruction(draw(st.sampled_from(_TRANSMIT_PCS)),
                                    InstructionKind.TRANSMIT, exec_latency=draw(st.integers(1, 3))))

@@ -88,6 +88,21 @@ def test_simulate_requires_trace_or_golden(capsys):
     assert main(["simulate"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("extra", [
+    ["--trace", "missing.tr", "--policy", "baseline", "--out", "o.csv"],
+    ["--trace", "missing.tr"], ["--config", "missing.json"], ["--out", "o.csv"],
+    ["--format", "csv"], ["--policy", "baseline"], ["--bits", "64"], ["--oracle"],
+])
+def test_simulate_golden_takes_no_other_input(capsys, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--golden", *extra])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""  # the walkthrough did not run
+    assert "--golden takes no trace, config, output or machine flags" in err
+    assert list(tmp_path.iterdir()) == []  # and wrote no --out file
+
+
 def test_simulate_missing_trace_file(capsys):
     assert main(["simulate", "--trace", "/nonexistent/x.tr"]) == EXIT_CONFIG
 
@@ -331,6 +346,15 @@ def test_sweep_runs_at_most_the_capped_number_of_points(capsys, tiny_trace):
     assert code == EXIT_CONFIG
     assert out == ""  # rejected before any run
     assert "a sweep must have <= 256 points, got 257" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_config_error(capsys, tiny_trace, jobs):
+    code = main(["sweep", "--trace", tiny_trace, "--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert out == ""  # rejected before any run
+    assert f"--jobs must be >= 1, got {jobs}" in err
 
 
 def test_sweep_rejects_empty_range(capsys, loop_trace):
