@@ -82,10 +82,6 @@ def config_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> MachineConfig:
-    return MachineConfig(**config_values(args))
-
-
 # -- report rendering -----------------------------------------------------------
 
 
@@ -143,7 +139,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK if golden_passed(steps) else 1
     if not args.trace:
         raise ConfigError("simulate: --trace is required (or --golden)")
-    config = build_config(args)
+    config = MachineConfig(**config_values(args))
     trace = load_trace(args.trace)
     metrics = run_workload(trace, config)
     row = {
@@ -250,7 +246,7 @@ def _int_list(text: str) -> list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"sweep: --jobs must be >= 1, got {args.jobs}")
-    config = build_config(args)
+    config = MachineConfig(**config_values(args))
     grid = {
         "bits": args.sweep_bits or [config.bits],
         "hashes": args.sweep_hashes or [config.hashes],

@@ -34,49 +34,43 @@ def _segments(trace: Trace, boundaries: list[int]) -> list[Trace]:
 
 def run_segmented(trace: Trace, config: MachineConfig, boundaries: list[int],
                   context_id: int = 0, resolver=None, observer=None) -> Metrics:
-    """Run a trace in segments, draining and save/restoring the policy state
-    at every boundary, and merge the per-segment metrics.
+    """Run one context's trace in segments: ``run_interleaved`` with that
+    context alone, so the same livelock rule holds."""
+    return run_interleaved({context_id: (trace, boundaries)}, config,
+                           resolver=resolver, observer=observer)[context_id]
+
+
+def run_interleaved(workloads: dict[int, tuple[Trace, list[int]]], config: MachineConfig,
+                    resolver=None, observer=None) -> dict[int, Metrics]:
+    """Round-robin contexts at their segment boundaries, in context-id order,
+    and merge each context's per-segment metrics under its whole trace's id.
 
     A segment is a slice of the trace whose ``start`` is the cut point, so
     every instruction keeps its whole-trace position: a resolver keyed by
     trace position sees the same positions as in an unsegmented run, and
-    the pipeline restarts a squash relative to the segment's ``start``.  A
-    livelock in any segment re-raises with the merged metrics of every
-    segment run so far, under the whole trace's id.
-    """
-    total = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
-    state = PolicyState(config, context_id=context_id)
-    for i, seg in enumerate(_segments(trace, boundaries)):
-        if i:
-            state = restore_context(save_context(state), config, context_id)
-        pipe = Pipeline(seg, config, policy=state, resolver=resolver, observer=observer)
-        try:
-            total.merge(pipe.run())
-        except LivelockError as err:
-            err.metrics = total.merge(err.metrics)
-            raise
-    return total
-
-
-def run_interleaved(workloads: dict[int, tuple[Trace, list[int]]],
-                    config: MachineConfig) -> dict[int, Metrics]:
-    """Round-robin contexts at their segment boundaries.
-
-    Each context's defense state is saved to its blob when it yields and
-    restored when it is scheduled again; per-context metrics accumulate
-    across its own segments only.
+    the pipeline restarts a squash relative to the segment's ``start``.
+    A context's first segment starts from a fresh ``PolicyState``; each
+    later one from its drained state saved to a blob and restored, as a
+    context switch does.  The resolver and the observer see every context.
+    A livelock in any segment re-raises with the merged metrics of that
+    context's segments run so far.
     """
     segments = {cid: _segments(*workloads[cid]) for cid in sorted(workloads)}
-    blobs = {cid: save_context(PolicyState(config, context_id=cid)) for cid in segments}
+    states = {cid: PolicyState(config, context_id=cid) for cid in segments}
     totals = {cid: Metrics(trace_id=workloads[cid][0].trace_id, policy=str(config.policy))
               for cid in segments}
-    for round_ in zip_longest(*segments.values()):
+    for round_no, round_ in enumerate(zip_longest(*segments.values())):
         for cid, seg in zip(segments, round_):
             if seg is None:
                 continue  # this context has run all its segments
-            state = restore_context(blobs[cid], config, cid)
-            totals[cid].merge(Pipeline(seg, config, policy=state).run())
-            blobs[cid] = save_context(state)
+            if round_no:  # scheduled again after yielding at a boundary
+                states[cid] = restore_context(save_context(states[cid]), config, cid)
+            pipe = Pipeline(seg, config, policy=states[cid], resolver=resolver, observer=observer)
+            try:
+                totals[cid].merge(pipe.run())
+            except LivelockError as err:
+                err.metrics = totals[cid].merge(err.metrics)
+                raise
     return totals
 
 

@@ -54,19 +54,20 @@ so a deferred clear lands in the same cycle either way.
 
 The issue phase asks the policy only what its rule can answer.  Under
 baseline (``PolicyState.never_delays``) the window issues without a
-decision.  Under delay-all (``PolicyState.delay_covers_younger``) the
-first delayed non-head entry of the window, fresh or cached, ends the
-walk and adds one ``delayed_issues`` for itself and one for each younger
-window entry:
+decision.  Every other policy walks the window once, in seq order,
+deciding each non-head entry, fresh or cached, and adding one
+``delayed_issues`` per entry it holds; the policies differ only at a
+delay.  Under the two filter policies the delayed entry is held and the
+walk goes on.  Under delay-all (``PolicyState.delay_covers_younger``)
+the first delay ends the walk and holds every younger window entry too:
 ``pending`` is in seq order and the ROB head, when pending, is
 ``pending[0]``, so every entry after it is a non-head entry that the seq
-bound delays too.  Under the two filter policies every non-head window
-entry is decided, each delay adding one.  The entries the walk lets
-through then issue in seq order.  An issue is speculative when a live
-handle older than it is queued (``HandleQueue.shadows``).  ``pop_safe``
-has just left a live head or an empty queue, and nothing changes the queue
-before the issues, so the issue phase reads ``oldest_seq()`` once and
-compares each seq with it.
+bound delays too.  The entries the walk lets through then issue in seq
+order.  An issue is speculative when a live handle older than it is
+queued (``HandleQueue.shadows``).  ``pop_safe`` has just left a live head
+or an empty queue, and nothing changes the queue before the issues, so
+the issue phase reads ``oldest_seq()`` once and compares each seq with
+it.
 
 A delayed entry is asked about again every cycle, but the answer can only
 change when the policy state it reads does.  ``PolicyState.version`` goes
@@ -311,34 +312,26 @@ class Pipeline:
         else:
             decide = policy.issue_decision
             version = policy.version
+            covers_younger = policy.delay_covers_younger
             head = self.rob[0]
             ready = []
-            if policy.delay_covers_younger:
-                # the first delay holds every younger window entry too
-                for e in window:
-                    if e is not head:  # the ROB head is never delayed
-                        if e.delay_version != version:  # else nothing it read has changed
-                            e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
-                            e.delay_version = version
-                        if e.delay_reason is not None:
+            held = []
+            for e in window:
+                if e is not head:  # the ROB head is never delayed
+                    if e.delay_version != version:  # else nothing it read has changed
+                        e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
+                        e.delay_version = version
+                    reason = e.delay_reason
+                    if reason is not None:
+                        if covers_younger:  # every younger window entry is held too
+                            held = window[len(ready):]
                             break
-                    ready.append(e)
-                held = window[len(ready):]
-            else:
-                held = []
-                for e in window:
-                    if e is not head:
-                        if e.delay_version != version:
-                            e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
-                            e.delay_version = version
-                        reason = e.delay_reason
-                        if reason is not None:
-                            if reason == DELAY_BLOOM_FP and not e.fp_counted:
-                                m.fp_count += 1
-                                e.fp_counted = self._fp_entry_mode
-                            held.append(e)
-                            continue
-                    ready.append(e)
+                        if reason == DELAY_BLOOM_FP and not e.fp_counted:
+                            m.fp_count += 1
+                            e.fp_counted = self._fp_entry_mode
+                        held.append(e)
+                        continue
+                ready.append(e)
             m.delayed_issues += len(held)
             if not ready:
                 return

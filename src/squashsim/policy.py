@@ -81,6 +81,9 @@ class PolicyState:
     """Per-context defense state: handle queue plus policy-specific filters."""
 
     def __init__(self, config: MachineConfig, context_id: int = 0) -> None:
+        if not 0 <= context_id < 1 << 64:
+            raise ValueError(f"context id must fit the context blob's u64 ctx field, "
+                             f"got {context_id}")
         kind = config.policy
         self.config = config
         self.context_id = context_id

@@ -15,7 +15,7 @@ from squashsim.cli import (
     EXIT_OK,
     SCENARIO_CAPS,
     SWEEP_POINTS_CAP,
-    build_config,
+    config_values,
     main,
     make_parser,
     scenario_from_params,
@@ -420,7 +420,7 @@ def test_main_does_not_read_a_program_bug_as_bad_input(monkeypatch, loop_trace):
 def test_machine_flags_store_under_config_field_names():
     args = make_parser().parse_args(["simulate", "--rob", "16", "--budget", "99",
                                      "--recovery", "2", "--window-len", "5"])
-    config = build_config(args)
+    config = MachineConfig(**config_values(args))
     assert (config.rob_size, config.livelock_budget, config.squash_recovery,
             config.window_len) == (16, 99, 2, 5)
 

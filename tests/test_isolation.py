@@ -2,7 +2,8 @@ import pytest
 
 from squashsim.config import MachineConfig, PolicyKind
 from squashsim.experiment import run_interleaved, run_segmented, run_workload
-from squashsim.trace import gen_loop_trace
+from squashsim.pipeline import LivelockError
+from squashsim.trace import Instruction, InstructionKind, Trace, gen_loop_trace
 
 
 def _boundaries(trace, parts):
@@ -43,3 +44,27 @@ def test_segment_boundaries_change_timing_not_safety():
     assert a == b
     whole = run_workload(trace, cfg)
     assert whole.committed == a.committed
+
+
+def test_livelock_keeps_the_earlier_segments_metrics():
+    # segment [0:2] commits both rows; segment [2:5] commits two, then stalls
+    rows = [Instruction(pc=0x100 + 4 * i, kind=InstructionKind.PLAIN) for i in range(4)]
+    rows.append(Instruction(pc=0x200, kind=InstructionKind.PLAIN, exec_latency=50))
+    trace = Trace(name="stall", seed=0, instructions=rows)
+    cfg = MachineConfig(livelock_budget=10)
+    with pytest.raises(LivelockError) as solo:
+        run_segmented(trace, cfg, [2])
+    with pytest.raises(LivelockError) as mixed:
+        run_interleaved({0: (trace, [2])}, cfg)
+    assert solo.value.metrics.committed == 4
+    assert mixed.value.metrics == solo.value.metrics
+    assert mixed.value.metrics.trace_id == trace.trace_id
+
+
+@pytest.mark.parametrize("ctx", [-1, 2**64])
+def test_segment_loop_rejects_a_context_id_the_blob_cannot_hold(ctx):
+    trace = gen_loop_trace(8, 10, 0.1, 1)
+    with pytest.raises(ValueError, match="u64 ctx field"):
+        run_segmented(trace, MachineConfig(), [20], context_id=ctx)
+    with pytest.raises(ValueError, match="u64 ctx field"):
+        run_interleaved({ctx: (trace, [])}, MachineConfig())

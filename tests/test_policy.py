@@ -316,6 +316,21 @@ def test_save_restore_save_is_byte_identical(policy, cut):
     assert save_context(restore_context(data, config, 0)) == data
 
 
+@pytest.mark.parametrize("ctx", [0, 2**64 - 1])
+def test_context_ids_at_the_ends_of_the_u64_round_trip(ctx):
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM)
+    data = save_context(PolicyState(config, context_id=ctx))
+    restored = restore_context(data, config, ctx)
+    assert restored.context_id == ctx
+    assert save_context(restored) == data
+
+
+@pytest.mark.parametrize("ctx", [-1, 2**64])
+def test_context_id_the_blob_cannot_hold_is_rejected_at_construction(ctx):
+    with pytest.raises(ValueError, match="u64 ctx field"):
+        PolicyState(MachineConfig(), context_id=ctx)
+
+
 @settings(max_examples=150, deadline=None)
 @given(hs.integers(0, 96), hs.data())
 def test_mutated_blob_restores_or_raises_blob_error(cut, draw):
