@@ -296,8 +296,6 @@ class ScenarioResolver:
         stack = [pos]
         while stack:
             p = stack.pop()
-            if p in self.finished:
-                continue
             self.finished.add(p)
             stack.extend(self._inner.get(p, ()))
 

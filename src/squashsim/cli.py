@@ -47,8 +47,6 @@ def _add_machine_flags(p: argparse.ArgumentParser) -> None:
                    help="deferred-clear window in dynamic instructions")
     p.add_argument("--budget", type=int, dest="livelock_budget",
                    help="livelock cycle budget (at most 1048576)")
-    p.add_argument("--recovery", type=int, dest="squash_recovery",
-                   help="front-end stall cycles after a squash")
     p.add_argument("--fp-counting", choices=["evaluation", "entry"], dest="fp_counting",
                    help="count a false positive per delayed check or per delay episode")
 

@@ -52,7 +52,6 @@ class MachineConfig:
     oracle: bool = False         # run the exact-set oracle in lockstep (false-positive accounting)
     livelock_budget: int | None = None  # cycles without a commit before aborting (at most
                                         # 2**20); default 100 * rob_size
-    squash_recovery: int = 0     # extra front-end stall cycles after a squash
     fp_counting: str = "evaluation"  # "evaluation": one FP per delayed issue check per cycle;
                                      # "entry": at most one per entry per delay episode
 
@@ -92,8 +91,6 @@ class MachineConfig:
             raise ConfigError(f"window_len must be >= 0, got {self.window_len}")
         if self.livelock_budget is not None and not 1 <= self.livelock_budget <= MAX_BUDGET:
             raise ConfigError(f"livelock_budget must be in [1, 2**20], got {self.livelock_budget}")
-        if self.squash_recovery < 0:
-            raise ConfigError(f"squash_recovery must be >= 0, got {self.squash_recovery}")
         if self.fp_counting not in ("evaluation", "entry"):
             raise ConfigError(f"fp_counting must be 'evaluation' or 'entry', got {self.fp_counting}")
         for name in ("hashes", "effective_window"):  # bits, threshold <= 2**16; filters <= 64

@@ -207,7 +207,6 @@ class Pipeline:
         self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
         self._last_commit_cycle = 0
-        self._dispatch_resume = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -367,8 +366,6 @@ class Pipeline:
     def dispatch(self) -> int:
         """Bring in up to `width` instructions; stalls when the ROB or the
         handle queue is full.  Returns the count dispatched."""
-        if self.cycle < self._dispatch_resume:
-            return 0
         rob = self.rob
         rob_size = self.config.rob_size
         cursor = self.cursor
@@ -434,7 +431,6 @@ class Pipeline:
 
         # records may be a slice of a longer trace, starting at self.start
         self.cursor = cause.pos - self.start + 1
-        self._dispatch_resume = self.cycle + self.config.squash_recovery
         if self.observer is not None:
             self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest))
 

@@ -111,6 +111,18 @@ def test_nested_dos_policies_block_replay():
         assert rep.hot_spec_issues == 0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_single(-1), "replays must be >= 0, got -1"),
+    (lambda: build_single(1, gap=-1), "gap must be >= 0, got -1"),
+    (lambda: build_serial(0, 1), "handles must be >= 1, got 0"),
+    (lambda: build_serial(1, 0), "replays must be >= 1, got 0"),
+    (lambda: build_nested(2, 1, gap=-1), "gap must be >= 0, got -1"),
+], ids=["single-replays", "single-gap", "serial-handles", "serial-replays", "nested-gap"])
+def test_builders_reject_negative_or_empty_counts(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
 def test_nested_rejects_bad_latency_order():
     with pytest.raises(ConfigError):
         build_nested(3, 1, resolve_latencies=[3, 14, 36])  # inner slower than outer

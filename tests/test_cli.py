@@ -2,8 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 from dataclasses import fields as dataclass_fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +86,16 @@ def test_simulate_golden(capsys):
     lines = [l for l in out.splitlines() if l.startswith("step")]
     assert len(lines) == 6
     assert all("pass" in l for l in lines)
+
+
+def test_module_entry_point_runs_the_golden_walkthrough():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "squashsim", "simulate", "--golden"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK
+    steps = [l for l in done.stdout.splitlines() if l.startswith("step")]
+    assert [l.split()[:3] for l in steps] == [["step", f"{n}:", "pass"] for n in range(1, 7)]
 
 
 def test_simulate_requires_trace_or_golden(capsys):
@@ -257,6 +271,7 @@ def test_scenario_caps_admit_the_largest_scenario():
     ("pattern serial\nhandles 2\nHandles 3\n", "line 3: repeated key 'handles'"),
     ("pattern single\nlatencies 9,3\n", "latencies apply to the nested pattern only"),
     ("pattern single\nhandles 5\n", "the single pattern has one handle, got handles 5"),
+    ("pattern ring\n", "unknown pattern 'ring'"),
 ])
 def test_attack_scenario_file_rejects_what_it_would_ignore(capsys, tmp_path, text, fragment):
     path = tmp_path / "attack.sc"
@@ -295,6 +310,7 @@ def test_attack_bad_latencies(capsys):
     (["--handles", "9", "--replays", "9"], "resolve_latency must be in [1, 2**20]"),
     (["--handles", "0"], "handles must be >= 1, got 0"),
     (["--replays", "0"], "replays must be >= 1, got 0"),
+    (["--gap", "-1"], "gap must be >= 0, got -1"),
 ])
 def test_attack_builder_errors_are_config_errors(capsys, argv, fragment):
     assert main(["attack", "--pattern", "nested", "--policy", "baseline"] + argv) == EXIT_CONFIG
@@ -362,6 +378,13 @@ def test_sweep_rejects_empty_range(capsys, loop_trace):
         main(["sweep", "--trace", loop_trace, "--sweep-bits", ""])
 
 
+def test_sweep_rejects_a_range_that_is_not_integers(capsys, loop_trace):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--trace", loop_trace, "--sweep-bits", "3,x"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers, got '3,x'" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path, loop_trace):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"policy": "dos-bloom", "bits": 32, "seed": 9}))
@@ -419,10 +442,9 @@ def test_main_does_not_read_a_program_bug_as_bad_input(monkeypatch, loop_trace):
 
 def test_machine_flags_store_under_config_field_names():
     args = make_parser().parse_args(["simulate", "--rob", "16", "--budget", "99",
-                                     "--recovery", "2", "--window-len", "5"])
+                                     "--window-len", "5"])
     config = MachineConfig(**config_values(args))
-    assert (config.rob_size, config.livelock_budget, config.squash_recovery,
-            config.window_len) == (16, 99, 2, 5)
+    assert (config.rob_size, config.livelock_budget, config.window_len) == (16, 99, 5)
 
 
 def test_negative_pc_trace_rejected_with_line_number(capsys, tmp_path):
@@ -515,7 +537,7 @@ _MACHINE_FLAGS = {
     "--policy": _POLICIES | _JUNK,
     "--bits": st.sampled_from(["2", "3", "32", "64", "65536", "131072"]) | _WORDS,
     **{flag: _WORDS for flag in ("--hashes", "--filters", "--threshold", "--rob", "--width",
-                                 "--seed", "--window-len", "--recovery")},
+                                 "--seed", "--window-len")},
     "--fp-counting": st.sampled_from(["entry", "evaluation"]) | _JUNK,
     "--format": st.sampled_from(["table", "csv", "json-lines"]) | _JUNK,
 }

@@ -24,6 +24,11 @@ def test_perf_proxy_identity_and_mismatch():
         perf_proxy(a, c)
 
 
+def test_perf_proxy_rejects_a_zero_cycle_reference():
+    with pytest.raises(ValueError, match="reference run has zero cycles"):
+        perf_proxy(Metrics(trace_id="t:1:10"), Metrics(trace_id="t:1:10", cycles=100))
+
+
 def test_delay_all_slower_than_baseline():
     t = gen_loop_trace(16, 80, 0.1, seed=21)
     res = run_policies(t, MachineConfig(seed=21),

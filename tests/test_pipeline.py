@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 import textwrap
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -270,6 +271,17 @@ def test_config_validation():
     assert config == MachineConfig()
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(width=0), "width must be >= 1, got 0"),
+    (dict(threshold=0), "threshold must be in [1, bits], got 0"),
+    (dict(bits=64, threshold=65), "threshold must be in [1, bits], got 65"),
+    (dict(window_len=-1), "window_len must be >= 0, got -1"),
+])
+def test_config_rejects_out_of_range_values(kw, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        MachineConfig(**kw)
+
+
 @pytest.mark.parametrize("name, largest, too_big", [
     ("bits", 2**16, 2**17), ("hashes", 2**32 - 1, 2**32), ("filters", 64, 65),
     ("window_len", 2**32 - 1, 2**33),
@@ -489,17 +501,6 @@ def test_full_handle_queue_stalls_dispatch_without_deadlock():
     assert m.committed == 4
 
 
-def test_squash_recovery_stalls_redispatch():
-    t = _trace(
-        (InstructionKind.BRANCH, ShadowKind.C, 0x100, 1, 3, True),
-        *_plains(6),
-    )
-    fast = run(t, MachineConfig(squash_recovery=0))
-    slow = run(t, MachineConfig(squash_recovery=5))
-    assert fast.committed == slow.committed == 7
-    assert slow.cycles > fast.cycles
-
-
 def test_baseline_issues_without_asking_the_policy(monkeypatch):
     def never(*args):
         raise AssertionError("issue_decision called under baseline")
@@ -601,7 +602,6 @@ def _random_machines(draw, policy):
     config = MachineConfig(
         policy=policy, rob_size=draw(st.integers(2, 64)), width=draw(st.integers(1, 8)),
         window_len=draw(st.sampled_from([0, 4, None])),
-        squash_recovery=draw(st.integers(0, 2)),
         fp_counting=draw(st.sampled_from(["evaluation", "entry"])),
         bits=draw(st.sampled_from([8, 64])), hashes=draw(st.integers(1, 2)),
         oracle=policy is PolicyKind.DOS_BLOOM and draw(st.booleans()),

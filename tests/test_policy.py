@@ -22,7 +22,7 @@ from squashsim.trace import gen_loop_trace
 
 
 def _state(policy, **kw):
-    return PolicyState(MachineConfig(policy=policy, **kw), context_id=kw.pop("ctx", 0))
+    return PolicyState(MachineConfig(policy=policy, **kw))
 
 
 def _mask(state, pc):
@@ -434,6 +434,18 @@ def test_restore_rejects_corrupt_blob():
     blob = b"XXXX" + blob[4:]
     with pytest.raises(ContextBlobError):
         restore_context(blob, MachineConfig(policy=PolicyKind.DOS_BLOOM), 0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob[:-8], "truncated blob: byte section"),
+    (lambda blob: blob + b"\0", "1 trailing bytes in blob"),
+], ids=["cut-by-8", "one-extra-byte"])
+def test_restore_rejects_a_cut_or_padded_blob(edit, message):
+    config = MachineConfig(policy=PolicyKind.DOS_BLOOM)
+    blob = save_context(PolicyState(config))
+    assert len(blob) == 88
+    with pytest.raises(ContextBlobError, match=f"^{message}$"):
+        restore_context(edit(blob), config, 0)
 
 
 def test_restore_rejects_active_filter_out_of_range():

@@ -182,6 +182,11 @@ def test_parse_errors_name_line_and_field(line, fragment):
     assert fragment.split()[0] in str(err.value) or fragment == "line 1"
 
 
+def test_parse_error_names_a_bad_seq():
+    with pytest.raises(TraceFormatError, match="^line 1: bad seq 'x'$"):
+        parse_trace("x 0x10 PLAIN - 1 1\n")
+
+
 def test_instruction_invariants():
     with pytest.raises(ValueError):
         Instruction(-4, InstructionKind.PLAIN)
