@@ -82,6 +82,26 @@ mode counts one per delay episode and ``"evaluation"`` one per cycle.  A
 delay never adds to ``perfect_only_count``, so there is nothing to repeat
 there.
 
+A run's host time follows events, not cycles.  A tick is idle when it
+fired no resolution, retired, popped and dispatched nothing, and neither
+issued nor squashed (commit may squash without retiring): only the delay
+counters moved.  The next tick then reads the same state: the same head,
+window and handle queue, the same ``PolicyState.version`` (so every
+decision is cached), and a dispatch clock that stands still, so no
+deferred Bloom clear falls due.  It repeats the idle tick until the first
+timed event, which is the earliest of: the head's ``done_at`` while it is
+ahead, else an E head's ``resolve_ready`` (commit reads no entry behind a
+waiting head, and any other executed head waits for its resolution); the
+earliest resolution bucket; and ``_last_commit_cycle + budget + 1``, where
+the livelock check fires, so that a livelock raises at the same cycle
+with the same text.  ``run`` moves the clock to the cycle before that
+event, and adds the idle tick's ``delayed_issues`` delta once per skipped
+cycle, and its ``fp_count`` delta too under ``fp_counting="evaluation"``;
+under ``"entry"`` the idle tick has already counted each episode, and
+``perfect_only_count`` moves only on a fresh decision.  ``tick`` leaves
+its mark in ``_idle``, not in a return value, which a wrapper of ``tick``
+may drop.
+
 Each phase is one method with its hot attributes bound to locals once per
 call: ``tick`` fires the due resolutions and pops the safe handles
 itself, and calls ``commit``, ``try_issue`` (which also issues) and
@@ -207,25 +227,49 @@ class Pipeline:
         self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
         self._fp_entry_mode = config.fp_counting == "entry"
         self._last_commit_cycle = 0
+        self._idle = False  # the last tick changed nothing but the delay counters
 
     # -- lifecycle ------------------------------------------------------------
 
     def run(self) -> Metrics:
         budget = self.config.effective_budget
         n_records = len(self.records)
+        rob = self.rob
+        resolutions = self._resolutions
+        m = self.metrics
+        count_fp_per_cycle = not self._fp_entry_mode
         tick = self.tick
-        while self.cursor < n_records or self.rob:
+        while self.cursor < n_records or rob:
             self.cycle += 1
+            delayed, fps = m.delayed_issues, m.fp_count
             tick()
-            if self.cycle - self._last_commit_cycle > budget:
+            cycle = self.cycle
+            if cycle - self._last_commit_cycle > budget:
                 self._finalize()
-                head = f" (head={self.rob[0].describe(self.cycle)})" if self.rob else ""
+                head = f" (head={rob[0].describe(cycle)})" if rob else ""
                 raise LivelockError(
-                    f"no commit for {budget} cycles at cycle {self.cycle}{head}",
-                    self.metrics,
+                    f"no commit for {budget} cycles at cycle {cycle}{head}",
+                    m,
                 )
+            if self._idle:
+                # every tick before the next timed event would repeat this
+                # one (module docstring): count them, and tick that event's cycle
+                event = self._last_commit_cycle + budget + 1  # where the livelock check fires
+                head = rob[0]
+                if head.done_at > cycle:
+                    event = min(event, head.done_at)
+                elif head.kind is _E:
+                    event = min(event, head.resolve_ready)
+                if resolutions:
+                    event = min(event, min(resolutions))
+                skipped = event - 1 - cycle
+                if skipped > 0:
+                    m.delayed_issues += skipped * (m.delayed_issues - delayed)
+                    if count_fp_per_cycle:
+                        m.fp_count += skipped * (m.fp_count - fps)
+                    self.cycle = event - 1
         self._finalize()
-        return self.metrics
+        return m
 
     next_seq = property(lambda self: self.policy.next_seq)  # the tracer's read of the clock
 
@@ -238,7 +282,10 @@ class Pipeline:
 
     def tick(self) -> None:
         """One cycle: fire the resolutions due now; commit; pop the safe
-        handles; issue; dispatch."""
+        handles; issue; dispatch.  Marks the tick idle when none of them
+        changed anything but the delay counters."""
+        m = self.metrics
+        work = m.dynamic_executed + m.squashes  # issues and squashes (commit may squash)
         due = self._resolutions.pop(self.cycle, None)
         if due is not None:
             if len(due) > 1:
@@ -246,7 +293,7 @@ class Pipeline:
             for _, e in due:
                 if not e.squashed:  # else squashed since the event was scheduled
                     self._resolve(e)
-        self.commit()
+        retired = self.commit()
         popped = self.hq.pop_safe()
         if popped:
             # both filters expire everything up to the given seq, and the clock
@@ -257,7 +304,10 @@ class Pipeline:
                 for seq in popped:
                     observer.on_handle_safe(seq)
         self.try_issue()
-        self.dispatch()
+        dispatched = self.dispatch()
+        # a mark, not a return value, so that it survives a wrapper of tick
+        self._idle = (due is None and not (retired or popped or dispatched)
+                      and work == m.dynamic_executed + m.squashes)
 
     # -- phases ----------------------------------------------------------------
 

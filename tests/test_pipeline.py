@@ -562,6 +562,10 @@ class _AskEveryCycle(Pipeline):
                 m.per_pc_spec_issues[instr.pc] = m.per_pc_spec_issues.get(instr.pc, 0) + 1
             self.observer.on_issue(e, speculative, cycle)
 
+    def tick(self):
+        super().tick()
+        self._idle = False  # no idle-cycle skip: a reference ticks every cycle
+
 
 class _IssueStream:
     def __init__(self):
@@ -620,12 +624,100 @@ def test_issue_phase_matches_asking_every_cycle(policy, data):
     assert _outcome(Pipeline, trace, config) == _outcome(_AskEveryCycle, trace, config)
 
 
+class _TickEveryCycle(Pipeline):
+    """Reference clock: ticks every simulated cycle, with no idle-cycle skip."""
+
+    def tick(self):
+        super().tick()
+        self._idle = False
+
+
+class _CountTicks(Pipeline):
+    """Counts the calls of ``tick``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ticks = 0
+
+    def tick(self):
+        super().tick()
+        self.ticks += 1
+
+
+def _run_outcome(cls, trace, config):
+    """Metrics, or a livelock's text and metrics, and the issue stream."""
+    observer = _IssueStream()
+    try:
+        result = cls(trace, config, observer=observer).run()
+    except LivelockError as exc:
+        result = (str(exc), exc.metrics)
+    return result, observer.issues
+
+
+_SHADOW_ROWS = [row for row in _ROWS if row[1] is not None]
+
+
+@st.composite
+def _long_latency_machines(draw, policy, oracle):
+    rows = draw(st.lists(st.tuples(st.sampled_from(_SHADOW_ROWS), st.integers(0, 7),
+                                   st.integers(1, 64), st.integers(1, 64), st.integers(0, 3)),
+                         min_size=4, max_size=32))
+    ins = [Instruction(0x400 + 4 * pc, kind, shadow, ex, res, misspeculate=miss == 0)
+           for (kind, shadow), pc, ex, res, miss in rows]
+    config = MachineConfig(
+        policy=policy, rob_size=draw(st.integers(2, 32)), width=draw(st.integers(1, 4)),
+        livelock_budget=draw(st.integers(16, 400)),
+        fp_counting=draw(st.sampled_from(["evaluation", "entry"])),
+        bits=draw(st.sampled_from([8, 64])), oracle=oracle)
+    return Trace(name="prop", seed=0, instructions=ins), config
+
+
+@pytest.mark.parametrize("policy, oracle", [
+    *((kind, False) for kind in PolicyKind), (PolicyKind.DOS_BLOOM, True)],
+    ids=[*map(str, PolicyKind), "dos-bloom-oracle"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_idle_skip_matches_ticking_every_cycle(policy, oracle, data):
+    # latencies up to 64 against budgets from 16 make every jump target the
+    # nearest one in some stretch: a head's completion, an E head's fault, a
+    # resolution bucket and the livelock check; the oracle case is the one
+    # that counts false positives, once per cycle or once per episode
+    trace, config = data.draw(_long_latency_machines(policy, oracle))
+    assert _run_outcome(Pipeline, trace, config) == _run_outcome(_TickEveryCycle, trace, config)
+
+
+_LONG_LOAD = _trace(
+    (InstructionKind.LOAD, ShadowKind.E, 0x400, 900_000, 1),
+    (InstructionKind.BRANCH, ShadowKind.C, 0x404, 1, 500_000, True),
+    (InstructionKind.TRANSMIT, None, 0x408),
+    (InstructionKind.PLAIN, None, 0x40C),
+)
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_long_latencies_cost_ticks_per_event_not_per_cycle(policy):
+    config = MachineConfig(policy=policy, livelock_budget=1 << 20)
+    counted = _CountTicks(_LONG_LOAD, config)
+    m = counted.run()
+    assert m.committed == 4 and m.cycles > 900_000
+    assert counted.ticks < 100
+    assert m == _TickEveryCycle(_LONG_LOAD, config).run()
+    config = replace(config, livelock_budget=1000)
+    with pytest.raises(LivelockError) as skipped:
+        Pipeline(_LONG_LOAD, config).run()
+    with pytest.raises(LivelockError) as ticked:
+        _TickEveryCycle(_LONG_LOAD, config).run()
+    assert str(skipped.value) == str(ticked.value)
+    assert "at cycle 1001 " in str(skipped.value)
+    assert skipped.value.metrics == ticked.value.metrics
+
+
 # Before Python 3.12, reading an enum member through its class (``ShadowKind.E``)
 # takes the enum type's slow attribute path, several times the cost of a module
 # global, so the per-cycle methods compare with module aliases and policy facts.
 _HOT_METHODS = [
     *(getattr(Pipeline, name)
-      for name in ("tick", "commit", "try_issue", "dispatch", "squash_from", "_resolve")),
+      for name in ("run", "tick", "commit", "try_issue", "dispatch", "squash_from", "_resolve")),
     *(getattr(PolicyState, name)
       for name in ("issue_decision", "on_squash", "on_handle_safe", "on_dispatch")),
 ]
