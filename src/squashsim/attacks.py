@@ -120,6 +120,9 @@ _TRANSMIT_PC_BASE = 0x5000
 _PAD_PC_BASE = 0x70000
 
 _SINGLE_RESOLVE = 6
+_NESTED_INNERMOST = 3  # the innermost nested handle's resolve latency
+_NESTED_SLACK = 8  # cycles an outer latency adds over its inner subtree's replays
+_NESTED_PAD = 4  # plain instructions after the nested transmit instruction
 
 
 def _pad(instructions: list[Instruction], n: int) -> None:
@@ -181,7 +184,7 @@ def build_serial(handles: int, replays: int, gap: int = 2, window_pad: int = 64)
                      handles, replays, gap, window_pad)
 
 
-def nested_latencies(handles: int, replays: int, innermost: int = 3, slack: int = 8) -> list[int]:
+def nested_latencies(handles: int, replays: int) -> list[int]:
     """Resolve latencies (outermost first) wide enough for the full replay
     tree: each handle's next resolution lands after the complete inner
     subtree, so attack totals multiply exactly.
@@ -191,13 +194,13 @@ def nested_latencies(handles: int, replays: int, innermost: int = 3, slack: int 
     all handles plus the transmit instruction).  On narrower machines the
     outer handles interrupt the inner sessions early and the attacker
     simply achieves fewer replays."""
-    lats = [innermost]
+    lats = [_NESTED_INNERMOST]
     for _ in range(handles - 1):
-        lats.append((replays + 1) * lats[-1] + slack)
+        lats.append((replays + 1) * lats[-1] + _NESTED_SLACK)
     return list(reversed(lats))
 
 
-def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
+def build_nested(handles: int, replays: int, gap: int = 2,
                  resolve_latencies: list[int] | None = None) -> Scenario:
     """h nested control-flow handles; outer handles resolve slower than
     inner ones so each outer squash re-arms the whole inner subtree."""
@@ -236,7 +239,7 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
     _pad(ins, gap)
     s_pc = _TRANSMIT_PC_BASE
     ins.append(Instruction(s_pc, InstructionKind.TRANSMIT))
-    _pad(ins, pad)
+    _pad(ins, _NESTED_PAD)
     trace = Trace(name=f"nested-h{handles}-r{replays}", seed=0, instructions=ins)
     return Scenario(
         name=trace.name,
@@ -249,11 +252,11 @@ def build_nested(handles: int, replays: int, gap: int = 2, pad: int = 4,
     )
 
 
-def build_unbounded(gap: int = 2, pad: int = 8) -> Scenario:
+def build_unbounded() -> Scenario:
     """A handle that never resolves correctly: sustained replay (livelock)."""
-    return replace(build_single(0, gap=gap, pad=pad), name="unbounded-replay",
-                   force={0: ForceMisspeculate(None)},
-                   params={"handles": 1, "replays": None, "gap": gap})
+    single = build_single(0)
+    return replace(single, name="unbounded-replay", force={0: ForceMisspeculate(None)},
+                   params={**single.params, "replays": None})
 
 
 # -- attacker-driven resolution --------------------------------------------------
@@ -330,14 +333,13 @@ class AttackObserver:
         self._last_safe = seq
 
 
-def run_scenario(scenario: Scenario, config: MachineConfig,
-                 context_id: int = 0) -> AttackReport:
-    """Drive the pipeline under the attacker's control; exact counts,
-    deterministic."""
+def run_scenario(scenario: Scenario, config: MachineConfig) -> AttackReport:
+    """Drive the pipeline under the attacker's control, as context 0; exact
+    counts, deterministic."""
     observer = AttackObserver(scenario.transmit_pcs)
     livelock = False
     try:
-        metrics = run_segmented(scenario.trace, config, scenario.switches, context_id,
+        metrics = run_segmented(scenario.trace, config, scenario.switches,
                                 resolver=ScenarioResolver(scenario.force), observer=observer)
     except LivelockError as err:
         metrics = err.metrics

@@ -242,8 +242,6 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"sweep: --jobs must be >= 1, got {args.jobs}")
     config = MachineConfig(**config_values(args))
     grid = {
         "bits": args.sweep_bits or [config.bits],
@@ -256,7 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"a sweep must have <= {SWEEP_POINTS_CAP} points, got {n_points}")
     trace = load_trace(args.trace)
     points = sweep_points(config, **grid)
-    rows = run_sweep(trace, points, jobs=args.jobs)
+    rows = run_sweep(trace, points)
     _emit(rows, args)
     return EXIT_OK
 
@@ -294,7 +292,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--sweep-hashes", type=_int_list, metavar="K[,K...]")
     p_swp.add_argument("--sweep-filters", type=_int_list, metavar="N[,N...]")
     p_swp.add_argument("--sweep-threshold", type=_int_list, metavar="T[,T...]")
-    p_swp.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     _add_machine_flags(p_swp)
     _add_output_flags(p_swp, default_format="csv")
     p_swp.set_defaults(func=cmd_sweep)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import product, repeat, zip_longest
+from itertools import product, zip_longest
 
 from .config import MachineConfig, PolicyKind
 from .metrics import Metrics
@@ -86,16 +84,12 @@ def sweep_points(base: MachineConfig, bits: list[int], hashes: list[int],
     return points
 
 
-def run_sweep(trace: Trace, points: list[MachineConfig], jobs: int = 1) -> list[dict]:
-    """One run per point; rows keep the point order regardless of workers."""
-    workers = min(jobs, len(points), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_workload, repeat(trace), points))
-    else:
-        results = [run_workload(trace, p) for p in points]
+def run_sweep(trace: Trace, points: list[MachineConfig]) -> list[dict]:
+    """One run of the trace per point, in this process and in point order:
+    row ``i`` is the filter parameters of ``points[i]`` and its metrics."""
     rows = []
-    for config, metrics in zip(points, results):
+    for config in points:
+        metrics = run_workload(trace, config)
         row = {
             "bits": config.bits,
             "hashes": config.hashes,

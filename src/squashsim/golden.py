@@ -34,6 +34,7 @@ from .shadows import HandleEntry, ShadowKind
 
 _M = 8
 _K = 2
+_SEED_SEARCH_LIMIT = 10_000  # hash seeds find_golden_seed tries, from 0 up
 
 PC_H1 = 0x4100
 PC_X = 0x4200
@@ -64,9 +65,9 @@ class _Check:
             self.failures.append(what)
 
 
-def find_golden_seed(limit: int = 10_000) -> int:
+def find_golden_seed() -> int:
     """Pin a hash seed that reproduces the example without collisions."""
-    for seed in range(limit):
+    for seed in range(_SEED_SEARCH_LIMIT):
         seeds = derive_hash_seeds(seed, _K)
         mask = {
             pc: indices_to_mask(compute_hashes(pc, seeds, _M))
@@ -78,7 +79,7 @@ def find_golden_seed(limit: int = 10_000) -> int:
         if (step2 & mask[PC_Y]) == mask[PC_Y]:
             continue  # Y must not be a false positive
         return seed
-    raise RuntimeError(f"no collision-free golden seed in the first {limit}")
+    raise RuntimeError(f"no collision-free golden seed in the first {_SEED_SEARCH_LIMIT}")
 
 
 def golden_config() -> MachineConfig:

@@ -485,6 +485,6 @@ class Pipeline:
             self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest))
 
 
-def run(trace: Trace, config: MachineConfig, resolver=None, observer=None) -> Metrics:
-    """Simulate a trace to completion and return its metrics."""
-    return Pipeline(trace, config, resolver=resolver, observer=observer).run()
+def run(trace: Trace, config: MachineConfig, observer=None) -> Metrics:
+    """Simulate a trace to completion, each handle resolving as its row says."""
+    return Pipeline(trace, config, observer=observer).run()

@@ -6,11 +6,12 @@ head, and only once safe: resolved (or squashed) with no older entry still
 in front of them.  Squashed entries stay queued as placeholders until they
 reach the head, which is what defeats serial and nested replay patterns.
 
-A queue entry is any object with ``seq``, ``kind``, ``resolved`` and
-``squashed``.  The pipeline's queue holds only ``RobEntry`` objects,
-each in-flight instruction its own entry; a context blob restores no
-handles.  ``HandleEntry`` is the entry for a handle with no in-flight
-instruction behind it, pushed by the golden walkthrough or a test.
+The queue reads an entry's ``seq``, ``resolved`` and ``squashed``; its
+``kind`` is a label for the pipeline and the golden walkthrough.  The
+pipeline queues its ``RobEntry`` objects, each in-flight instruction its
+own entry; a context blob restores no handles.  ``HandleEntry`` is a
+handle with no in-flight instruction behind it, pushed by the golden
+walkthrough or a test.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class HandleQueue:
 
     def push_handle(self, entry: HandleEntry) -> HandleEntry:
         """Queue ``entry`` and return it; the caller keeps it to mark it
-        resolved.  Any object with ``HandleEntry``'s four fields will do."""
+        resolved.  Any object with ``seq``, ``resolved`` and ``squashed``
+        will do."""
         if self._entries and entry.seq <= self._entries[-1].seq:
             raise HandleQueueError(
                 f"push_handle out of order: seq {entry.seq} <= tail {self._entries[-1].seq}"

@@ -170,7 +170,7 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
     return Trace(name=f"loop-{body_len}x{iterations}-r{squash_rate}", seed=seed, instructions=out)
 
 
-def parse_trace(text: str, name: str = "trace", seed: int = 0) -> Trace:
+def parse_trace(text: str, name: str = "trace") -> Trace:
     """Parse the trace file format; round-trips with :func:`serialize_trace`."""
     instructions: list[Instruction] = []
     start = 0
@@ -224,7 +224,7 @@ def parse_trace(text: str, name: str = "trace", seed: int = 0) -> Trace:
             )
         except ValueError as exc:
             raise TraceFormatError(line_no, str(exc)) from None
-    return Trace(name=name, seed=seed, instructions=instructions, start=start)
+    return Trace(name=name, seed=0, instructions=instructions, start=start)  # no generator seed
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -239,9 +239,9 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_trace(path: str, name: str | None = None) -> Trace:
+def load_trace(path: str) -> Trace:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read(), name=name or path)
+        return parse_trace(fh.read(), name=path)
 
 
 def save_trace(trace: Trace, path: str) -> None:

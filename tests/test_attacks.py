@@ -13,6 +13,7 @@ from squashsim.attacks import (
     build_serial,
     build_single,
     build_unbounded,
+    nested_latencies,
     run_scenario,
 )
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
@@ -96,6 +97,13 @@ def test_nested_baseline_product_arithmetic():
     for h, r in [(2, 2), (3, 2), (4, 1), (2, 3)]:
         rep = _baseline(build_nested(h, r))
         assert rep.attack_region_executions == _enumerate_squash_tree(h, r)
+
+
+def test_nested_latencies_are_pinned():
+    # innermost 3, then (replays + 1) * inner + 8 outward; the first is the
+    # README's scenario-file example
+    assert nested_latencies(5, 1) == [168, 80, 36, 14, 3]
+    assert nested_latencies(3, 2) == [59, 17, 3]
 
 
 def test_nested_squash_count_matches_tree():
@@ -356,6 +364,7 @@ def _random_attacks(draw, policy):
     return scenario, config
 
 
+@pytest.mark.fuzz
 @pytest.mark.parametrize("policy", list(PolicyKind))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

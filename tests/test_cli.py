@@ -7,6 +7,7 @@ import string
 import subprocess
 import sys
 from dataclasses import fields as dataclass_fields
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -355,7 +356,10 @@ def test_sweep_runs_at_most_the_capped_number_of_points(capsys, tiny_trace):
             "--sweep-filters", "2,3,4,5", "--sweep-threshold", "1,2,3,4"]
     code, out = _run(capsys, ["sweep", "--trace", tiny_trace, *grid])
     assert code == EXIT_OK
-    assert len(list(csv.DictReader(out.splitlines()))) == 256
+    rows = list(csv.DictReader(out.splitlines()))
+    # one row per point, in the grid's point order
+    assert [tuple(int(r[k]) for k in ("bits", "hashes", "filters", "threshold")) for r in rows] \
+        == list(product([64, 128, 256, 512], [1, 2, 3, 4], [2, 3, 4, 5], [1, 2, 3, 4]))
     thresholds = ",".join(str(t) for t in range(1, 258))
     code = main(["sweep", "--trace", tiny_trace, "--bits", "512", "--sweep-threshold", thresholds])
     out, err = capsys.readouterr()
@@ -364,13 +368,25 @@ def test_sweep_runs_at_most_the_capped_number_of_points(capsys, tiny_trace):
     assert "a sweep must have <= 256 points, got 257" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_jobs_below_one_is_config_error(capsys, tiny_trace, jobs):
-    code = main(["sweep", "--trace", tiny_trace, "--jobs", jobs])
+def test_sweep_has_no_jobs_flag(capsys, tiny_trace):
+    # a sweep runs its points one after another in one process
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--trace", tiny_trace, "--jobs", "2"])
     out, err = capsys.readouterr()
-    assert code == EXIT_CONFIG
-    assert out == ""  # rejected before any run
-    assert f"--jobs must be >= 1, got {jobs}" in err
+    assert exc.value.code == EXIT_CONFIG
+    assert out == ""
+    assert "unrecognized arguments: --jobs 2" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", "import sys, squashsim.cli; "
+                           "print('multiprocessing' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_sweep_rejects_empty_range(capsys, loop_trace):
@@ -567,6 +583,7 @@ def fuzz_paths(tmp_path_factory):
     return {"{file}": work / "in.txt", "{trace}": work / "tiny.tr"}
 
 
+@pytest.mark.fuzz
 @pytest.mark.parametrize("channel", [_config_channel, _trace_channel, _scenario_channel,
                                      _flag_channel], ids=lambda c: c.__name__[1:])
 @settings(max_examples=50, deadline=None)

@@ -15,4 +15,4 @@ def test_step_descriptions_cover_the_walkthrough():
 
 
 def test_pinned_seed_is_stable():
-    assert find_golden_seed() == find_golden_seed()
+    assert find_golden_seed() == 0

@@ -2,9 +2,8 @@ from dataclasses import fields
 
 import pytest
 
-from squashsim import experiment
 from squashsim.config import MachineConfig, PolicyKind
-from squashsim.experiment import run_policies, run_sweep, run_workload, sweep_points
+from squashsim.experiment import run_policies, run_workload
 from squashsim.metrics import Metrics, fp_rate, perf_proxy
 from squashsim.trace import gen_loop_trace
 
@@ -102,35 +101,3 @@ def test_as_dict_row_keys_and_order():
         "squashed_executions", "delayed_issues", "fp_count", "filter_clears", "rotations",
         "fp_rate",
     ]
-
-
-@pytest.mark.parametrize("jobs,cpus,expected", [
-    (64, 8, 3),     # no more workers than points
-    (64, 2, 2),     # nor than CPUs
-    (2, 8, 2),
-    (64, None, None),  # unknown CPU count: one worker, no pool
-])
-def test_sweep_worker_count_is_clamped(monkeypatch, jobs, cpus, expected):
-    seen = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-    trace = gen_loop_trace(4, 3, 0.0, seed=1)
-    points = sweep_points(MachineConfig(policy=PolicyKind.DOS_BLOOM), [32, 64, 128], [2], [2],
-                          [None])
-    rows = run_sweep(trace, points, jobs=jobs)
-    assert [r["bits"] for r in rows] == [32, 64, 128]
-    assert seen == ([] if expected is None else [expected])

@@ -331,6 +331,7 @@ def test_context_id_the_blob_cannot_hold_is_rejected_at_construction(ctx):
         PolicyState(MachineConfig(), context_id=ctx)
 
 
+@pytest.mark.fuzz
 @settings(max_examples=150, deadline=None)
 @given(hs.integers(0, 96), hs.data())
 def test_mutated_blob_restores_or_raises_blob_error(cut, draw):

@@ -87,6 +87,7 @@ def test_shadows_predicate_ignores_resolved_and_squashed():
     assert not hq.shadows(99)
 
 
+@pytest.mark.fuzz
 @given(st.lists(st.tuples(st.sampled_from(["push", "resolve", "squash", "pop"]),
                           st.integers(0, 30)), max_size=80))
 def test_fifo_discipline_property(ops):
@@ -127,6 +128,7 @@ def test_fifo_discipline_property(ops):
     assert popped == pushed[: len(popped)]
 
 
+@pytest.mark.fuzz
 @given(st.lists(st.tuples(st.sampled_from(["push", "resolve", "squash", "pop"]),
                           st.integers(0, 30)), max_size=80))
 def test_after_pop_safe_shadows_is_a_bound_on_the_oldest_seq(ops):

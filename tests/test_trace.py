@@ -239,6 +239,7 @@ def _traces(draw):
     return Trace(name="prop", seed=0, instructions=ins)
 
 
+@pytest.mark.fuzz
 @given(_traces())
 def test_roundtrip_property(trace):
     assert parse_trace(serialize_trace(trace)).instructions == trace.instructions
