@@ -120,6 +120,7 @@ _TRANSMIT_PC_BASE = 0x5000
 _PAD_PC_BASE = 0x70000
 
 _SINGLE_RESOLVE = 6
+_SINGLE_PAD = 8  # plain instructions after the single pattern's transmit instruction
 _NESTED_INNERMOST = 3  # the innermost nested handle's resolve latency
 _NESTED_SLACK = 8  # cycles an outer latency adds over its inner subtree's replays
 _NESTED_PAD = 4  # plain instructions after the nested transmit instruction
@@ -161,11 +162,11 @@ def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
     )
 
 
-def build_single(replays: int, gap: int = 2, pad: int = 8) -> Scenario:
+def build_single(replays: int, gap: int = 2) -> Scenario:
     """One page-faulting handle replayed `replays` times before release."""
     if replays < 0:
         raise ConfigError(f"replays must be >= 0, got {replays}")
-    return _episodes(f"single-r{replays}", ScenarioPattern.SINGLE, 1, replays, gap, pad)
+    return _episodes(f"single-r{replays}", ScenarioPattern.SINGLE, 1, replays, gap, _SINGLE_PAD)
 
 
 def build_serial(handles: int, replays: int, gap: int = 2, window_pad: int = 64) -> Scenario:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,6 +57,23 @@ def indices_to_mask(indices: tuple[int, ...]) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+MASK_TABLE_FAMILIES = 64  # hash families whose masks a process keeps
+
+
+@lru_cache(maxsize=MASK_TABLE_FAMILIES)
+def mask_table(seeds: tuple[int, ...], bits: int) -> dict[int, int]:
+    """The process's one PC -> Bloom mask dict for the hash family
+    ``(seeds, bits)``; the caller fills it on a miss.
+
+    A mask, ``indices_to_mask(compute_hashes(pc, seeds, bits))``, depends
+    on nothing else, so every run and segment of a family shares the dict
+    and hashes each PC once per process.  A dict holds every PC hashed
+    under its family; the cache keeps the ``MASK_TABLE_FAMILIES`` most
+    recently used families, and ``mask_table.cache_clear()`` drops them all.
+    """
+    return {}
 
 
 class RollingFilters:

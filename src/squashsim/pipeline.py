@@ -43,14 +43,17 @@ bucket the run has not reached yet.
 
 Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
-once per run and PC, and kept in the entry; under every other policy the
-mask is 0, since only the rolling filters read it.  Each dispatch takes
-the next seq, so ``PolicyState.next_seq`` is also the dispatch count: the
-clock of a deferred Bloom clear, held by the policy alone and moved only
-by its dispatch hook, which runs once per cycle with the new
-``next_seq``, not once per instruction.  That is exact: nothing in
-the dispatch phase reads the clock or the filters (the earlier phases do),
-so a deferred clear lands in the same cycle either way.
+once per hash family and PC in a process, and kept in the entry: a mask
+depends on the PC, the hash seeds and the filter size alone, so every
+run and segment of one family shares ``filters.mask_table``.  Under
+every other policy the mask is 0, since only the rolling filters read
+it.  Each dispatch takes the next seq, so ``PolicyState.next_seq`` is
+also the dispatch count: the clock of a deferred Bloom clear, held by
+the policy alone and moved only by its dispatch hook, which runs once
+per cycle with the new ``next_seq``, not once per instruction.  That is
+exact: nothing in the dispatch phase reads the clock or the filters (the
+earlier phases do), so a deferred clear lands in the same cycle either
+way.
 
 The issue phase asks the policy only what its rule can answer.  Under
 baseline (``PolicyState.never_delays``) the window issues without a
@@ -118,7 +121,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import MachineConfig
-from .filters import compute_hashes, indices_to_mask
+from .filters import compute_hashes, indices_to_mask, mask_table
 from .metrics import Metrics
 from .policy import DELAY_BLOOM_FP, PolicyState
 from .shadows import ShadowKind
@@ -223,8 +226,11 @@ class Pipeline:
         self.pending: list[RobEntry] = []  # dispatched, not yet issued; in seq order
         # cycle -> the (seq, entry) resolutions due then
         self._resolutions: defaultdict[int, list[tuple[int, RobEntry]]] = defaultdict(list)
-        # Bloom filter bit mask per PC, for the one policy that reads masks
-        self._pc_masks: dict[int, int] | None = {} if self.policy.filters is not None else None
+        # Bloom filter bit mask per PC, for the one policy that reads masks;
+        # shared by every run of the same hash family
+        self._pc_masks: dict[int, int] | None = (
+            mask_table(self.policy.hash_seeds, config.bits)
+            if self.policy.filters is not None else None)
         self._fp_entry_mode = config.fp_counting == "entry"
         self._last_commit_cycle = 0
         self._idle = False  # the last tick changed nothing but the delay counters

@@ -12,7 +12,8 @@ from squashsim import pipeline
 from squashsim.attacks import ScenarioResolver, build_unbounded
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.experiment import run_segmented
-from squashsim.filters import compute_hashes
+from squashsim.filters import (MASK_TABLE_FAMILIES, compute_hashes, derive_hash_seeds,
+                               indices_to_mask, mask_table)
 from squashsim.metrics import Metrics
 from squashsim.pipeline import NEVER, LivelockError, Pipeline, TraceResolver, run
 from squashsim.policy import DELAY_BLOOM_FP, PolicyState
@@ -68,7 +69,9 @@ def test_no_hashing_without_bloom_filters(monkeypatch, policy):
     assert m.committed == 180 and m.squashes > 0
 
 
-def test_bloom_policy_hashes_each_pc_once_per_run(monkeypatch):
+@pytest.fixture
+def hashed_pcs(monkeypatch):
+    """The PCs the pipeline hashes, from cold mask tables on."""
     calls = []
 
     def counting(pc, seeds, bits):
@@ -76,10 +79,44 @@ def test_bloom_policy_hashes_each_pc_once_per_run(monkeypatch):
         return compute_hashes(pc, seeds, bits)
 
     monkeypatch.setattr(pipeline, "compute_hashes", counting)
+    mask_table.cache_clear()
+    return calls
+
+
+def test_bloom_policy_hashes_each_pc_once_per_hash_family(hashed_pcs):
     trace = gen_loop_trace(6, 30, 0.2, 3)
-    m = run(trace, MachineConfig(policy=PolicyKind.DOS_BLOOM))
-    assert m.squashes > 0
-    assert sorted(calls) == sorted({i.pc for i in trace.instructions})
+    pcs = sorted({i.pc for i in trace.instructions})
+    cfg = MachineConfig(policy=PolicyKind.DOS_BLOOM)
+
+    def hashed(run_once):
+        hashed_pcs.clear()
+        run_once()
+        return sorted(hashed_pcs)
+
+    assert run(trace, cfg).squashes > 0
+    assert sorted(hashed_pcs) == pcs  # a cold family hashes each PC once
+    assert hashed(lambda: run(trace, cfg)) == []  # the same family again: none
+    assert hashed(lambda: run(trace, replace(cfg, bits=2 * cfg.bits))) == pcs
+    assert hashed(lambda: run(trace, replace(cfg, seed=cfg.seed + 1))) == pcs
+
+    mask_table.cache_clear()
+    cuts = [len(trace.instructions) // 4 * i for i in (1, 2, 3)]
+    assert hashed(lambda: run_segmented(trace, cfg, cuts)) == pcs  # once, not once a segment
+    assert hashed(lambda: run_segmented(trace, cfg, cuts)) == []
+
+
+def test_mask_tables_keep_at_most_the_bound_of_families(hashed_pcs):
+    trace = gen_loop_trace(6, 10, 0.2, 3)
+    configs = [MachineConfig(policy=PolicyKind.DOS_BLOOM, seed=s)
+               for s in range(MASK_TABLE_FAMILIES + 2)]
+    cold = [run(trace, cfg) for cfg in configs]
+    assert mask_table.cache_info().currsize == MASK_TABLE_FAMILIES
+    hashed_pcs.clear()
+    assert run(trace, configs[-1]) == cold[-1]
+    assert hashed_pcs == []  # the most recently used family is kept
+    assert run(trace, configs[0]) == cold[0]
+    assert sorted(hashed_pcs) == sorted({i.pc for i in trace.instructions})  # the least, evicted
+    assert mask_table.cache_info().currsize == MASK_TABLE_FAMILIES
 
 
 def test_dispatch_stalls_when_rob_full():
@@ -623,6 +660,46 @@ def test_issue_phase_matches_asking_every_cycle(policy, data):
     # window is where a delay-all shortcut applied to another policy shows
     trace, config = data.draw(_random_machines(policy))
     assert _outcome(Pipeline, trace, config) == _outcome(_AskEveryCycle, trace, config)
+
+
+@st.composite
+def _mask_families(draw, near=None):
+    """A hash family, or with ``near`` a config, that config's family with
+    one of its bits, hashes or seed redrawn: a table keyed on less than
+    the whole family then hands a run another family's masks."""
+    family = {"bits": near.bits, "hashes": near.hashes, "seed": near.seed} if near else {}
+    redraw = {draw(st.sampled_from(list(family)))} if near else {"bits", "hashes", "seed"}
+    if "bits" in redraw:  # a filter of m bits has room for at most m hashes
+        least = family.get("hashes", 1)
+        family["bits"] = draw(st.sampled_from([1 << e for e in range(1, 13) if 1 << e >= least]))
+    if "hashes" in redraw:
+        family["hashes"] = draw(st.integers(1, min(4, family["bits"])))
+    if "seed" in redraw:
+        family["seed"] = draw(st.integers(0, 1 << 16))
+    return family
+
+
+@pytest.mark.fuzz
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_warm_mask_tables_give_the_cold_metrics(data):
+    # neighbouring families hash the same PCs into other masks, and the same
+    # family over a prefix leaves its table part-filled
+    trace, config = data.draw(_random_machines(PolicyKind.DOS_BLOOM))
+    config = replace(config, **data.draw(_mask_families()))
+    others = [replace(config, **f) for f in data.draw(st.lists(_mask_families(config), max_size=3))]
+    mask_table.cache_clear()
+    for other in others:
+        run(trace, other)
+    run(replace(trace, instructions=trace.instructions[:data.draw(st.integers(0, len(trace)))]),
+        config)
+    warm = run(trace, config)
+    for cfg in (config, *others):
+        seeds = derive_hash_seeds(cfg.seed, cfg.hashes)
+        for pc, mask in Pipeline(trace, cfg)._pc_masks.items():
+            assert mask == indices_to_mask(compute_hashes(pc, seeds, cfg.bits))
+    mask_table.cache_clear()
+    assert warm == run(trace, config)
 
 
 class _TickEveryCycle(Pipeline):
