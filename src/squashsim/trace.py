@@ -63,10 +63,13 @@ class Instruction:
 
     An instruction holds no position, so a trace may hold one object at
     many positions: a loop trace holds one per body slot (and a
-    misspeculating twin per shadow-casting slot).  A position is the
-    list index plus the trace's ``start``; the pipeline keeps it in the
-    ``RobEntry`` and assigns its own sequence numbers to re-dispatched
-    instances.
+    misspeculating twin per shadow-casting slot), and the attack scenario
+    builders take theirs from ``attacks.instruction``, a bounded
+    process-wide table of one object per distinct value, so scenarios
+    share them too.  Frozen and compared by value, an instruction is never
+    told apart by identity.  A position is the list index plus the
+    trace's ``start``; the pipeline keeps it in the ``RobEntry`` and
+    assigns its own sequence numbers to re-dispatched instances.
     """
 
     pc: int

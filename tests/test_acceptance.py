@@ -19,6 +19,7 @@ from squashsim.attacks import (
     build_serial,
     build_single,
     build_unbounded,
+    instruction,
     run_scenario,
 )
 from squashsim.config import MachineConfig, PolicyKind
@@ -43,27 +44,39 @@ def test_criterion_1_replay_amplification_arithmetic():
     assert nested.attack_region_executions == 32
 
 
-def test_criterion_2_security_bound_over_grid():
+def criterion_2_grid():
     grid_latencies = lambda h: [3 + 2 * (h - i) for i in range(1, h + 1)]
+    for h in range(1, 7):
+        for r in range(1, 9):
+            yield build_serial(h, r)
+            if h == 1:
+                yield build_single(r)
+            # exact exponential latencies for the small trees, compact
+            # ones where the full tree would not fit a desk-scale run
+            if h * r <= 8:
+                yield build_nested(h, r)
+            else:
+                yield build_nested(h, r, resolve_latencies=grid_latencies(h))
+
+
+def test_criterion_2_security_bound_over_grid():
     for policy in DOS_POLICIES:
         config = MachineConfig(policy=policy)
-        for h in range(1, 7):
-            for r in range(1, 9):
-                scenarios = [build_serial(h, r)]
-                if h == 1:
-                    scenarios.append(build_single(r))
-                # exact exponential latencies for the small trees, compact
-                # ones where the full tree would not fit a desk-scale run
-                if h * r <= 8:
-                    scenarios.append(build_nested(h, r))
-                else:
-                    scenarios.append(build_nested(h, r, resolve_latencies=grid_latencies(h)))
-                for scenario in scenarios:
-                    rep = run_scenario(scenario, config)
-                    assert not rep.livelock, (policy, scenario.name)
-                    assert rep.hot_spec_issues == 0, (policy, scenario.name)
-                    worst = max(rep.total_issues_of_s.values())
-                    assert worst <= 2, (policy, scenario.name, rep.total_issues_of_s)
+        for scenario in criterion_2_grid():
+            rep = run_scenario(scenario, config)
+            assert not rep.livelock, (policy, scenario.name)
+            assert rep.hot_spec_issues == 0, (policy, scenario.name)
+            worst = max(rep.total_issues_of_s.values())
+            assert worst <= 2, (policy, scenario.name, rep.total_issues_of_s)
+
+
+def test_criterion_2_grid_holds_one_instruction_object_per_value():
+    # padding PCs depend on the position alone, so the scenarios share most
+    # of their instructions; the builders' table holds one object per value
+    instruction.cache_clear()
+    ins = [i for scenario in criterion_2_grid() for i in scenario.trace.instructions]
+    assert len(ins) == 12024
+    assert len({id(i) for i in ins}) == len(set(ins)) == 453
 
 
 def test_criterion_3_golden_walkthrough():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from squashsim import experiment
 from squashsim.attacks import (
+    INSTRUCTION_TABLE_SIZE,
     ForceMisspeculate,
     Scenario,
     ScenarioPattern,
@@ -13,13 +14,15 @@ from squashsim.attacks import (
     build_serial,
     build_single,
     build_unbounded,
+    instruction,
     nested_latencies,
     run_scenario,
 )
+from squashsim.cli import SCENARIO_CAPS, scenario_from_params
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.pipeline import LivelockError, Pipeline
 from squashsim.shadows import ShadowKind
-from squashsim.trace import Instruction, InstructionKind, Trace
+from squashsim.trace import Instruction, InstructionKind, Trace, serialize_trace
 
 
 def _enumerate_squash_tree(handles: int, replays: int) -> int:
@@ -264,6 +267,45 @@ def test_builders_budget_each_handle_slot():
     nested = build_nested(3, 1)
     assert [(fm.times, fm.outer_slot) for fm in nested.force.values()] == [
         (1, None), (1, 0), (1, 1)]
+
+
+def test_instruction_table_stays_within_its_bound():
+    instruction.cache_clear()
+    long = build_serial(1, 1, window_pad=INSTRUCTION_TABLE_SIZE + 10)
+    assert len(set(long.trace.instructions)) > INSTRUCTION_TABLE_SIZE
+    assert instruction.cache_info().currsize == INSTRUCTION_TABLE_SIZE
+
+
+@pytest.mark.fuzz
+@settings(max_examples=20, deadline=None)
+@given(pattern=st.sampled_from([str(p) for p in ScenarioPattern]),
+       handles=st.integers(1, SCENARIO_CAPS["handles"]),
+       replays=st.integers(1, SCENARIO_CAPS["replays"]),
+       gap=st.integers(0, SCENARIO_CAPS["gap"]),
+       policy=st.sampled_from(list(PolicyKind)))
+def test_warm_instruction_table_builds_what_a_cold_one_builds(pattern, handles, replays,
+                                                              gap, policy):
+    # a short livelock budget keeps the long replay trees cheap; a livelocked
+    # row must match too
+    config = MachineConfig(policy=policy, livelock_budget=200)
+    if pattern == "single":
+        handles = 1
+
+    def build():
+        try:
+            return scenario_from_params(pattern, handles, replays, gap)
+        except ConfigError as err:  # nested latencies past the largest budget
+            return str(err)
+
+    def outcome(scenario):
+        if isinstance(scenario, str):
+            return scenario
+        return serialize_trace(scenario.trace), run_scenario(scenario, config).as_dict()
+
+    build()  # fills the table with this scenario's instructions
+    warm = outcome(build())
+    instruction.cache_clear()
+    assert outcome(build()) == warm
 
 
 class _SetObserver:
