@@ -176,10 +176,12 @@ class PerfectFilter:
         # youngest-handle seqs are non-decreasing across records, so
         # expiry pops strictly from the front
         self._records: deque[_Record] = deque()
-        self._live: dict[int, int] = {}  # pc -> number of live records holding it
+        # pc -> number of live records holding it; dos-perfect's issue phase
+        # tests membership in place of ``query``
+        self.live: dict[int, int] = {}
 
     def query(self, pc: int) -> bool:
-        return pc in self._live
+        return pc in self.live
 
     def record(self, pcs: set[int] | frozenset[int], youngest_handle: int) -> None:
         """Store one squash's PC set.
@@ -192,7 +194,7 @@ class PerfectFilter:
         rec = _Record(pcs=frozenset(pcs), expire_seq=youngest_handle)
         self._records.append(rec)
         for pc in rec.pcs:
-            self._live[pc] = self._live.get(pc, 0) + 1
+            self.live[pc] = self.live.get(pc, 0) + 1
 
     def on_handle_safe(self, safe_seq: int) -> bool:
         """Expire the records of handles up to safe_seq; True if any expired."""
@@ -211,11 +213,11 @@ class PerfectFilter:
 
     def _drop(self, rec: _Record) -> None:
         for pc in rec.pcs:
-            n = self._live[pc] - 1
+            n = self.live[pc] - 1
             if n:
-                self._live[pc] = n
+                self.live[pc] = n
             else:
-                del self._live[pc]
+                del self.live[pc]
 
     def records(self) -> list[_Record]:
         return list(self._records)

@@ -55,30 +55,34 @@ exact: nothing in the dispatch phase reads the clock or the filters (the
 earlier phases do), so a deferred clear lands in the same cycle either
 way.
 
-The issue phase asks the policy only what its rule can answer.  Under
-baseline (``PolicyState.never_delays``) the window issues without a
-decision.  Every other policy walks the window once, in seq order,
-deciding each non-head entry, fresh or cached, and adding one
-``delayed_issues`` per entry it holds; the policies differ only at a
-delay.  Under the two filter policies the delayed entry is held and the
-walk goes on.  Under delay-all (``PolicyState.delay_covers_younger``)
-the first delay ends the walk and holds every younger window entry too:
-``pending`` is in seq order and the ROB head, when pending, is
-``pending[0]``, so every entry after it is a non-head entry that the seq
-bound delays too.  The entries the walk lets through then issue in seq
-order.  An issue is speculative when a live handle older than it is
-queued (``HandleQueue.shadows``).  ``pop_safe`` has just left a live head
-or an empty queue, and nothing changes the queue before the issues, so
-the issue phase reads ``oldest_seq()`` once and compares each seq with
-it.
+The issue phase applies three of the four rules from the policy state
+they read, and asks ``PolicyState.issue_decision``, which states every
+rule, under dos-bloom alone.  Under baseline (``PolicyState.never_delays``)
+the window issues whole.  An issue is speculative when a live handle older
+than it is queued (``HandleQueue.shadows``); ``pop_safe`` has just left a
+live head or an empty queue, and nothing changes the queue before the
+issues, so the phase reads the head's seq, ``oldest``, once and compares
+each seq with it.  Delay-all's rule is that same bound
+(``PolicyState.delay_covers_younger``): the window issues up to its first
+non-head entry younger than ``oldest``, and every entry from there on is
+held, so no delay-all issue is speculative.  ``pending`` is in seq order
+and the ROB head, when pending, is ``pending[0]``, so the held entries are
+all non-head entries.  Under dos-perfect (the filter policy without Bloom
+filters) a non-head entry is held while its PC is in
+``PerfectFilter.live``.  Under dos-bloom the phase walks the window in seq
+order, decides each non-head entry, fresh or cached, and holds the delayed
+ones.  Each held entry adds one ``delayed_issues``, and the entries let
+through issue in seq order.
 
-A delayed entry is asked about again every cycle, but the answer can only
-change when the policy state it reads does.  ``PolicyState.version`` goes
-up on every squash record, on a pop of the oldest queued handle under
-delay-all, on a Bloom filter bulk clear and when the exact filter drops a
-record (when its handle becomes safe).  Each entry caches the version and the
-reason of its last decision; while the version holds, the cached reason
-stands in for a new decision.  The pipeline alone counts false positives: a
+Dos-bloom's decision is cached: a delayed entry is asked about again every
+cycle, but the answer can only change when the policy state it reads
+does, and the decision costs a Bloom query and, under the oracle, an exact
+query with a side effect on ``perfect_only_count``.
+``PolicyState.version`` goes up on every squash record, on a Bloom filter
+bulk clear and when the exact filter drops a record (when its handle
+becomes safe).  Each entry caches the version and the reason of its last
+decision; while the version holds, the cached reason stands in for a new
+decision.  The pipeline alone counts false positives: a
 ``bloom-false-positive`` delay adds one to ``fp_count`` unless the entry's
 ``fp_counted`` is set, and sets it under ``fp_counting="entry"``, so that
 mode counts one per delay episode and ``"evaluation"`` one per cycle.  A
@@ -89,18 +93,20 @@ A run's host time follows events, not cycles.  A tick is idle when it
 fired no resolution, retired, popped and dispatched nothing, and neither
 issued nor squashed (commit may squash without retiring): only the delay
 counters moved.  The next tick then reads the same state: the same head,
-window and handle queue, the same ``PolicyState.version`` (so every
-decision is cached), and a dispatch clock that stands still, so no
-deferred Bloom clear falls due.  It repeats the idle tick until the first
-timed event, which is the earliest of: the head's ``done_at`` while it is
-ahead, else an E head's ``resolve_ready`` (commit reads no entry behind a
-waiting head, and any other executed head waits for its resolution); the
-earliest resolution bucket; and ``_last_commit_cycle + budget + 1``, where
-the livelock check fires, so that a livelock raises at the same cycle
-with the same text.  ``run`` moves the clock to the cycle before that
-event, and adds the idle tick's ``delayed_issues`` delta once per skipped
-cycle, and its ``fp_count`` delta too under ``fp_counting="evaluation"``;
-under ``"entry"`` the idle tick has already counted each episode, and
+window and handle queue, so the same delay-all bound; the same live exact
+records, since only a squash records and only a pop drops; the same
+``PolicyState.version``, so every dos-bloom decision is cached; and a
+dispatch clock that stands still, so no deferred Bloom clear falls due.
+It repeats the idle tick until the first timed event, which is the
+earliest of: the head's ``done_at`` while it is ahead, else an E head's
+``resolve_ready`` (commit reads no entry behind a waiting head, and any
+other executed head waits for its resolution); the earliest resolution
+bucket; and ``_last_commit_cycle + budget + 1``, where the livelock check
+fires, so that a livelock raises at the same cycle with the same text.
+``run`` moves the clock to the cycle before that event, and adds the idle
+tick's ``delayed_issues`` delta once per skipped cycle, and its
+``fp_count`` delta too under ``fp_counting="evaluation"``; under
+``"entry"`` the idle tick has already counted each episode, and
 ``perfect_only_count`` moves only on a fresh decision.  ``tick`` leaves
 its mark in ``_idle``, not in a return value, which a wrapper of ``tick``
 may drop.
@@ -112,13 +118,19 @@ itself, and calls ``commit``, ``try_issue`` (which also issues) and
 (``perfbench/tracing.py``) wraps these methods, ``squash_from``, the
 ``HandleQueue`` and ``PolicyState`` methods and this module's
 ``compute_hashes`` by name, so each is looked up when it is called, not
-bound at import.
+bound at import.  The per-cycle path calls neither ``push_handle`` nor
+``oldest_seq`` (the deque's own append and head read do that work), and
+``issue_decision`` only under dos-bloom, so the tracer records no span for
+that work.  ``_resolve`` calls ``mark_resolved``, which the tracer's
+idle-tick count reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .config import MachineConfig
 from .filters import compute_hashes, indices_to_mask, mask_table
@@ -129,6 +141,7 @@ from .trace import Instruction, Trace
 
 NEVER = 1 << 62  # the ``done_at`` of an entry that waits to issue
 _E = ShadowKind.E  # an enum member read through its class is slow before Python 3.12
+_SEQ = attrgetter("seq")
 
 
 class LivelockError(RuntimeError):
@@ -358,35 +371,60 @@ class Pipeline:
         pending = self.pending
         if not pending:
             return
-        window = pending[:self.config.width]
+        width = self.config.width
         m = self.metrics
         policy = self.policy
-        if policy.never_delays:
-            del pending[:len(window)]
-            ready = window
+        hq = self.hq
+        # pop_safe has just left a live head, so hq.shadows(seq) is oldest < seq;
+        # with no queued handle, nothing issuing is younger
+        oldest = hq[0].seq if hq else policy.next_seq
+        if policy.delay_covers_younger:
+            # delay-all: the window prefix up to the first non-head entry
+            # younger than oldest; only pending[0] can be the ROB head
+            n = len(pending)
+            if n > width:
+                n = width
+            first = pending[0]
+            if first.seq > oldest and first is not self.rob[0]:
+                m.delayed_issues += n
+                return
+            k = bisect_right(pending, oldest, 1, n, key=_SEQ)
+            m.delayed_issues += n - k
+            ready = pending[:k]
+            del pending[:k]
+        elif policy.never_delays or (policy.filters is None and not policy.perfect.live):
+            # baseline, or dos-perfect with no live exact record: nothing is held
+            ready = pending[:width]
+            del pending[:width]
         else:
-            decide = policy.issue_decision
-            version = policy.version
-            covers_younger = policy.delay_covers_younger
+            window = pending[:width]
             head = self.rob[0]
             ready = []
             held = []
-            for e in window:
-                if e is not head:  # the ROB head is never delayed
-                    if e.delay_version != version:  # else nothing it read has changed
-                        e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
-                        e.delay_version = version
-                    reason = e.delay_reason
-                    if reason is not None:
-                        if covers_younger:  # every younger window entry is held too
-                            held = window[len(ready):]
-                            break
-                        if reason == DELAY_BLOOM_FP and not e.fp_counted:
-                            m.fp_count += 1
-                            e.fp_counted = self._fp_entry_mode
+            if policy.filters is None:
+                # dos-perfect: hold the non-head entries whose PC has a live exact record
+                live = policy.perfect.live
+                for e in window:
+                    if e.instr.pc in live and e is not head:
                         held.append(e)
-                        continue
-                ready.append(e)
+                    else:
+                        ready.append(e)
+            else:
+                decide = policy.issue_decision
+                version = policy.version
+                for e in window:
+                    if e is not head:  # the ROB head is never delayed
+                        if e.delay_version != version:  # else nothing it read has changed
+                            e.delay_reason = decide(e.seq, e.instr.pc, e.mask)
+                            e.delay_version = version
+                        reason = e.delay_reason
+                        if reason is not None:
+                            if reason == DELAY_BLOOM_FP and not e.fp_counted:
+                                m.fp_count += 1
+                                e.fp_counted = self._fp_entry_mode
+                            held.append(e)
+                            continue
+                    ready.append(e)
             m.delayed_issues += len(held)
             if not ready:
                 return
@@ -395,10 +433,6 @@ class Pipeline:
         resolutions = self._resolutions
         issues = m.per_pc_issues
         spec_issues = m.per_pc_spec_issues
-        # pop_safe has just left a live head, so hq.shadows(seq) is oldest < seq
-        oldest = self.hq.oldest_seq()
-        if oldest is None:
-            oldest = policy.next_seq  # no queued handle: nothing issuing is younger
         observer = self.observer
         for e in ready:
             instr = e.instr
@@ -450,7 +484,7 @@ class Pipeline:
             rob.append(e)
             pending.append(e)  # seq is monotonic, the list stays in order
             if shadow is not None:
-                hq.push_handle(e)
+                hq.append(e)  # seqs only grow: the queue stays in order
             seq += 1
             pos += 1
         n = seq - policy.next_seq

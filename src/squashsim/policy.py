@@ -14,21 +14,26 @@ delay names one of four reasons:
   lockstep, and a Bloom hit without an exact hit is a false positive
   (``bloom-false-positive``), which the pipeline counts.
 
-The rule lives in ``PolicyState.issue_decision`` alone.  Two facts about
-it are set from the policy kind when the state is made, so that the
-pipeline asks only what the rule can answer:
+``PolicyState.issue_decision`` states every rule and is the reference:
+the golden walkthrough and the tests check the pipeline against it.  The
+pipeline's issue phase asks it under dos-bloom only, whose decision reads
+two filters and counts ``perfect_only_count``; it applies the other three
+rules from the state they read.  Two facts about the rules are set from
+the policy kind when the state is made:
 
 * ``never_delays`` -- baseline's rule allows every instruction, so there
   is nothing to ask.
 * ``delay_covers_younger`` -- delay-all's rule is a seq bound (delay iff
   the oldest queued handle is older than the instruction), so a delay of
-  one instruction is also a delay of every younger one.
+  one instruction is also a delay of every younger one, and the bound is
+  the handle queue's head.
 
-The rule and the hooks branch on these facts and on which filters the
-state holds (dos-perfect is the filter policy without Bloom filters),
-never on ``config.policy``, which only the context blob reads: before Python 3.12
+Dos-perfect's rule is a lookup in ``PerfectFilter.live``.  The rule and
+the hooks branch on these facts and on which filters the state holds
+(dos-perfect is the filter policy without Bloom filters), never on
+``config.policy``, which only the context blob reads: before Python 3.12
 an enum member read through its class costs several times a plain
-attribute read, and the rule runs once per delayed-issue check.
+attribute read, and the rule and the hooks run on the per-cycle path.
 
 Context blob layout (little-endian, versioned)::
 
@@ -106,7 +111,7 @@ class PolicyState:
 
         # lockstep accounting (dos-bloom with oracle): exact hits the Bloom filters miss
         self.perfect_only_count = 0
-        # goes up whenever something issue_decision reads changes
+        # goes up whenever something dos-bloom's issue_decision reads changes
         self.version = 0
         # what the rule implies, for callers that can skip asking (module docstring)
         self.never_delays = kind is PolicyKind.BASELINE
@@ -119,10 +124,8 @@ class PolicyState:
         if self.never_delays:  # baseline
             return None
         if self.delay_covers_younger:  # delay-all
-            oldest = self.handle_queue.oldest_seq()
-            if oldest is not None and oldest < seq:
-                return DELAY_UNSAFE_HANDLE
-            return None
+            hq = self.handle_queue
+            return DELAY_UNSAFE_HANDLE if hq and hq[0].seq < seq else None
         filters = self.filters
         if filters is None:  # dos-perfect
             return DELAY_PERFECT_HIT if self.perfect.query(pc) else None
@@ -149,9 +152,6 @@ class PolicyState:
 
     def on_handle_safe(self, seq: int) -> None:
         """Every queued handle up to ``seq`` has just been popped."""
-        if self.delay_covers_younger:  # delay-all
-            self.version += 1  # the oldest queued handle changed
-            return
         if self.filters is not None and self.filters.on_handle_safe(seq, self.next_seq):
             self.version += 1
         if self.perfect is not None and self.perfect.on_handle_safe(seq):

@@ -12,6 +12,14 @@ pipeline queues its ``RobEntry`` objects, each in-flight instruction its
 own entry; a context blob restores no handles.  ``HandleEntry`` is a
 handle with no in-flight instruction behind it, pushed by the golden
 walkthrough or a test.
+
+The queue is a ``deque`` of its entries, oldest first.  Its methods state
+the rules, and the golden walkthrough and the tests drive it through them
+alone.  The pipeline's per-cycle path uses the deque's own operations
+where a method would only wrap one: dispatch checks ``len`` and appends
+(its seqs only grow, so the queue stays in order without
+``push_handle``'s check), and the issue phase reads the head entry in
+place.  Resolving, squashing and popping go through the methods.
 """
 
 from __future__ import annotations
@@ -45,35 +53,32 @@ class HandleEntry:
     squashed: bool = False
 
 
-class HandleQueue:
-    """FIFO of potential replay handles, keyed by dynamic sequence number."""
+class HandleQueue(deque):
+    """FIFO of potential replay handles, keyed by dynamic sequence number:
+    a ``deque`` of entries, oldest first (module docstring)."""
 
-    def __init__(self) -> None:
-        self._entries: deque[HandleEntry] = deque()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    __slots__ = ()
 
     def entries(self) -> list[HandleEntry]:
-        return list(self._entries)
+        return list(self)
 
     def push_handle(self, entry: HandleEntry) -> HandleEntry:
         """Queue ``entry`` and return it; the caller keeps it to mark it
         resolved.  Any object with ``seq``, ``resolved`` and ``squashed``
         will do."""
-        if self._entries and entry.seq <= self._entries[-1].seq:
+        if self and entry.seq <= self[-1].seq:
             raise HandleQueueError(
-                f"push_handle out of order: seq {entry.seq} <= tail {self._entries[-1].seq}"
+                f"push_handle out of order: seq {entry.seq} <= tail {self[-1].seq}"
             )
-        self._entries.append(entry)
+        self.append(entry)
         return entry
 
     def youngest_handle(self) -> int | None:
         """Tail seq, counting squashed-but-present entries; None when empty."""
-        return self._entries[-1].seq if self._entries else None
+        return self[-1].seq if self else None
 
     def oldest_seq(self) -> int | None:
-        return self._entries[0].seq if self._entries else None
+        return self[0].seq if self else None
 
     def shadows(self, seq: int) -> bool:
         """True if some live entry (neither resolved nor squashed) older
@@ -81,12 +86,12 @@ class HandleQueue:
 
         Only the oldest live entry matters, and the scan stops at it.  Just
         after ``pop_safe`` the head is live (or the queue empty), so there
-        this is ``oldest_seq() < seq``, which is what the pipeline's issue
+        this is ``self[0].seq < seq``, which is what the pipeline's issue
         phase reads instead.  This method states the rule for any queue
         state: the tests check the pipeline against it, and the
         benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
         """
-        for entry in self._entries:
+        for entry in self:
             if not (entry.resolved or entry.squashed):
                 return entry.seq < seq
         return False
@@ -96,7 +101,7 @@ class HandleQueue:
 
     def mark_squashed_after(self, seq: int) -> None:
         """Flag every entry younger than seq; the causing entry stays live."""
-        for entry in reversed(self._entries):
+        for entry in reversed(self):
             if entry.seq <= seq:
                 break
             entry.squashed = True
@@ -104,10 +109,10 @@ class HandleQueue:
     def pop_safe(self) -> list[int]:
         """Remove the head while it is resolved or squashed; return popped seqs."""
         popped: list[int] = []
-        while self._entries:
-            head = self._entries[0]
+        while self:
+            head = self[0]
             if not (head.resolved or head.squashed):
                 break
-            self._entries.popleft()
+            self.popleft()
             popped.append(head.seq)
         return popped

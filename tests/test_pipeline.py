@@ -2,7 +2,6 @@ import ast
 import inspect
 import re
 import textwrap
-from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -538,34 +537,6 @@ def test_full_handle_queue_stalls_dispatch_without_deadlock():
     assert m.committed == 4
 
 
-def test_baseline_issues_without_asking_the_policy(monkeypatch):
-    def never(*args):
-        raise AssertionError("issue_decision called under baseline")
-
-    monkeypatch.setattr(PolicyState, "issue_decision", never)
-    m = run(gen_loop_trace(8, 50, 0.3, seed=5), MachineConfig(rob_size=64))
-    assert m.committed == 400 and m.squashes > 0
-
-
-def test_delay_all_delays_with_at_most_one_decision_per_cycle():
-    p = Pipeline(gen_loop_trace(8, 50, 0.3, seed=5),
-                 MachineConfig(policy=PolicyKind.DELAY_ALL, rob_size=64))
-    decide = p.policy.issue_decision
-    delaying_cycles = Counter()
-
-    def counting(*args):
-        reason = decide(*args)
-        if reason is not None:
-            delaying_cycles[p.cycle] += 1
-        return reason
-
-    p.policy.issue_decision = counting
-    m = p.run()
-    assert max(delaying_cycles.values()) == 1
-    assert sum(delaying_cycles.values()) <= m.cycles
-    assert m.delayed_issues > sum(delaying_cycles.values())  # one delay covers the younger
-
-
 class _AskEveryCycle(Pipeline):
     """Reference issue phase: asks the policy about every non-head window
     entry on every cycle, with no cached decision and no per-policy shortcut."""
@@ -625,6 +596,28 @@ def _outcome(cls, trace, config):
     except LivelockError as exc:
         metrics = ("livelock", exc.metrics)
     return metrics, observer.issues
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.BASELINE, PolicyKind.DELAY_ALL,
+                                    PolicyKind.DOS_PERFECT], ids=str)
+def test_issue_phase_applies_the_rule_without_asking_the_policy(monkeypatch, policy):
+    # only dos-bloom's decision is asked: the issue phase reads the other
+    # rules from policy state, and a delay-all delay holds every younger
+    # window entry, which the per-entry reference checks
+    trace = gen_loop_trace(8, 50, 0.3, seed=5)
+    config = MachineConfig(policy=policy, rob_size=64)
+    asked = _outcome(_AskEveryCycle, trace, config)
+
+    def never(*args):
+        raise AssertionError(f"issue_decision called under {policy}")
+
+    monkeypatch.setattr(PolicyState, "issue_decision", never)
+    outcome = _outcome(Pipeline, trace, config)
+    m = outcome[0]
+    assert m.committed == 400 and m.squashes > 0
+    if policy is not PolicyKind.BASELINE:
+        assert m.delayed_issues > 0
+        assert outcome == asked
 
 
 _ROWS = [(InstructionKind.PLAIN, None), (InstructionKind.TRANSMIT, None),

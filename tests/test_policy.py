@@ -99,14 +99,11 @@ def test_squash_raises_version():
         assert st.version == 1, policy
 
 
-def test_delay_all_pop_raises_version_and_dispatch_does_not():
+def test_delay_all_dispatch_keeps_version():
     st = _state(PolicyKind.DELAY_ALL)
-    handle = st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
+    st.handle_queue.push_handle(HandleEntry(1, ShadowKind.E))
     _dispatch(st, 100)  # nothing is ever due under delay-all
     assert st.version == 0
-    st.handle_queue.mark_resolved(handle)
-    st.on_handle_safe(st.handle_queue.pop_safe()[-1])
-    assert st.version == 1
 
 
 def test_bloom_clear_on_dispatch_raises_version():
