@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .config import MachineConfig, PolicyKind
 from .filters import compute_hashes, derive_hash_seeds, indices_to_mask
 from .policy import DELAY_BLOOM_HIT, PolicyState
-from .shadows import HandleEntry, ShadowKind
+from .shadows import HandleEntry
 
 _M = 8
 _K = 2
@@ -111,9 +111,9 @@ def run_golden() -> list[GoldenStep]:
     # Step 1: potential handles enter the queue at dispatch.
     c = _Check()
     state.on_dispatch(_SEQ_X2 + 1)  # the clock passes the window's six seqs
-    h1 = hq.push_handle(HandleEntry(_SEQ_H1, ShadowKind.E))
-    hq.push_handle(HandleEntry(_SEQ_H2, ShadowKind.E))
-    hq.push_handle(HandleEntry(_SEQ_H3, ShadowKind.C))
+    h1 = hq.push_handle(HandleEntry(_SEQ_H1))
+    hq.push_handle(HandleEntry(_SEQ_H2))
+    hq.push_handle(HandleEntry(_SEQ_H3))
     c.expect([e.seq for e in hq.entries()] == [_SEQ_H1, _SEQ_H2, _SEQ_H3],
              "queue holds H1, H2, H3 front to back")
     c.expect(hq.youngest_handle() == _SEQ_H3, "youngest handle is H3")
@@ -142,7 +142,7 @@ def run_golden() -> list[GoldenStep]:
     # Step 3: re-execution after H2 takes a slightly different path with Y.
     c = _Check()
     state.on_dispatch(_SEQ_Y + 1)
-    hq.push_handle(HandleEntry(_SEQ_H3B, ShadowKind.C))
+    hq.push_handle(HandleEntry(_SEQ_H3B))
     c.expect(decide(_SEQ_S2, PC_S) == DELAY_BLOOM_HIT, "S hits and is delayed")
     c.expect(decide(_SEQ_H3B, PC_H3) == DELAY_BLOOM_HIT, "H3 hits and is delayed")
     c.expect(decide(_SEQ_Y, PC_Y) is None, "Y misses and is allowed")

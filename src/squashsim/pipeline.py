@@ -16,9 +16,10 @@ youngest handle.
 The ``RobEntry`` is the one handle on an in-flight instruction: the
 reorder buffer, the not-yet-issued list, the resolution buckets and the
 handle queue all hold entries.  A shadow-casting entry is its own
-handle-queue entry: dispatch pushes it, and its ``kind``, ``resolved`` and
+handle-queue entry: dispatch pushes it, and its ``seq``, ``resolved`` and
 ``squashed`` are what the queue reads.  After a squash the victims' entries
-stay queued as placeholders until they reach the queue head.
+stay queued as placeholders until they reach the queue head.  A fact of
+the instruction, such as its shadow kind or a latency, is read from ``instr``.
 
 An entry's ``seq`` is new on every dispatch; its ``pos`` is the whole-trace
 position of its instruction, ``trace.start`` plus the record index, and
@@ -31,6 +32,8 @@ An entry's execution completes at a cycle stamp, ``done_at``: the issue
 cycle plus the execution latency once it issues, ``NEVER`` while it waits
 to issue, which a squash's cause does again.  Commit retires a head once
 ``done_at <= cycle``, and a squash tells its issued victims by the stamp.
+An E handle resolves at the ROB head alone, from its issue cycle plus its
+resolve latency on: ``done_at - exec_latency + resolve_latency``.
 
 Resolutions wait in per-cycle buckets as ``(seq, entry)``, and a tick fires
 its cycle's bucket in seq order: an older resolution may squash a younger
@@ -78,11 +81,11 @@ Dos-bloom's decision is cached: a delayed entry is asked about again every
 cycle, but the answer can only change when the policy state it reads
 does, and the decision costs a Bloom query and, under the oracle, an exact
 query with a side effect on ``perfect_only_count``.
-``PolicyState.version`` goes up on every squash record, on a Bloom filter
-bulk clear and when the exact filter drops a record (when its handle
-becomes safe).  Each entry caches the version and the reason of its last
-decision; while the version holds, the cached reason stands in for a new
-decision.  The pipeline alone counts false positives: a
+``PolicyState.version`` moves under dos-bloom alone: on every squash
+record, on a Bloom filter bulk clear and when the oracle's exact filter
+drops a record (when its handle becomes safe).  Each entry caches the
+version and the reason of its last decision; while the version holds, the
+cached reason stands in for a new decision.  The pipeline alone counts false positives: a
 ``bloom-false-positive`` delay adds one to ``fp_count`` unless the entry's
 ``fp_counted`` is set, and sets it under ``fp_counting="entry"``, so that
 mode counts one per delay episode and ``"evaluation"`` one per cycle.  A
@@ -99,7 +102,7 @@ records, since only a squash records and only a pop drops; the same
 dispatch clock that stands still, so no deferred Bloom clear falls due.
 It repeats the idle tick until the first timed event, which is the
 earliest of: the head's ``done_at`` while it is ahead, else an E head's
-``resolve_ready`` (commit reads no entry behind a waiting head, and any
+resolve cycle (commit reads no entry behind a waiting head, and any
 other executed head waits for its resolution); the earliest resolution
 bucket; and ``_last_commit_cycle + budget + 1``, where the livelock check
 fires, so that a livelock raises at the same cycle with the same text.
@@ -167,7 +170,7 @@ class RobEntry:
     position, the same for every instance."""
 
     __slots__ = (
-        "seq", "pos", "instr", "done_at", "kind", "resolved", "squashed", "resolve_ready",
+        "seq", "pos", "instr", "done_at", "resolved", "squashed",
         "mask", "fp_counted", "delay_version", "delay_reason",
     )
 
@@ -176,12 +179,10 @@ class RobEntry:
         self.pos = pos
         self.instr = instr
         self.done_at = NEVER  # the cycle its execution completes
-        # the handle-queue fields, for a shadow-casting instruction
-        self.kind: ShadowKind | None = instr.shadow_class
+        # the handle-queue flags, for a shadow-casting instruction
         self.resolved = False
         self.squashed = False
-        self.resolve_ready: int | None = None
-        self.mask = mask
+        self.mask = mask  # the PC's Bloom mask, 0 unless the policy holds Bloom filters
         self.fp_counted = False  # one FP per delay episode in "entry" counting
         self.delay_version = -1  # PolicyState.version at the last decision
         self.delay_reason: str | None = None  # what that decision returned
@@ -275,10 +276,11 @@ class Pipeline:
                 # one (module docstring): count them, and tick that event's cycle
                 event = self._last_commit_cycle + budget + 1  # where the livelock check fires
                 head = rob[0]
+                instr = head.instr
                 if head.done_at > cycle:
                     event = min(event, head.done_at)
-                elif head.kind is _E:
-                    event = min(event, head.resolve_ready)
+                elif instr.shadow_class is _E:
+                    event = min(event, head.done_at - instr.exec_latency + instr.resolve_latency)
                 if resolutions:
                     event = min(event, min(resolutions))
                 skipped = event - 1 - cycle
@@ -347,19 +349,17 @@ class Pipeline:
             head = rob[0]
             if head.done_at > cycle:
                 break
-            kind = head.kind
+            instr = head.instr
+            kind = instr.shadow_class
             if kind is None or head.resolved:
                 del rob[0]
                 retired += 1
                 continue
-            if kind is _E:
-                # fault handling happens only at the head of the ROB
-                if cycle >= head.resolve_ready:
-                    self._resolve(head)
-                    if not head.resolved:
-                        break  # squashed and re-executing
-                    continue
-            break
+            if kind is not _E or cycle < head.done_at - instr.exec_latency + instr.resolve_latency:
+                break  # only an E head resolves here (fault handling), once due
+            self._resolve(head)
+            if not head.resolved:
+                break  # squashed and re-executing
         if retired:
             self.metrics.committed += retired
             self._last_commit_cycle = cycle
@@ -438,12 +438,9 @@ class Pipeline:
             instr = e.instr
             seq = e.seq
             e.done_at = cycle + instr.exec_latency
-            shadow = e.kind
-            if shadow is not None:
-                if shadow is _E:
-                    e.resolve_ready = cycle + instr.resolve_latency
-                else:
-                    resolutions[cycle + instr.resolve_latency].append((seq, e))
+            shadow = instr.shadow_class
+            if shadow is not None and shadow is not _E:  # an E resolves at the head (commit)
+                resolutions[cycle + instr.resolve_latency].append((seq, e))
             pc = instr.pc
             issues[pc] = issues.get(pc, 0) + 1
             speculative = oldest < seq

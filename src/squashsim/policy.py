@@ -111,7 +111,7 @@ class PolicyState:
 
         # lockstep accounting (dos-bloom with oracle): exact hits the Bloom filters miss
         self.perfect_only_count = 0
-        # goes up whenever something dos-bloom's issue_decision reads changes
+        # goes up when something dos-bloom's decision reads changes; only its cache reads it
         self.version = 0
         # what the rule implies, for callers that can skip asking (module docstring)
         self.never_delays = kind is PolicyKind.BASELINE
@@ -144,9 +144,9 @@ class PolicyState:
     def on_squash(self, pcs: frozenset[int], masks: list[int], youngest_handle: int) -> None:
         """Record the issued-and-squashed PCs of one squash event under the
         youngest queued handle (the squash's cause is itself queued)."""
-        self.version += 1
         if self.filters is not None:
             self.filters.record_squash(masks, youngest_handle)
+            self.version += 1
         if self.perfect is not None:
             self.perfect.record(pcs, youngest_handle)
 
@@ -154,7 +154,8 @@ class PolicyState:
         """Every queued handle up to ``seq`` has just been popped."""
         if self.filters is not None and self.filters.on_handle_safe(seq, self.next_seq):
             self.version += 1
-        if self.perfect is not None and self.perfect.on_handle_safe(seq):
+        # a dropped exact record changes dos-bloom's oracle verdict, not its Bloom hit
+        if self.perfect is not None and self.perfect.on_handle_safe(seq) and self.oracle:
             self.version += 1
 
     def on_dispatch(self, next_seq: int) -> None:

@@ -6,12 +6,12 @@ head, and only once safe: resolved (or squashed) with no older entry still
 in front of them.  Squashed entries stay queued as placeholders until they
 reach the head, which is what defeats serial and nested replay patterns.
 
-The queue reads an entry's ``seq``, ``resolved`` and ``squashed``; its
-``kind`` is a label for the pipeline and the golden walkthrough.  The
-pipeline queues its ``RobEntry`` objects, each in-flight instruction its
-own entry; a context blob restores no handles.  ``HandleEntry`` is a
-handle with no in-flight instruction behind it, pushed by the golden
-walkthrough or a test.
+The queue reads an entry's ``seq``, ``resolved`` and ``squashed``, and
+nothing else; an entry's shadow kind is its instruction's
+(``Instruction.shadow_class``), not the queue's.  The pipeline queues its
+``RobEntry`` objects, each in-flight instruction its own entry; a context
+blob restores no handles.  ``HandleEntry`` is a handle with no in-flight
+instruction behind it, pushed by the golden walkthrough or a test.
 
 The queue is a ``deque`` of its entries, oldest first.  Its methods state
 the rules, and the golden walkthrough and the tests drive it through them
@@ -48,7 +48,6 @@ class HandleEntry:
     """A queued handle that no in-flight instruction stands for."""
 
     seq: int
-    kind: ShadowKind
     resolved: bool = False
     squashed: bool = False
 

@@ -252,6 +252,22 @@ def test_exec_latency_orders_commit():
     assert m.committed == 2
 
 
+@pytest.mark.parametrize("exec_lat, res_lat, cycles", [(1, 6, 8), (6, 1, 8), (3, 3, 5),
+                                                       (8, 2, 10)])
+@pytest.mark.parametrize("policy", list(PolicyKind), ids=str)
+def test_e_head_resolves_at_issue_plus_resolve_latency(policy, exec_lat, res_lat, cycles):
+    # dispatched at cycle 1, the load issues at cycle 2 and commits once it
+    # has executed and its fault has resolved, at 2 + max(exec, resolve): the
+    # resolve latency counts from the issue, not from the end of execution.
+    # Delay-all holds the plain until the load's handle pops, one cycle more
+    t = _trace((InstructionKind.LOAD, ShadowKind.E, 0x100, exec_lat, res_lat), *_plains(1))
+    config = MachineConfig(policy=policy)
+    outcome = _outcome(Pipeline, t, config)
+    m = outcome[0]
+    assert (m.cycles, m.committed, m.squashes) == (cycles + (policy is PolicyKind.DELAY_ALL), 2, 0)
+    assert outcome == _outcome(_AskEveryCycle, t, config)  # the idle-cycle skip lands there too
+
+
 def test_livelock_guard_raises():
     t = _trace((InstructionKind.LOAD, None, 0x100, 40))
     with pytest.raises(LivelockError):
@@ -559,9 +575,7 @@ class _AskEveryCycle(Pipeline):
             self.pending.remove(e)
             instr = e.instr
             e.done_at = cycle + instr.exec_latency
-            if instr.shadow_class is ShadowKind.E:
-                e.resolve_ready = cycle + instr.resolve_latency
-            elif instr.shadow_class is not None:
+            if instr.shadow_class not in (None, ShadowKind.E):  # an E resolves at the head
                 self._resolutions[cycle + instr.resolve_latency].append((e.seq, e))
             m.dynamic_executed += 1
             m.per_pc_issues[instr.pc] = m.per_pc_issues.get(instr.pc, 0) + 1

@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from squashsim.shadows import HandleEntry, HandleQueue, HandleQueueError, ShadowKind
+from squashsim.shadows import HandleEntry, HandleQueue, HandleQueueError
 
 
 def _queue_with(*seqs):
     """A queue of C handles and each seq's entry."""
     hq = HandleQueue()
-    return hq, {s: hq.push_handle(HandleEntry(s, ShadowKind.C)) for s in seqs}
+    return hq, {s: hq.push_handle(HandleEntry(s)) for s in seqs}
 
 
 def test_push_keeps_fifo_order():
@@ -26,9 +26,9 @@ def test_push_into_empty_is_head_and_tail():
 def test_push_out_of_order_rejected():
     hq, _ = _queue_with(4)
     with pytest.raises(HandleQueueError):
-        hq.push_handle(HandleEntry(3, ShadowKind.E))
+        hq.push_handle(HandleEntry(3))
     with pytest.raises(HandleQueueError):
-        hq.push_handle(HandleEntry(4, ShadowKind.E))
+        hq.push_handle(HandleEntry(4))
 
 
 def test_youngest_counts_squashed_entries():
@@ -100,7 +100,7 @@ def test_fifo_discipline_property(ops):
         seqs = list(queued)
         if op == "push":
             seq = len(pushed)
-            handles[seq] = hq.push_handle(HandleEntry(seq, ShadowKind.C))
+            handles[seq] = hq.push_handle(HandleEntry(seq))
             pushed.append(seq)
             queued[seq] = [False, False]
         elif op == "resolve" and seqs:
@@ -138,7 +138,7 @@ def test_after_pop_safe_shadows_is_a_bound_on_the_oldest_seq(ops):
     handles: list[HandleEntry] = []
     for op, arg in ops:
         if op == "push":
-            handles.append(hq.push_handle(HandleEntry(len(handles), ShadowKind.C)))
+            handles.append(hq.push_handle(HandleEntry(len(handles))))
         elif op == "resolve" and handles:
             hq.mark_resolved(handles[arg % len(handles)])
         elif op == "squash" and handles:
