@@ -1,4 +1,4 @@
-"""Mid-level orchestration: policy comparisons, context interleaving, sweeps."""
+"""Mid-level orchestration: policy comparisons, contexts switched round-robin, sweeps."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ from itertools import product, zip_longest
 
 from .config import MachineConfig, PolicyKind
 from .metrics import Metrics
-from .pipeline import LivelockError, Pipeline
+from .pipeline import Pipeline
 from .pipeline import run as run_workload  # the name the CLI, the sweeps and the benchmark call
-from .policy import PolicyState, restore_context, save_context
+from .policy import PolicyState
 from .trace import Trace
 
 
@@ -22,54 +22,41 @@ def run_policies(trace: Trace, config: MachineConfig,
     return out
 
 
-def _segments(trace: Trace, boundaries: list[int]) -> list[Trace]:
-    n = len(trace.instructions)
-    cuts = sorted({b for b in boundaries if 0 < b < n})
-    return [Trace(name=f"{trace.name}[{lo}:{hi}]", seed=trace.seed,
-                  instructions=trace.instructions[lo:hi], start=trace.start + lo)
-            for lo, hi in zip([0] + cuts, cuts + [n])]
-
-
 def run_segmented(trace: Trace, config: MachineConfig, boundaries: list[int],
                   context_id: int = 0, resolver=None, observer=None) -> Metrics:
-    """Run one context's trace in segments: ``run_interleaved`` with that
-    context alone, so the same livelock rule holds."""
+    """Run one context's trace with a context switch at each boundary:
+    ``run_interleaved`` with that context alone, so the same livelock rule holds."""
     return run_interleaved({context_id: (trace, boundaries)}, config,
                            resolver=resolver, observer=observer)[context_id]
 
 
 def run_interleaved(workloads: dict[int, tuple[Trace, list[int]]], config: MachineConfig,
                     resolver=None, observer=None) -> dict[int, Metrics]:
-    """Round-robin contexts at their segment boundaries, in context-id order,
-    and merge each context's per-segment metrics under its whole trace's id.
+    """Round-robin contexts at their switch points, in context-id order.
 
-    A segment is a slice of the trace whose ``start`` is the cut point, so
-    every instruction keeps its whole-trace position: a resolver keyed by
-    trace position sees the same positions as in an unsegmented run, and
-    the pipeline restarts a squash relative to the segment's ``start``.
-    A context's first segment starts from a fresh ``PolicyState``; each
-    later one from its drained state saved to a blob and restored, as a
-    context switch does.  The resolver and the observer see every context.
-    A livelock in any segment re-raises with the merged metrics of that
-    context's segments run so far.
+    A context is one ``Pipeline`` over its whole trace, from a fresh
+    ``PolicyState``.  It runs until every record before its next switch
+    point (a record index) has committed, yields, and is switched out and
+    back in when scheduled again (``Pipeline.switch_context``).  The
+    resolver and the observer see every context.  A livelock raises with
+    the metrics of that context's run so far.
     """
-    segments = {cid: _segments(*workloads[cid]) for cid in sorted(workloads)}
-    states = {cid: PolicyState(config, context_id=cid) for cid in segments}
-    totals = {cid: Metrics(trace_id=workloads[cid][0].trace_id, policy=str(config.policy))
-              for cid in segments}
-    for round_no, round_ in enumerate(zip_longest(*segments.values())):
-        for cid, seg in zip(segments, round_):
-            if seg is None:
-                continue  # this context has run all its segments
-            if round_no:  # scheduled again after yielding at a boundary
-                states[cid] = restore_context(save_context(states[cid]), config, cid)
-            pipe = Pipeline(seg, config, policy=states[cid], resolver=resolver, observer=observer)
-            try:
-                totals[cid].merge(pipe.run())
-            except LivelockError as err:
-                err.metrics = totals[cid].merge(err.metrics)
-                raise
-    return totals
+    pipes: dict[int, Pipeline] = {}
+    stops: dict[int, list[int]] = {}
+    for cid in sorted(workloads):
+        trace, boundaries = workloads[cid]
+        pipes[cid] = Pipeline(trace, config, policy=PolicyState(config, context_id=cid),
+                              resolver=resolver, observer=observer)
+        n = len(trace)
+        stops[cid] = sorted({b for b in boundaries if 0 < b < n}) + [n]
+    for round_no, round_ in enumerate(zip_longest(*stops.values())):
+        for (cid, pipe), stop in zip(pipes.items(), round_):
+            if stop is None:
+                continue  # this context has run its whole trace
+            if round_no:  # scheduled again after yielding at a switch point
+                pipe.switch_context()
+            pipe.run(stop)
+    return {cid: pipe.metrics for cid, pipe in pipes.items()}
 
 
 # -- parameter sweeps -----------------------------------------------------------

@@ -68,7 +68,7 @@ def mask_table(seeds: tuple[int, ...], bits: int) -> dict[int, int]:
     ``(seeds, bits)``; the caller fills it on a miss.
 
     A mask, ``indices_to_mask(compute_hashes(pc, seeds, bits))``, depends
-    on nothing else, so every run and segment of a family shares the dict
+    on nothing else, so every run of a family shares the dict
     and hashes each PC once per process.  A dict holds every PC hashed
     under its family; the cache keeps the ``MASK_TABLE_FAMILIES`` most
     recently used families, and ``mask_table.cache_clear()`` drops them all.

@@ -9,7 +9,8 @@ _OFF_ROW = {"row": False}  # field metadata: left out of the report row
 
 @dataclass
 class Metrics:
-    """Exact counters for one run (or one merged sequence of segments).
+    """Exact counters of one ``Pipeline``'s run: one context, across its
+    context switches.
 
     ``dynamic_executed`` counts issue events, including work that is later
     discarded; ``squashed_executions`` counts the discarded part, so
@@ -31,20 +32,6 @@ class Metrics:
     rotations: int = 0
     per_pc_spec_issues: dict[int, int] = field(default_factory=dict, metadata=_OFF_ROW)
     per_pc_issues: dict[int, int] = field(default_factory=dict, metadata=_OFF_ROW)
-
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Accumulate a later segment of the same context into this one.
-
-        Counters add up and the per-PC dicts add per PC; the id strings
-        stay this run's."""
-        for f in fields(self):
-            mine = getattr(self, f.name)
-            if isinstance(mine, dict):
-                for pc, n in getattr(other, f.name).items():
-                    mine[pc] = mine.get(pc, 0) + n
-            elif isinstance(mine, int):
-                setattr(self, f.name, mine + getattr(other, f.name))
-        return self
 
     def as_dict(self) -> dict:
         """The report row: every field not marked off-row, then ``fp_rate``."""

@@ -6,6 +6,10 @@ reorder-buffer head), handle-queue pops, issue under the active policy,
 then dispatch.  The instruction at the head of the reorder buffer is
 never delayed, which guarantees forward progress under every policy.
 
+A ``Pipeline`` is one context over its whole trace: ``run(stop)`` pauses it
+drained, and ``switch_context`` keeps only what the context blob holds of
+the policy state, while the metrics and the cycle count go on.
+
 On a squash, every younger entry is drained, the PCs of the ones that had
 actually issued are recorded with the policy, and the front end restarts
 right after the misspeculating instruction, which itself stays put and
@@ -48,7 +52,7 @@ Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
 once per hash family and PC in a process, and kept in the entry: a mask
 depends on the PC, the hash seeds and the filter size alone, so every
-run and segment of one family shares ``filters.mask_table``.  Under
+run of one family shares ``filters.mask_table``.  Under
 every other policy the mask is 0, since only the rolling filters read
 it.  Each dispatch takes the next seq, so ``PolicyState.next_seq`` is
 also the dispatch count: the clock of a deferred Bloom clear, held by
@@ -138,7 +142,7 @@ from operator import attrgetter
 from .config import MachineConfig
 from .filters import compute_hashes, indices_to_mask, mask_table
 from .metrics import Metrics
-from .policy import DELAY_BLOOM_FP, PolicyState
+from .policy import DELAY_BLOOM_FP, PolicyState, restore_context, save_context
 from .shadows import ShadowKind
 from .trace import Instruction, Trace
 
@@ -215,7 +219,7 @@ class TraceResolver:
 
 
 class Pipeline:
-    """One execution context of the machine."""
+    """One execution context of the machine, paused at its context switches."""
 
     def __init__(
         self,
@@ -246,20 +250,24 @@ class Pipeline:
             mask_table(self.policy.hash_seeds, config.bits)
             if self.policy.filters is not None else None)
         self._fp_entry_mode = config.fp_counting == "entry"
+        self._stop = len(self.records)  # dispatch brings in no record at or after this index
         self._last_commit_cycle = 0
         self._idle = False  # the last tick changed nothing but the delay counters
 
     # -- lifecycle ------------------------------------------------------------
 
-    def run(self) -> Metrics:
-        budget = self.config.effective_budget
+    def run(self, stop: int | None = None) -> Metrics:
+        """Run until every record before index ``stop`` (by default, every
+        record) has committed; return the context's metrics so far."""
         n_records = len(self.records)
+        self._stop = stop = n_records if stop is None else min(stop, n_records)
+        budget = self.config.effective_budget
         rob = self.rob
         resolutions = self._resolutions
         m = self.metrics
         count_fp_per_cycle = not self._fp_entry_mode
         tick = self.tick
-        while self.cursor < n_records or rob:
+        while self.cursor < stop or rob:
             self.cycle += 1
             delayed, fps = m.delayed_issues, m.fp_count
             tick()
@@ -293,6 +301,20 @@ class Pipeline:
         return m
 
     next_seq = property(lambda self: self.policy.next_seq)  # the tracer's read of the clock
+
+    def switch_context(self) -> None:
+        """Switch the drained context out and back in: its policy state is
+        restored from its blob, keeping the counters.  A drained run ended on
+        a commit, with no resolution due: a re-dispatched instance resolves
+        after its squashed one, so nothing else needs a reset."""
+        if self.rob:
+            raise ValueError("cannot switch a context with instructions in flight")
+        old = self.policy
+        self.policy = new = restore_context(save_context(old), self.config, old.context_id)
+        self.hq = new.handle_queue
+        new.perfect_only_count = old.perfect_only_count
+        if new.filters is not None:
+            new.filters.rotations, new.filters.clears = old.filters.rotations, old.filters.clears
 
     def _finalize(self) -> None:
         self.metrics.cycles = self.cycle
@@ -456,8 +478,7 @@ class Pipeline:
         rob = self.rob
         rob_size = self.config.rob_size
         cursor = self.cursor
-        records = self.records
-        room = min(self.config.width, rob_size - len(rob), len(records) - cursor)
+        room = min(self.config.width, rob_size - len(rob), self._stop - cursor)
         if room <= 0:
             return 0
         pending = self.pending
@@ -466,7 +487,7 @@ class Pipeline:
         policy = self.policy
         seq = policy.next_seq
         pos = self.start + cursor
-        for rec in records[cursor:cursor + room]:
+        for rec in self.records[cursor:cursor + room]:
             shadow = rec.shadow_class
             if shadow is not None and len(hq) >= rob_size:
                 break  # handle queue full; stall until zombies drain

@@ -351,10 +351,15 @@ class _SetObserver:
 
 
 class _QueueToObserver(Pipeline):
-    """Hands the reference observer the handle queue it reads at a squash."""
+    """Hands the reference observer the handle queue it reads at a squash,
+    and again after a context switch, which restores a new one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.observer.hq = self.hq
+
+    def switch_context(self):
+        super().switch_context()
         self.observer.hq = self.hq
 
 

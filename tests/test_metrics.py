@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 
 from squashsim.config import MachineConfig, PolicyKind
@@ -69,30 +67,6 @@ def test_fp_rate_stays_small_on_lightly_squashing_loops():
     rate = fp_rate(m)
     assert rate is not None
     assert 0.001 < rate < 0.02
-
-
-def test_metrics_merge_accumulates():
-    a = Metrics(cycles=10, committed=5, per_pc_issues={1: 2})
-    b = Metrics(cycles=7, committed=3, per_pc_issues={1: 1, 2: 4})
-    a.merge(b)
-    assert a.cycles == 17
-    assert a.committed == 8
-    assert a.per_pc_issues == {1: 3, 2: 4}
-
-
-def test_metrics_merge_adds_every_counter_field():
-    a = Metrics(trace_id="t", policy="p", per_pc_spec_issues={3: 1})
-    b = Metrics(trace_id="u", policy="q", per_pc_spec_issues={3: 2})
-    for i, f in enumerate(fields(Metrics)):
-        if f.type == "int":
-            setattr(a, f.name, i)
-            setattr(b, f.name, 100 * i)
-    a.merge(b)
-    for i, f in enumerate(fields(Metrics)):
-        if f.type == "int":
-            assert getattr(a, f.name) == 101 * i, f.name
-    assert (a.trace_id, a.policy) == ("t", "p")
-    assert a.per_pc_spec_issues == {3: 3}
 
 
 def test_as_dict_row_keys_and_order():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from squashsim.config import MachineConfig, PolicyKind
-from squashsim.experiment import _segments
 from squashsim.filters import compute_hashes, indices_to_mask
 from squashsim.pipeline import Pipeline
 from squashsim.policy import (
@@ -91,7 +90,7 @@ def test_oracle_lockstep_counts_false_positives():
     assert st.perfect_only_count == 0
 
 
-def test_squash_raises_version():
+def test_squash_raises_version_under_dos_bloom_alone():
     # only dos-bloom's decision cache reads the version, so only it moves
     for policy in PolicyKind:
         st = _state(policy)
@@ -135,7 +134,7 @@ def test_bloom_arming_without_a_clear_keeps_version():
     assert (st.filters.clears, st.version) == (0, 1)
 
 
-def test_exact_record_dropped_by_handle_raises_version():
+def test_exact_record_drop_keeps_version_outside_dos_bloom():
     # dos-perfect's record drops with its handle; nothing reads its version
     st = _state(PolicyKind.DOS_PERFECT)
     st.on_squash(frozenset({0x400}), [_mask(st, 0x400)], youngest_handle=3)
@@ -296,8 +295,8 @@ def test_save_refuses_a_filter_associated_with_a_handle():
 def _drained(config, trace, cut):
     """Policy state after the first `cut` instructions of `trace`, run to
     completion: drained, as ``run_segmented`` drains at a boundary."""
-    p = Pipeline(_segments(trace, [cut])[0], config)
-    p.run()
+    p = Pipeline(trace, config)
+    p.run(cut)
     return p.policy
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from squashsim.experiment import _segments
 from squashsim.shadows import ShadowKind
 from squashsim.trace import (
     Instruction,
@@ -143,7 +142,8 @@ def test_serialize_numbers_a_slice_from_its_start():
 
 
 def test_a_serialized_segment_parses_back_from_its_start():
-    seg = _segments(gen_loop_trace(4, 3, 0.5, seed=2), [5])[1]
+    t = gen_loop_trace(4, 3, 0.5, seed=2)
+    seg = Trace(name="seg", seed=2, instructions=t.instructions[5:], start=5)
     again = parse_trace(serialize_trace(seg))
     assert (again.start, again.instructions) == (5, seg.instructions)
     assert serialize_trace(again) == serialize_trace(seg)
