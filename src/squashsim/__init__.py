@@ -25,7 +25,6 @@ from .attacks import (
     build_single,
     run_scenario,
 )
-from .golden import run_golden
 
 __all__ = [
     "AttackReport",
@@ -55,7 +54,6 @@ __all__ = [
     "perf_proxy",
     "restore_context",
     "run",
-    "run_golden",
     "run_scenario",
     "save_context",
     "serialize_trace",

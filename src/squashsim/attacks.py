@@ -28,27 +28,23 @@ The pipeline counts the transmit instructions' issues per PC; the
 ``AttackObserver`` only checks the security bound, and an ``AttackReport``
 reads the rest from the scenario and the run's metrics.
 
-Every instruction the builders place comes from one process-wide intern
-table, ``instruction``: one ``Instruction`` per distinct value, shared by
-every position and scenario that holds that value.  Padding PCs depend on
-the position alone, so the criterion-2 grid's 12,024 positions hold 453
-objects.  The table keeps the ``INSTRUCTION_TABLE_SIZE`` most recently
-used values, and ``instruction.cache_clear()`` drops them all.  Each trace
-still gets its own list; only the immutable instructions are shared.
+Every instruction the builders place comes from ``trace.instruction``,
+the intern table ``gen_loop_trace`` uses too.  Padding PCs depend on the
+position alone, so the criterion-2 grid's 12,024 positions hold 453
+objects, one per distinct value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 
 from .config import MAX_BUDGET, ConfigError, MachineConfig
 from .experiment import run_segmented
 from .metrics import Metrics
 from .pipeline import LivelockError, RobEntry, SquashRecord
 from .shadows import ShadowKind
-from .trace import Instruction, InstructionKind, Trace
+from .trace import Instruction, InstructionKind, Trace, instruction
 
 
 class ScenarioPattern(str, Enum):
@@ -135,23 +131,9 @@ _NESTED_SLACK = 8  # cycles an outer latency adds over its inner subtree's repla
 _NESTED_PAD = 4  # plain instructions after the nested transmit instruction
 
 
-INSTRUCTION_TABLE_SIZE = 1024  # distinct instructions the scenario builders keep
-
-
-@lru_cache(maxsize=INSTRUCTION_TABLE_SIZE)
-def instruction(pc: int, kind: InstructionKind, shadow: ShadowKind | None,
-                exec_latency: int, resolve_latency: int) -> Instruction:
-    """The process's one ``Instruction`` of this value.
-
-    Pass every argument positionally: the cache keys on the arguments as
-    given, so one value must always be spelled the same way.
-    """
-    return Instruction(pc, kind, shadow, exec_latency, resolve_latency)
-
-
 def _pad(instructions: list[Instruction], n: int) -> None:
     start = _PAD_PC_BASE + 4 * len(instructions)
-    instructions.extend(instruction(pc, InstructionKind.PLAIN, None, 1, 1)
+    instructions.extend(instruction(pc, InstructionKind.PLAIN, None, 1, 1, False)
                         for pc in range(start, start + 4 * n, 4))
 
 
@@ -169,10 +151,10 @@ def _episodes(name: str, pattern: ScenarioPattern, handles: int, replays: int,
         slot = len(ins)
         force[slot] = ForceMisspeculate(replays)
         ins.append(instruction(_HANDLE_PC_BASE + 0x100 * i, InstructionKind.LOAD,
-                               ShadowKind.E, 1, _SINGLE_RESOLVE))
+                               ShadowKind.E, 1, _SINGLE_RESOLVE, False))
         _pad(ins, gap)
         transmit_pcs.append(_TRANSMIT_PC_BASE + 0x100 * i)
-        ins.append(instruction(transmit_pcs[-1], InstructionKind.TRANSMIT, None, 1, 1))
+        ins.append(instruction(transmit_pcs[-1], InstructionKind.TRANSMIT, None, 1, 1, False))
         _pad(ins, pad)
     return Scenario(
         name=name,
@@ -254,11 +236,11 @@ def build_nested(handles: int, replays: int, gap: int = 2,
     for i in range(handles):
         slot = len(ins)
         ins.append(instruction(_HANDLE_PC_BASE + 0x100 * i, InstructionKind.BRANCH,
-                               ShadowKind.C, 1, resolve_latencies[i]))
+                               ShadowKind.C, 1, resolve_latencies[i], False))
         force[slot] = ForceMisspeculate(replays, outer_slot=slot - 1 if i else None)
     _pad(ins, gap)
     s_pc = _TRANSMIT_PC_BASE
-    ins.append(instruction(s_pc, InstructionKind.TRANSMIT, None, 1, 1))
+    ins.append(instruction(s_pc, InstructionKind.TRANSMIT, None, 1, 1, False))
     _pad(ins, _NESTED_PAD)
     trace = Trace(name=f"nested-h{handles}-r{replays}", seed=0, instructions=ins)
     return Scenario(

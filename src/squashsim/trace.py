@@ -6,6 +6,12 @@ latencies.  There is no ISA, no registers, no memory values.  An
 ``Instruction`` holds no position: a trace position is a list index plus
 the trace's ``start``, so one object may stand at many positions.
 
+Both generators, ``gen_loop_trace`` and the attack scenario builders, take
+every instruction from ``instruction``, the process's one intern table: it
+keeps one ``Instruction`` for each of the ``INSTRUCTION_TABLE_SIZE`` most
+recently used values, and ``instruction.cache_clear()`` empties it.  Each
+trace still gets its own list; only the immutable instructions are shared.
+
 Trace file format (one instruction per line, ``#`` starts a comment)::
 
     <seq> <pc-hex> <KIND> <SHADOW|-> <exec_latency> <resolve_latency> [MISS]
@@ -21,8 +27,9 @@ none; MISS marks a pre-scheduled misspeculation.  A latency is from 1 to
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .config import MAX_BUDGET
 from .shadows import ShadowKind
@@ -62,14 +69,12 @@ class Instruction:
     """What a trace says about one instruction, apart from where it sits.
 
     An instruction holds no position, so a trace may hold one object at
-    many positions: a loop trace holds one per body slot (and a
-    misspeculating twin per shadow-casting slot), and the attack scenario
-    builders take theirs from ``attacks.instruction``, a bounded
-    process-wide table of one object per distinct value, so scenarios
-    share them too.  Frozen and compared by value, an instruction is never
-    told apart by identity.  A position is the list index plus the
-    trace's ``start``; the pipeline keeps it in the ``RobEntry`` and
-    assigns its own sequence numbers to re-dispatched instances.
+    many positions, and both generators take theirs from ``instruction``,
+    so their traces share them too.  Frozen and compared by value, an
+    instruction is never told apart by identity.  A position is the list
+    index plus the trace's ``start``; the pipeline keeps it in the
+    ``RobEntry`` and assigns its own sequence numbers to re-dispatched
+    instances.
     """
 
     pc: int
@@ -97,6 +102,20 @@ class Instruction:
             raise ValueError(f"{self.kind} cannot cast an {self.shadow_class}-shadow")
         if self.misspeculate and self.shadow_class is None:
             raise ValueError("only shadow-casting instructions can misspeculate")
+
+
+INSTRUCTION_TABLE_SIZE = 1024  # distinct instructions the generators keep
+
+
+@lru_cache(maxsize=INSTRUCTION_TABLE_SIZE)
+def instruction(pc: int, kind: InstructionKind, shadow: ShadowKind | None,
+                exec_latency: int, resolve_latency: int, misspeculate: bool) -> Instruction:
+    """The process's one ``Instruction`` of this value.
+
+    Pass every argument positionally: the cache keys on the arguments as
+    given, so one value must always be spelled the same way.
+    """
+    return Instruction(pc, kind, shadow, exec_latency, resolve_latency, misspeculate)
 
 
 @dataclass
@@ -148,9 +167,9 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
     per shadow-casting instruction; mark it when the draw is below the
     rate.
 
-    The trace holds one ``Instruction`` per body slot, and one
-    misspeculating twin per shadow-casting slot, each at every position
-    it fills.
+    Every instruction comes from ``instruction``, so the trace holds one
+    object per body slot, and one misspeculating twin per shadow-casting
+    slot, each at every position it fills.
     """
     if body_len < 1:
         raise ValueError(f"body_len must be >= 1, got {body_len}")
@@ -163,13 +182,12 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
     body: list[tuple[Instruction, Instruction | None]] = []
     for j in range(body_len):
         kind, shadow, exec_lat, res_lat = _loop_slot(j)
-        ins = Instruction(_LOOP_PC_BASE + 4 * j, kind, shadow, exec_lat, res_lat)
-        body.append((ins, None if shadow is None else replace(ins, misspeculate=True)))
+        slot = (_LOOP_PC_BASE + 4 * j, kind, shadow, exec_lat, res_lat)
+        body.append((instruction(*slot, False),
+                     None if shadow is None else instruction(*slot, True)))
     draw = random.Random(seed).random
-    out: list[Instruction] = []
-    for _ in range(iterations):
-        for ins, twin in body:
-            out.append(twin if twin is not None and draw() < squash_rate else ins)
+    out = [twin if twin is not None and draw() < squash_rate else ins
+           for _ in range(iterations) for ins, twin in body]
     return Trace(name=f"loop-{body_len}x{iterations}-r{squash_rate}", seed=seed, instructions=out)
 
 

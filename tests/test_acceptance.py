@@ -19,7 +19,6 @@ from squashsim.attacks import (
     build_serial,
     build_single,
     build_unbounded,
-    instruction,
     run_scenario,
 )
 from squashsim.config import MachineConfig, PolicyKind
@@ -32,7 +31,7 @@ from squashsim.experiment import (
 from squashsim.filters import RollingFilters, compute_hashes, derive_hash_seeds, indices_to_mask
 from squashsim.golden import golden_passed, run_golden
 from squashsim.metrics import fp_rate
-from squashsim.trace import gen_loop_trace
+from squashsim.trace import gen_loop_trace, instruction
 
 DOS_POLICIES = (PolicyKind.DOS_PERFECT, PolicyKind.DOS_BLOOM)
 

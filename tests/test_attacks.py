@@ -1,11 +1,10 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squashsim import experiment
 from squashsim.attacks import (
-    INSTRUCTION_TABLE_SIZE,
     ForceMisspeculate,
     Scenario,
     ScenarioPattern,
@@ -14,7 +13,6 @@ from squashsim.attacks import (
     build_serial,
     build_single,
     build_unbounded,
-    instruction,
     nested_latencies,
     run_scenario,
 )
@@ -22,7 +20,15 @@ from squashsim.cli import SCENARIO_CAPS, scenario_from_params
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.pipeline import LivelockError, Pipeline
 from squashsim.shadows import ShadowKind
-from squashsim.trace import Instruction, InstructionKind, Trace, serialize_trace
+from squashsim.trace import (
+    INSTRUCTION_TABLE_SIZE,
+    Instruction,
+    InstructionKind,
+    Trace,
+    gen_loop_trace,
+    instruction,
+    serialize_trace,
+)
 
 
 def _enumerate_squash_tree(handles: int, replays: int) -> int:
@@ -282,9 +288,15 @@ def test_instruction_table_stays_within_its_bound():
        handles=st.integers(1, SCENARIO_CAPS["handles"]),
        replays=st.integers(1, SCENARIO_CAPS["replays"]),
        gap=st.integers(0, SCENARIO_CAPS["gap"]),
-       policy=st.sampled_from(list(PolicyKind)))
+       policy=st.sampled_from(list(PolicyKind)),
+       loop=st.tuples(st.integers(1, 64), st.integers(1, 20), st.floats(0, 1),
+                      st.integers(0, 2**32 - 1)))
+# a loop body of more values than the table holds: the second build finds
+# every value evicted and must still build the same text
+@example(pattern="single", handles=1, replays=1, gap=0, policy=PolicyKind.BASELINE,
+         loop=(1100, 2, 0.5, 0))
 def test_warm_instruction_table_builds_what_a_cold_one_builds(pattern, handles, replays,
-                                                              gap, policy):
+                                                              gap, policy, loop):
     # a short livelock budget keeps the long replay trees cheap; a livelocked
     # row must match too
     config = MachineConfig(policy=policy, livelock_budget=200)
@@ -302,10 +314,17 @@ def test_warm_instruction_table_builds_what_a_cold_one_builds(pattern, handles, 
             return scenario
         return serialize_trace(scenario.trace), run_scenario(scenario, config).as_dict()
 
-    build()  # fills the table with this scenario's instructions
-    warm = outcome(build())
+    body_len, iterations, rate, seed = loop
+
+    def loop_text(rate):
+        return serialize_trace(gen_loop_trace(body_len, iterations, rate, seed))
+
+    # fill the table with these instructions, and with every loop slot both
+    # as itself and as its misspeculating twin
+    build(), loop_text(0.0), loop_text(1.0)
+    warm = outcome(build()), loop_text(rate)
     instruction.cache_clear()
-    assert outcome(build()) == warm
+    assert (outcome(build()), loop_text(rate)) == warm
 
 
 class _SetObserver:

@@ -389,6 +389,16 @@ def test_cli_import_leaves_multiprocessing_out():
     assert done.stdout == "False\n"
 
 
+def test_package_import_leaves_golden_and_cli_out():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", "import sys, squashsim; "
+                           "print(sorted({'squashsim.golden', 'squashsim.cli'} & set(sys.modules)))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_sweep_rejects_empty_range(capsys, loop_trace):
     with pytest.raises(SystemExit):
         main(["sweep", "--trace", loop_trace, "--sweep-bits", ""])

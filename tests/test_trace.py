@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from squashsim.trace import (
     Trace,
     TraceFormatError,
     gen_loop_trace,
+    instruction,
     parse_trace,
     serialize_trace,
 )
@@ -61,6 +63,29 @@ def test_loop_trace_shares_one_object_per_slot_and_one_per_twin():
     assert len({id(ins) for ins in t}) <= 2 * body_len
     for j in range(body_len):  # each slot's positions hold it or its misspeculating twin
         assert len({id(ins) for ins in t.instructions[j::body_len]}) <= 2
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((40, 50, 0.05, 7), "1dc1bbd69b70c0754fda52330a138a71a4677481b761979a9587c5f9c004f51e"),
+    ((128, 40, 0.05, 0), "69f4a1102109713aa0f4d88e5fb8f06304c85fd0695e63fecb29338c10c6ed7f"),
+    ((10, 40, 0.15, 31), "6ffc0e31ad3d4d30ff899ccbd8d4f9b7eee4137f963d2c3d87546bc923c1582b"),
+    ((3, 5, 1.0, 2), "5f170d5b7142eeed6a3125707aa1a40502fbb600589d123e7d01e5bda75951d0"),
+])
+def test_loop_trace_text_is_pinned(args, digest):
+    # SHA-256 of the file text, recorded before loop traces took their
+    # instructions from the intern table
+    assert hashlib.sha256(serialize_trace(gen_loop_trace(*args)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("body_len, iterations, traces, objects", [
+    (40, 50, 64, 58),  # the benchmark's loop workload at seed 0
+    (128, 40, 12, 186),  # its sweep workload's traces at seed 0
+])
+def test_loop_traces_hold_one_instruction_object_per_value(body_len, iterations, traces,
+                                                          objects):
+    instruction.cache_clear()
+    ins = [i for seed in range(traces) for i in gen_loop_trace(body_len, iterations, 0.05, seed)]
+    assert len({id(i) for i in ins}) == len(set(ins)) == objects
 
 
 def _reference_loop(body_len, iterations, rate, seed):
