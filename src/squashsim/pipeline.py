@@ -25,12 +25,12 @@ handle-queue entry: dispatch pushes it, and its ``seq``, ``resolved`` and
 stay queued as placeholders until they reach the queue head.  A fact of
 the instruction, such as its shadow kind or a latency, is read from ``instr``.
 
-An entry's ``seq`` is new on every dispatch; its ``pos`` is the whole-trace
-position of its instruction, ``trace.start`` plus the record index, and
-stays the same for every re-dispatched instance.  An ``Instruction`` holds
-no position (a loop trace holds one object per body slot), so the
-resolvers key on ``pos``, and a squash restarts the front end at the record
-after ``cause.pos``.
+An entry's ``seq`` is new on every dispatch; its ``pos`` is the trace
+position of its instruction, the record index, and stays the same for
+every re-dispatched instance.  An ``Instruction`` holds no position (a
+loop trace holds one object per body slot), so the resolvers key on
+``pos``, and a squash restarts the front end at the record after
+``cause.pos``.
 
 An entry's execution completes at a cycle stamp, ``done_at``: the issue
 cycle plus the execution latency once it issues, ``NEVER`` while it waits
@@ -170,8 +170,8 @@ class SquashRecord:
 
 class RobEntry:
     """One dispatched instance of an instruction: ``seq`` is its dynamic
-    sequence number, new on every dispatch, and ``pos`` its whole-trace
-    position, the same for every instance."""
+    sequence number, new on every dispatch, and ``pos`` its trace position
+    (record index), the same for every instance."""
 
     __slots__ = (
         "seq", "pos", "instr", "done_at", "resolved", "squashed",
@@ -205,7 +205,8 @@ class RobEntry:
 
 class TraceResolver:
     """Default speculation outcomes: a pre-marked instruction misspeculates
-    once at its trace position; re-dispatched instances resolve correctly."""
+    once at its trace position (``RobEntry.pos``); re-dispatched instances
+    resolve correctly."""
 
     def __init__(self) -> None:
         self._consumed: set[int] = set()
@@ -231,7 +232,6 @@ class Pipeline:
     ) -> None:
         self.config = config
         self.records = trace.instructions
-        self.start = trace.start  # the whole-trace position of records[0]
         self.policy = policy if policy is not None else PolicyState(config)
         self.hq = self.policy.handle_queue
         self.resolver = resolver if resolver is not None else TraceResolver()
@@ -486,7 +486,7 @@ class Pipeline:
         masks = self._pc_masks
         policy = self.policy
         seq = policy.next_seq
-        pos = self.start + cursor
+        pos = cursor
         for rec in self.records[cursor:cursor + room]:
             shadow = rec.shadow_class
             if shadow is not None and len(hq) >= rob_size:
@@ -537,8 +537,7 @@ class Pipeline:
         cause.fp_counted = False
         pending.append(cause)  # every entry still pending is older
 
-        # records may be a slice of a longer trace, starting at self.start
-        self.cursor = cause.pos - self.start + 1
+        self.cursor = cause.pos + 1
         if self.observer is not None:
             self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest))
 

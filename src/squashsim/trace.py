@@ -3,8 +3,8 @@
 Instructions carry only what the defense mechanism reads: a program
 counter, a shadow class when they can cause squashing, and execute/resolve
 latencies.  There is no ISA, no registers, no memory values.  An
-``Instruction`` holds no position: a trace position is a list index plus
-the trace's ``start``, so one object may stand at many positions.
+``Instruction`` holds no position: a trace position is its list index,
+so one object may stand at many positions.
 
 Both generators, ``gen_loop_trace`` and the attack scenario builders, take
 every instruction from ``instruction``, the process's one intern table: it
@@ -16,12 +16,10 @@ Trace file format (one instruction per line, ``#`` starts a comment)::
 
     <seq> <pc-hex> <KIND> <SHADOW|-> <exec_latency> <resolve_latency> [MISS]
 
-SEQ is the position: ``start`` plus the line's index among the
-instructions.  A parsed trace's ``start`` is its first SEQ, never negative,
-so a segment's file loads back as that segment.  KIND is one of PLAIN,
-LOAD, STORE, BRANCH, TRANSMIT; SHADOW is one of E, C, D, M or ``-`` for
-none; MISS marks a pre-scheduled misspeculation.  A latency is from 1 to
-2**20 cycles, the largest livelock budget.
+SEQ is the position: the line's index among the instructions, from 0.
+KIND is one of PLAIN, LOAD, STORE, BRANCH, TRANSMIT; SHADOW is one of E,
+C, D, M or ``-`` for none; MISS marks a pre-scheduled misspeculation.  A
+latency is from 1 to 2**20 cycles, the largest livelock budget.
 """
 
 from __future__ import annotations
@@ -72,9 +70,8 @@ class Instruction:
     many positions, and both generators take theirs from ``instruction``,
     so their traces share them too.  Frozen and compared by value, an
     instruction is never told apart by identity.  A position is the list
-    index plus the trace's ``start``; the pipeline keeps it in the
-    ``RobEntry`` and assigns its own sequence numbers to re-dispatched
-    instances.
+    index; the pipeline keeps it in the ``RobEntry`` and assigns its own
+    sequence numbers to re-dispatched instances.
     """
 
     pc: int
@@ -96,10 +93,8 @@ class Instruction:
             raise ValueError(f"exec_latency must be in [1, 2**20], got {self.exec_latency}")
         if not 1 <= self.resolve_latency <= MAX_BUDGET:
             raise ValueError(f"resolve_latency must be in [1, 2**20], got {self.resolve_latency}")
-        if self.kind is InstructionKind.TRANSMIT and self.shadow_class is not None:
-            raise ValueError("transmit instructions never cast a shadow")
         if self.shadow_class is not None and self.shadow_class not in _KIND_SHADOWS[self.kind]:
-            raise ValueError(f"{self.kind} cannot cast an {self.shadow_class}-shadow")
+            raise ValueError(f"{self.kind} cannot cast a shadow of class {self.shadow_class}")
         if self.misspeculate and self.shadow_class is None:
             raise ValueError("only shadow-casting instructions can misspeculate")
 
@@ -120,16 +115,12 @@ def instruction(pc: int, kind: InstructionKind, shadow: ShadowKind | None,
 
 @dataclass
 class Trace:
-    """An ordered dynamic instruction stream with its generation metadata.
-
-    ``start`` is the whole-trace position of ``instructions[0]``: 0 for a
-    whole trace, the cut point for a segment sliced out of a longer one.
-    """
+    """An ordered dynamic instruction stream with its generation metadata;
+    a position in it is an index into ``instructions``."""
 
     name: str
     seed: int
     instructions: list[Instruction] = field(default_factory=list)
-    start: int = 0
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -194,7 +185,6 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
 def parse_trace(text: str, name: str = "trace") -> Trace:
     """Parse the trace file format; round-trips with :func:`serialize_trace`."""
     instructions: list[Instruction] = []
-    start = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -232,26 +222,21 @@ def parse_trace(text: str, name: str = "trace") -> Trace:
             if fields[6].upper() != "MISS":
                 raise TraceFormatError(line_no, f"unexpected trailing field {fields[6]!r}")
             miss = True
-        if not instructions:
-            start = seq
-            if seq < 0:
-                raise TraceFormatError(line_no, f"negative first seq {seq}")
-        elif seq != start + len(instructions):
-            raise TraceFormatError(
-                line_no, f"seq {seq} out of order, expected {start + len(instructions)}")
+        if seq != len(instructions):
+            raise TraceFormatError(line_no, f"seq {seq} out of order, expected {len(instructions)}")
         try:
             instructions.append(
                 Instruction(pc, kind, shadow, exec_lat, res_lat, miss)
             )
         except ValueError as exc:
             raise TraceFormatError(line_no, str(exc)) from None
-    return Trace(name=name, seed=0, instructions=instructions, start=start)  # no generator seed
+    return Trace(name=name, seed=0, instructions=instructions)  # no generator seed
 
 
 def serialize_trace(trace: Trace) -> str:
     """Render a trace in the file format (one instruction per line)."""
     lines = []
-    for seq, ins in enumerate(trace.instructions, trace.start):
+    for seq, ins in enumerate(trace.instructions):
         shadow = str(ins.shadow_class) if ins.shadow_class is not None else "-"
         line = f"{seq} 0x{ins.pc:x} {ins.kind} {shadow} {ins.exec_latency} {ins.resolve_latency}"
         if ins.misspeculate:

@@ -128,6 +128,48 @@ def test_nested_dos_policies_block_replay():
         assert rep.hot_spec_issues == 0
 
 
+def _reverse_chain(handles):
+    """h C handles whose resolve latencies grow inward (3 + 4i), each forced
+    once, then gap 2, one transmit instruction and 4 pad instructions: the
+    nested pattern's latency order turned around."""
+    ins, force = [], {}
+    for i in range(handles):
+        force[len(ins)] = ForceMisspeculate(1)
+        ins.append(instruction(0x4000 + 0x100 * i, InstructionKind.BRANCH, ShadowKind.C,
+                               1, 3 + 4 * i, False))
+
+    def pad(n):
+        ins.extend(instruction(0x70000 + 4 * len(ins), InstructionKind.PLAIN, None, 1, 1, False)
+                   for _ in range(n))
+
+    pad(2)
+    ins.append(instruction(0x5000, InstructionKind.TRANSMIT, None, 1, 1, False))
+    pad(4)
+    name = f"reverse-h{handles}"
+    return Scenario(name, ScenarioPattern.NESTED, Trace(name, 0, ins), force, (0x5000,))
+
+
+@pytest.mark.parametrize("handles", [2, 4, 6])
+def test_reverse_chain_leaks_once_per_handle_without_a_clear_window(handles):
+    # the exact rule, and dos-bloom with a clear window of 0, let every
+    # forced handle buy one more transmit issue; a window from 1 up holds the
+    # chain to 2, as criterion 2's grid holds every pattern there
+    scenario = _reverse_chain(handles)
+    expected = [
+        (MachineConfig(policy=PolicyKind.BASELINE), handles + 1),
+        (MachineConfig(policy=PolicyKind.DELAY_ALL), 1),
+        (MachineConfig(policy=PolicyKind.DOS_PERFECT), handles + 1),
+        (MachineConfig(policy=PolicyKind.DOS_BLOOM, window_len=0), handles + 1),
+        *((MachineConfig(policy=PolicyKind.DOS_BLOOM, window_len=w), 2) for w in (1, 8, 64, None)),
+    ]
+    for config, issues in expected:
+        rep = run_scenario(scenario, config)
+        assert not rep.livelock
+        assert rep.total_issues_of_s == {0x5000: issues}, config
+        hot = handles if config.policy is PolicyKind.BASELINE else 0
+        assert rep.hot_spec_issues == hot, config
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: build_single(-1), "replays must be >= 0, got -1"),
     (lambda: build_single(1, gap=-1), "gap must be >= 0, got -1"),

@@ -480,6 +480,14 @@ def test_negative_pc_trace_rejected_with_line_number(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("first", [1, 5])
+def test_trace_whose_first_seq_is_not_0_is_rejected(capsys, tmp_path, first):
+    path = tmp_path / "offset.tr"
+    path.write_text(f"{first} 0x10 PLAIN - 1 1\n{first + 1} 0x14 PLAIN - 1 1\n")
+    assert main(["simulate", "--trace", str(path)]) == EXIT_CONFIG
+    assert f"line 1: seq {first} out of order, expected 0" in capsys.readouterr().err
+
+
 def test_out_file_written(capsys, tmp_path, loop_trace):
     out_path = tmp_path / "report.csv"
     code, _ = _run(capsys, ["simulate", "--trace", loop_trace, "--format", "csv",

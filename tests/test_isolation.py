@@ -121,7 +121,7 @@ def _run_in_slices(trace, config, cuts):
     for lo, hi in zip([0] + cuts, cuts + [n]):
         if lo:
             state = restore_context(save_context(state), config, 0)
-        part = Pipeline(Trace(trace.name, trace.seed, trace.instructions[lo:hi], start=lo),
+        part = Pipeline(Trace(trace.name, trace.seed, trace.instructions[lo:hi]),
                         config, policy=state).run()
         for f in fields(Metrics):
             mine = getattr(total, f.name)

@@ -115,7 +115,6 @@ def _reference_loop(body_len, iterations, rate, seed):
 def test_loop_trace_equals_a_per_position_reference(body_len, rate, seed):
     t = gen_loop_trace(body_len, 60, rate, seed)
     assert t.instructions == _reference_loop(body_len, 60, rate, seed)
-    assert t.start == 0
 
 
 @pytest.mark.parametrize(
@@ -157,26 +156,15 @@ def test_parse_miss_marker_and_comments():
     assert not t.instructions[1].misspeculate
 
 
-def test_serialize_numbers_a_slice_from_its_start():
-    t = gen_loop_trace(4, 3, 0.5, seed=2)
-    seg = Trace(name="seg", seed=2, instructions=t.instructions[5:9], start=5)
-    lines = serialize_trace(seg).splitlines()
-    assert [int(line.split()[0]) for line in lines] == [5, 6, 7, 8]
-    assert [line.split(None, 1)[1] for line in lines] == \
-        [line.split(None, 1)[1] for line in serialize_trace(t).splitlines()[5:9]]
-
-
-def test_a_serialized_segment_parses_back_from_its_start():
-    t = gen_loop_trace(4, 3, 0.5, seed=2)
-    seg = Trace(name="seg", seed=2, instructions=t.instructions[5:], start=5)
-    again = parse_trace(serialize_trace(seg))
-    assert (again.start, again.instructions) == (5, seg.instructions)
-    assert serialize_trace(again) == serialize_trace(seg)
-
-
 def test_parse_requires_each_seq_after_the_first_to_follow_on():
-    with pytest.raises(TraceFormatError, match="line 2: seq 8 out of order, expected 6"):
-        parse_trace("5 0x400 LOAD E 1 10\n8 0x404 PLAIN - 1 1\n")
+    with pytest.raises(TraceFormatError, match="line 2: seq 8 out of order, expected 1"):
+        parse_trace("0 0x400 LOAD E 1 10\n8 0x404 PLAIN - 1 1\n")
+
+
+@pytest.mark.parametrize("first", [1, 5])
+def test_parse_requires_the_first_seq_to_be_0(first):
+    with pytest.raises(TraceFormatError, match=f"^line 1: seq {first} out of order, expected 0$"):
+        parse_trace(f"{first} 0x400 LOAD E 1 10\n{first + 1} 0x404 PLAIN - 1 1\n")
 
 
 def test_roundtrip_generated_file():
@@ -195,9 +183,10 @@ def test_roundtrip_generated_file():
         ("0 0x400 FROB E 1 10", "unknown kind"),
         ("0 0x400 LOAD Q 1 10", "unknown shadow"),
         ("0 0x400 LOAD E x 10", "latency"),
-        ("-1 0x400 LOAD E 1 10", "negative"),
+        ("-1 0x400 LOAD E 1 10", "out of order"),
         ("0 0x400 LOAD E 1 10 WAT", "trailing"),
         ("0 -0x4 LOAD E 1 10", "pc must"),
+        ("0 0x10 TRANSMIT C 1 1", "TRANSMIT cannot cast a shadow of class C"),
     ],
 )
 def test_parse_errors_name_line_and_field(line, fragment):
