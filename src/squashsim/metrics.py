@@ -14,7 +14,14 @@ class Metrics:
 
     ``dynamic_executed`` counts issue events, including work that is later
     discarded; ``squashed_executions`` counts the discarded part, so
-    ``dynamic_executed == committed + squashed_executions`` always holds.
+    ``dynamic_executed == committed + squashed_executions`` holds whenever
+    the run has drained, at its end or a pause; a livelock leaves issued
+    entries in flight.
+
+    ``per_pc_issues`` and ``per_pc_spec_issues`` count the issues per PC,
+    all of them and the speculative ones, and hold no zero.  The pipeline
+    derives them when ``run`` returns, pauses or raises (``pipeline``
+    module docstring), so they are complete only then.
     """
 
     trace_id: str = ""

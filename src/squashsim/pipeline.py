@@ -96,6 +96,21 @@ mode counts one per delay episode and ``"evaluation"`` one per cycle.  A
 delay never adds to ``perfect_only_count``, so there is nothing to repeat
 there.
 
+The per-PC issue counts, ``Metrics.per_pc_issues`` and
+``per_pc_spec_issues``, are derived in ``_finalize``, not kept up on every
+issue.  Every issue committed, was discarded by a squash or is still in
+flight.  Commit is in order, so the committed records are
+``records[:committed]``, whose PCs the trace counts (``Trace.pc_counts``,
+once per trace for the whole of it).  ``squash_from`` counts the
+discarded executions per PC: the issued victims and the cause.  The issued
+entries still in the ROB are counted from the ROB; only a livelock leaves
+any.  The speculative counts are the totals less the non-speculative
+issues, which lead the issued list, as it is in seq order: the issue
+phase counts that prefix alone, and not at all under delay-all, which
+issues nothing speculatively.  So the dicts are complete only once ``run``
+returns, pauses or raises; a caller that drives ``tick`` itself must not
+read them.
+
 A run's host time follows events, not cycles.  A tick is idle when it
 fired no resolution, retired, popped and dispatched nothing, and neither
 issued nor squashed (commit may squash without retiring): only the delay
@@ -231,6 +246,7 @@ class Pipeline:
         observer=None,
     ) -> None:
         self.config = config
+        self.trace = trace
         self.records = trace.instructions
         self.policy = policy if policy is not None else PolicyState(config)
         self.hq = self.policy.handle_queue
@@ -253,6 +269,10 @@ class Pipeline:
         self._stop = len(self.records)  # dispatch brings in no record at or after this index
         self._last_commit_cycle = 0
         self._idle = False  # the last tick changed nothing but the delay counters
+        # PC -> count, the two terms of the per-PC issue counts that _finalize
+        # cannot read off the trace and the ROB (module docstring)
+        self._discarded_issues: dict[int, int] = {}
+        self._nonspec_issues: dict[int, int] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -317,11 +337,32 @@ class Pipeline:
             new.filters.rotations, new.filters.clears = old.filters.rotations, old.filters.clears
 
     def _finalize(self) -> None:
-        self.metrics.cycles = self.cycle
-        self.metrics.perfect_only_count = self.policy.perfect_only_count
+        m = self.metrics
+        m.cycles = self.cycle
+        m.perfect_only_count = self.policy.perfect_only_count
         rf = self.policy.filters
         if rf is not None:
-            self.metrics.rotations, self.metrics.filter_clears = rf.rotations, rf.clears
+            m.rotations, m.filter_clears = rf.rotations, rf.clears
+        # every issue committed, was discarded by a squash or is still in flight
+        issues = self.trace.pc_counts(m.committed)
+        for pc, n in self._discarded_issues.items():
+            issues[pc] = issues.get(pc, 0) + n
+        for e in self.rob:
+            if e.done_at != NEVER:
+                pc = e.instr.pc
+                issues[pc] = issues.get(pc, 0) + 1
+        m.per_pc_issues = issues
+        if self.policy.delay_covers_younger:
+            spec = {}  # delay-all issues nothing speculatively
+        else:
+            spec = dict(issues)  # less the non-speculative issues
+            for pc, n in self._nonspec_issues.items():
+                n = spec[pc] - n
+                if n:
+                    spec[pc] = n
+                else:
+                    del spec[pc]
+        m.per_pc_spec_issues = spec
 
     def tick(self) -> None:
         """One cycle: fire the resolutions due now; commit; pop the safe
@@ -400,7 +441,8 @@ class Pipeline:
         # pop_safe has just left a live head, so hq.shadows(seq) is oldest < seq;
         # with no queued handle, nothing issuing is younger
         oldest = hq[0].seq if hq else policy.next_seq
-        if policy.delay_covers_younger:
+        delay_all = policy.delay_covers_younger
+        if delay_all:
             # delay-all: the window prefix up to the first non-head entry
             # younger than oldest; only pending[0] can be the ROB head
             n = len(pending)
@@ -453,24 +495,24 @@ class Pipeline:
             pending[:len(window)] = held
         cycle = self.cycle
         resolutions = self._resolutions
-        issues = m.per_pc_issues
-        spec_issues = m.per_pc_spec_issues
         observer = self.observer
         for e in ready:
             instr = e.instr
-            seq = e.seq
             e.done_at = cycle + instr.exec_latency
             shadow = instr.shadow_class
             if shadow is not None and shadow is not _E:  # an E resolves at the head (commit)
-                resolutions[cycle + instr.resolve_latency].append((seq, e))
-            pc = instr.pc
-            issues[pc] = issues.get(pc, 0) + 1
-            speculative = oldest < seq
-            if speculative:
-                spec_issues[pc] = spec_issues.get(pc, 0) + 1
+                resolutions[cycle + instr.resolve_latency].append((e.seq, e))
             if observer is not None:
-                observer.on_issue(e, speculative, cycle)
+                observer.on_issue(e, oldest < e.seq, cycle)
         m.dynamic_executed += len(ready)
+        if ready[0].seq <= oldest and not delay_all:
+            # the non-speculative issues lead ready, which is in seq order
+            nonspec = self._nonspec_issues
+            for e in ready:
+                if e.seq > oldest:
+                    break
+                pc = e.instr.pc
+                nonspec[pc] = nonspec.get(pc, 0) + 1
 
     def dispatch(self) -> int:
         """Bring in up to `width` instructions; stalls when the ROB or the
@@ -528,11 +570,16 @@ class Pipeline:
         self.hq.mark_squashed_after(cause.seq)  # their due resolutions are stale now
         youngest = self.hq.youngest_handle()  # never None: the cause is queued
         # the policy reads the PCs (exact records) and the masks (Bloom filters)
-        pcs = frozenset(v.instr.pc for v in issued)
+        issued_pcs = [v.instr.pc for v in issued]
+        pcs = frozenset(issued_pcs)
         self.policy.on_squash(pcs, [v.mask for v in issued], youngest)
 
         # the misspeculated execution of the cause itself is discarded too
         self.metrics.squashed_executions += len(issued) + 1
+        discarded = self._discarded_issues
+        issued_pcs.append(cause.instr.pc)
+        for pc in issued_pcs:
+            discarded[pc] = discarded.get(pc, 0) + 1
         cause.done_at = NEVER
         cause.fp_counted = False
         pending.append(cause)  # every entry still pending is older

@@ -25,9 +25,11 @@ latency is from 1 to 2**20 cycles, the largest livelock budget.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .config import MAX_BUDGET
 from .shadows import ShadowKind
@@ -113,6 +115,9 @@ def instruction(pc: int, kind: InstructionKind, shadow: ShadowKind | None,
     return Instruction(pc, kind, shadow, exec_latency, resolve_latency, misspeculate)
 
 
+_PC = attrgetter("pc")
+
+
 @dataclass
 class Trace:
     """An ordered dynamic instruction stream with its generation metadata;
@@ -131,6 +136,18 @@ class Trace:
     @property
     def trace_id(self) -> str:
         return f"{self.name}:{self.seed}:{len(self.instructions)}"
+
+    def pc_counts(self, n: int) -> dict[int, int]:
+        """A new dict: PC -> how many of the first ``n`` records hold it."""
+        if n >= len(self.instructions):
+            return dict(self._pc_counts)
+        return dict(Counter(map(_PC, self.instructions[:n])))
+
+    @cached_property
+    def _pc_counts(self) -> dict[int, int]:
+        # counted on the first whole-trace read and kept, so the records of a
+        # trace must not change once it has run
+        return dict(Counter(map(_PC, self.instructions)))
 
 
 _LOOP_PC_BASE = 0x1000

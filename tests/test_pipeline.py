@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squashsim import pipeline
+from squashsim import experiment, pipeline
 from squashsim.attacks import ScenarioResolver, build_unbounded
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.experiment import run_segmented
@@ -555,7 +555,19 @@ def test_full_handle_queue_stalls_dispatch_without_deadlock():
 
 class _AskEveryCycle(Pipeline):
     """Reference issue phase: asks the policy about every non-head window
-    entry on every cycle, with no cached decision and no per-policy shortcut."""
+    entry on every cycle, with no cached decision and no per-policy shortcut.
+    It counts the per-PC issues as they happen and reports those counts, so
+    a comparison with ``Pipeline`` checks the ones ``_finalize`` derives."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counted_issues = {}
+        self.counted_spec_issues = {}
+
+    def _finalize(self):
+        super()._finalize()
+        self.metrics.per_pc_issues = dict(self.counted_issues)
+        self.metrics.per_pc_spec_issues = dict(self.counted_spec_issues)
 
     def try_issue(self):
         if not self.pending:
@@ -578,10 +590,11 @@ class _AskEveryCycle(Pipeline):
             if instr.shadow_class not in (None, ShadowKind.E):  # an E resolves at the head
                 self._resolutions[cycle + instr.resolve_latency].append((e.seq, e))
             m.dynamic_executed += 1
-            m.per_pc_issues[instr.pc] = m.per_pc_issues.get(instr.pc, 0) + 1
+            self.counted_issues[instr.pc] = self.counted_issues.get(instr.pc, 0) + 1
             speculative = self.hq.shadows(e.seq)
             if speculative:
-                m.per_pc_spec_issues[instr.pc] = m.per_pc_spec_issues.get(instr.pc, 0) + 1
+                spec = self.counted_spec_issues
+                spec[instr.pc] = spec.get(instr.pc, 0) + 1
             self.observer.on_issue(e, speculative, cycle)
 
     def tick(self):
@@ -632,6 +645,56 @@ def test_issue_phase_applies_the_rule_without_asking_the_policy(monkeypatch, pol
     if policy is not PolicyKind.BASELINE:
         assert m.delayed_issues > 0
         assert outcome == asked
+
+
+class _CountIssues(_IssueStream):
+    """Counts the per-PC issues, and the speculative ones, as they happen."""
+
+    def __init__(self):
+        super().__init__()
+        self.per_pc = ({}, {})  # all issues, speculative issues
+
+    def on_issue(self, e, speculative, cycle):
+        for counts in self.per_pc[:1 + speculative]:
+            counts[e.instr.pc] = counts.get(e.instr.pc, 0) + 1
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind), ids=str)
+def test_per_pc_counts_are_exact_at_every_pause(monkeypatch, policy):
+    # a pause drains the ROB, so the derived counts need every squash's
+    # discarded executions and each segment's committed prefix of the trace
+    counted = _CountIssues()
+    pauses = []
+
+    class Paused(Pipeline):
+        def run(self, stop=None):
+            m = super().run(stop)
+            pauses.append(m.committed)
+            assert (m.per_pc_issues, m.per_pc_spec_issues) == counted.per_pc, m.committed
+            return m
+
+    monkeypatch.setattr(experiment, "Pipeline", Paused)
+    trace = gen_loop_trace(8, 20, 0.2, 3)
+    m = run_segmented(trace, MachineConfig(policy=policy), [17, 40, 41, 100], observer=counted)
+    assert pauses == [17, 40, 41, 100, 160] and m.squashes > 0
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind), ids=str)
+def test_per_pc_counts_at_a_livelock_count_the_entries_in_flight(policy):
+    # nothing has committed when the sustained replay livelocks, so every
+    # issue is a discarded execution or an issued entry still in the ROB
+    scenario = build_unbounded()
+    counted = _CountIssues()
+    pipe = Pipeline(scenario.trace, MachineConfig(policy=policy, livelock_budget=400),
+                    resolver=ScenarioResolver(scenario.force), observer=counted)
+    with pytest.raises(LivelockError) as info:
+        pipe.run()
+    m = info.value.metrics
+    in_flight = sum(e.done_at != NEVER for e in pipe.rob)
+    assert m.committed == 0 and in_flight > 0
+    if policy is PolicyKind.BASELINE:
+        assert in_flight == 12
+    assert (m.per_pc_issues, m.per_pc_spec_issues) == counted.per_pc
 
 
 _ROWS = [(InstructionKind.PLAIN, None), (InstructionKind.TRANSMIT, None),
@@ -841,5 +904,18 @@ def test_per_cycle_path_reads_no_enum_member_through_its_class(method):
         if isinstance(node, ast.Attribute) and (
             isinstance(node.value, ast.Name) and node.value.id in _ENUMS
             or isinstance(node.value, ast.Attribute) and node.value.attr in _ENUMS)
+    ]
+    assert not reads, reads
+
+
+def test_issue_phase_reads_no_per_pc_count():
+    # _finalize derives the per-PC counts; none may creep back onto the issue path
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Pipeline.try_issue)))
+    reads = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and "per_pc_" in node.id
+        or isinstance(node, ast.Attribute) and "per_pc_" in node.attr
+        or isinstance(node, ast.Constant) and "per_pc_" in str(node.value)
     ]
     assert not reads, reads

@@ -36,6 +36,13 @@ def test_invariants_hold_across_random_machines():
             assert m.committed == len(trace), ctx
             assert m.dynamic_executed == m.committed + m.squashed_executions, ctx
             assert m.fp_count <= m.delayed_issues, ctx
+            # the per-PC counts the pipeline derives at the end of the run
+            issues, spec = m.per_pc_issues, m.per_pc_spec_issues
+            assert sum(issues.values()) == m.dynamic_executed, ctx
+            assert all(n <= issues.get(pc, 0) for pc, n in spec.items()), ctx
+            assert 0 not in issues.values() and 0 not in spec.values(), ctx
+            if policy is PolicyKind.DELAY_ALL:
+                assert spec == {}, ctx
             if policy is PolicyKind.BASELINE:
                 assert m.delayed_issues == 0, ctx
                 assert m.squashes == sum(i.misspeculate for i in trace), ctx
