@@ -15,7 +15,11 @@ actually issued are recorded with the policy, and the front end restarts
 right after the misspeculating instruction, which itself stays put and
 re-executes.  The cause is a queued handle, neither resolved nor squashed
 yet, so the queue is never empty at a squash and the record always has a
-youngest handle.
+youngest handle.  A squash builds only what some reader takes: the PC set
+when the policy holds an exact filter (``PolicyState.reads_squash_pcs``)
+or an observer is attached, the mask list when it holds Bloom filters
+(``reads_squash_masks``); ``on_squash`` is called either way, with an
+empty value for what the policy does not read.
 
 The ``RobEntry`` is the one handle on an in-flight instruction: the
 reorder buffer, the not-yet-issued list, the resolution buckets and the
@@ -39,14 +43,23 @@ to issue, which a squash's cause does again.  Commit retires a head once
 An E handle resolves at the ROB head alone, from its issue cycle plus its
 resolve latency on: ``done_at - exec_latency + resolve_latency``.
 
-Resolutions wait in per-cycle buckets as ``(seq, entry)``, and a tick fires
-its cycle's bucket in seq order: an older resolution may squash a younger
-one due in the same cycle, which must then not fire.  An entry with a
-resolution still due is a live queued handle.  A squash flags every queued
-handle younger than its cause (``mark_squashed_after``), and the cause's
-own event is the one firing, so an event is stale exactly when its entry
-is ``squashed``.  Latencies are at least 1, so every event lands in a
-bucket the run has not reached yet.
+Resolutions wait in per-cycle buckets of entries, and a tick fires its
+cycle's bucket in seq order (sorted by ``seq`` when it holds more than
+one): an older resolution may squash a younger one due in the same cycle,
+which must then not fire.  An entry with a resolution still due is a live
+queued handle.  A squash flags every queued handle younger than its cause
+(``mark_squashed_after``), and the cause's own event is the one firing, so
+an event is stale exactly when its entry is ``squashed``.  Latencies are
+at least 1, so every event lands in a bucket the run has not reached yet.
+
+A resolution asks the resolver whether the entry misspeculates, then
+squashes from it or marks it resolved (``HandleQueue.mark_resolved``);
+``tick`` does that for its due buckets and ``commit`` for a due E head,
+each inline.  ``__init__`` binds the resolver's ``__call__`` once, since
+calling a callable instance looks the method up through its type on
+every call (several times the cost of calling the bound method, on
+Python 3.11 to 3.13 alike).  So a wrapper of a resolver class's
+``__call__`` must be set on the class before the pipeline is built.
 
 Dispatch does only the work some policy reads.  A PC's Bloom filter bit
 mask is computed only when the policy holds Bloom filters (dos-bloom),
@@ -143,8 +156,10 @@ itself, and calls ``commit``, ``try_issue`` (which also issues) and
 bound at import.  The per-cycle path calls neither ``push_handle`` nor
 ``oldest_seq`` (the deque's own append and head read do that work), and
 ``issue_decision`` only under dos-bloom, so the tracer records no span for
-that work.  ``_resolve`` calls ``mark_resolved``, which the tracer's
-idle-tick count reads.
+that work.  ``tick`` and ``commit`` resolve without a ``_resolve``
+method between, but still through ``mark_resolved``, which the tracer's
+idle-tick count reads; and every squash calls ``on_squash``, which its
+``policy.hook`` time reads, even with nothing to record.
 """
 
 from __future__ import annotations
@@ -164,6 +179,7 @@ from .trace import Instruction, Trace
 NEVER = 1 << 62  # the ``done_at`` of an entry that waits to issue
 _E = ShadowKind.E  # an enum member read through its class is slow before Python 3.12
 _SEQ = attrgetter("seq")
+_NO_PCS: frozenset[int] = frozenset()  # a squash's PCs, for a policy and observer that read none
 
 
 class LivelockError(RuntimeError):
@@ -227,9 +243,8 @@ class TraceResolver:
         self._consumed: set[int] = set()
 
     def __call__(self, entry: RobEntry) -> bool:
-        pos = entry.pos
-        if entry.instr.misspeculate and pos not in self._consumed:
-            self._consumed.add(pos)
+        if entry.instr.misspeculate and entry.pos not in self._consumed:
+            self._consumed.add(entry.pos)
             return True
         return False
 
@@ -251,6 +266,7 @@ class Pipeline:
         self.policy = policy if policy is not None else PolicyState(config)
         self.hq = self.policy.handle_queue
         self.resolver = resolver if resolver is not None else TraceResolver()
+        self._misspeculates = self.resolver.__call__  # skips the type's lookup per call
         self.observer = observer
 
         self.metrics = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
@@ -258,8 +274,8 @@ class Pipeline:
         self.cursor = 0
         self.rob: list[RobEntry] = []
         self.pending: list[RobEntry] = []  # dispatched, not yet issued; in seq order
-        # cycle -> the (seq, entry) resolutions due then
-        self._resolutions: defaultdict[int, list[tuple[int, RobEntry]]] = defaultdict(list)
+        # cycle -> the entries whose resolutions are due then
+        self._resolutions: defaultdict[int, list[RobEntry]] = defaultdict(list)
         # Bloom filter bit mask per PC, for the one policy that reads masks;
         # shared by every run of the same hash family
         self._pc_masks: dict[int, int] | None = (
@@ -369,16 +385,22 @@ class Pipeline:
         handles; issue; dispatch.  Marks the tick idle when none of them
         changed anything but the delay counters."""
         m = self.metrics
+        hq = self.hq
         work = m.dynamic_executed + m.squashes  # issues and squashes (commit may squash)
         due = self._resolutions.pop(self.cycle, None)
         if due is not None:
             if len(due) > 1:
-                due.sort()  # oldest first: an older squash makes the younger ones stale
-            for _, e in due:
+                due.sort(key=_SEQ)  # oldest first: an older squash makes the younger ones stale
+            misspeculates = self._misspeculates
+            for e in due:
                 if not e.squashed:  # else squashed since the event was scheduled
-                    self._resolve(e)
+                    if misspeculates(e):
+                        m.squashes += 1
+                        self.squash_from(e)
+                    else:
+                        hq.mark_resolved(e)
         retired = self.commit()
-        popped = self.hq.pop_safe()
+        popped = hq.pop_safe()
         if popped:
             # both filters expire everything up to the given seq, and the clock
             # is fixed within a cycle, so one call for the youngest pop is exact
@@ -394,13 +416,6 @@ class Pipeline:
                       and work == m.dynamic_executed + m.squashes)
 
     # -- phases ----------------------------------------------------------------
-
-    def _resolve(self, e: RobEntry) -> None:
-        if self.resolver(e):
-            self.metrics.squashes += 1
-            self.squash_from(e)
-        else:
-            self.hq.mark_resolved(e)
 
     def commit(self) -> int:
         """Retire up to `width` executed entries from the head, in order."""
@@ -420,9 +435,13 @@ class Pipeline:
                 continue
             if kind is not _E or cycle < head.done_at - instr.exec_latency + instr.resolve_latency:
                 break  # only an E head resolves here (fault handling), once due
-            self._resolve(head)
-            if not head.resolved:
-                break  # squashed and re-executing
+            if self._misspeculates(head):
+                self.metrics.squashes += 1
+                self.squash_from(head)
+                break  # the head re-executes
+            self.hq.mark_resolved(head)
+            del rob[0]
+            retired += 1
         if retired:
             self.metrics.committed += retired
             self._last_commit_cycle = cycle
@@ -501,7 +520,7 @@ class Pipeline:
             e.done_at = cycle + instr.exec_latency
             shadow = instr.shadow_class
             if shadow is not None and shadow is not _E:  # an E resolves at the head (commit)
-                resolutions[cycle + instr.resolve_latency].append((e.seq, e))
+                resolutions[cycle + instr.resolve_latency].append(e)
             if observer is not None:
                 observer.on_issue(e, oldest < e.seq, cycle)
         m.dynamic_executed += len(ready)
@@ -569,10 +588,15 @@ class Pipeline:
 
         self.hq.mark_squashed_after(cause.seq)  # their due resolutions are stale now
         youngest = self.hq.youngest_handle()  # never None: the cause is queued
-        # the policy reads the PCs (exact records) and the masks (Bloom filters)
+        # build only what the policy (its reads_squash_* facts) or the observer
+        # reads, and pass an empty value in place of the rest
         issued_pcs = [v.instr.pc for v in issued]
-        pcs = frozenset(issued_pcs)
-        self.policy.on_squash(pcs, [v.mask for v in issued], youngest)
+        policy = self.policy
+        observer = self.observer
+        pcs = (frozenset(issued_pcs)
+               if policy.reads_squash_pcs or observer is not None else _NO_PCS)
+        policy.on_squash(pcs, [v.mask for v in issued] if policy.reads_squash_masks else (),
+                         youngest)
 
         # the misspeculated execution of the cause itself is discarded too
         self.metrics.squashed_executions += len(issued) + 1
@@ -585,8 +609,8 @@ class Pipeline:
         pending.append(cause)  # every entry still pending is older
 
         self.cursor = cause.pos + 1
-        if self.observer is not None:
-            self.observer.on_squash(SquashRecord(cause.seq, pcs, youngest))
+        if observer is not None:
+            observer.on_squash(SquashRecord(cause.seq, pcs, youngest))
 
 
 def run(trace: Trace, config: MachineConfig, observer=None) -> Metrics:

@@ -62,6 +62,7 @@ geometry, threshold, window or hash seeds differ raises ``ContextBlobError``.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 from .config import MachineConfig, PolicyKind
 from .filters import PerfectFilter, RollingFilters, derive_hash_seeds
@@ -116,6 +117,9 @@ class PolicyState:
         # what the rule implies, for callers that can skip asking (module docstring)
         self.never_delays = kind is PolicyKind.BASELINE
         self.delay_covers_younger = kind is PolicyKind.DELAY_ALL
+        # what on_squash reads, so a squash builds nothing else
+        self.reads_squash_pcs = self.perfect is not None
+        self.reads_squash_masks = self.filters is not None
 
     # -- issue-time decision ------------------------------------------------
 
@@ -141,9 +145,12 @@ class PolicyState:
 
     # -- pipeline hooks -----------------------------------------------------
 
-    def on_squash(self, pcs: frozenset[int], masks: list[int], youngest_handle: int) -> None:
+    def on_squash(self, pcs: frozenset[int], masks: Sequence[int], youngest_handle: int) -> None:
         """Record the issued-and-squashed PCs of one squash event under the
-        youngest queued handle (the squash's cause is itself queued)."""
+        youngest queued handle (the squash's cause is itself queued).  It
+        reads ``pcs`` only when ``reads_squash_pcs`` and ``masks`` only when
+        ``reads_squash_masks``, so a caller may pass an empty value for the
+        other."""
         if self.filters is not None:
             self.filters.record_squash(masks, youngest_handle)
             self.version += 1

@@ -186,16 +186,22 @@ def gen_loop_trace(body_len: int, iterations: int, squash_rate: float, seed: int
     if not 0.0 <= squash_rate <= 1.0:
         raise ValueError(f"squash_rate must be in [0, 1], got {squash_rate}")
 
-    # per slot: the instruction, and its misspeculating twin when it casts a shadow
-    body: list[tuple[Instruction, Instruction | None]] = []
+    # the body, and each shadow-casting slot's misspeculating twin
+    plain: list[Instruction] = []
+    twins: list[tuple[int, Instruction]] = []
     for j in range(body_len):
         kind, shadow, exec_lat, res_lat = _loop_slot(j)
         slot = (_LOOP_PC_BASE + 4 * j, kind, shadow, exec_lat, res_lat)
-        body.append((instruction(*slot, False),
-                     None if shadow is None else instruction(*slot, True)))
+        plain.append(instruction(*slot, False))
+        if shadow is not None:
+            twins.append((j, instruction(*slot, True)))
+    # the unmarked loop, then the marks, drawn in stream order
+    out = plain * iterations
     draw = random.Random(seed).random
-    out = [twin if twin is not None and draw() < squash_rate else ins
-           for _ in range(iterations) for ins, twin in body]
+    for base in range(0, len(out), body_len):
+        for j, twin in twins:
+            if draw() < squash_rate:
+                out[base + j] = twin
     return Trace(name=f"loop-{body_len}x{iterations}-r{squash_rate}", seed=seed, instructions=out)
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squashsim import experiment, pipeline
-from squashsim.attacks import ScenarioResolver, build_unbounded
+from squashsim.attacks import (ScenarioResolver, build_nested, build_serial, build_unbounded,
+                               run_scenario)
 from squashsim.config import ConfigError, MachineConfig, PolicyKind
 from squashsim.experiment import run_segmented
 from squashsim.filters import (MASK_TABLE_FAMILIES, compute_hashes, derive_hash_seeds,
@@ -16,7 +17,7 @@ from squashsim.filters import (MASK_TABLE_FAMILIES, compute_hashes, derive_hash_
 from squashsim.metrics import Metrics
 from squashsim.pipeline import NEVER, LivelockError, Pipeline, TraceResolver, run
 from squashsim.policy import DELAY_BLOOM_FP, PolicyState
-from squashsim.shadows import ShadowKind
+from squashsim.shadows import HandleQueue, ShadowKind
 from squashsim.trace import Instruction, InstructionKind, Trace, gen_loop_trace
 
 
@@ -475,20 +476,63 @@ def test_squashed_cause_completes_from_its_reissue(case, policy):
 
 def test_resolver_never_sees_a_squashed_entry():
     # the pinned order/dos-bloom run: several resolutions fall due in one
-    # cycle, and an older one squashes younger ones, whose events go stale
-    trace = gen_loop_trace(64, 10, 0.1, 1)
-    config = MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, seed=5)
-    resolve = TraceResolver()
-    calls = []
+    # cycle, and an older one squashes younger ones, whose events go stale;
+    # then every policy on further loop traces.  A plain function resolver
+    # gives what the default TraceResolver gives.
+    cases = [(gen_loop_trace(64, 10, 0.1, 1),
+              MachineConfig(policy=PolicyKind.DOS_BLOOM, oracle=True, seed=5))]
+    cases += [(gen_loop_trace(body, iters, rate, seed), MachineConfig(policy=policy))
+              for body, iters, rate, seed in ((40, 12, 0.3, 2), (11, 30, 1.0, 3))
+              for policy in PolicyKind]
+    for trace, config in cases:
+        resolve = TraceResolver()
+        calls = []
 
-    def live_only(entry):
+        def live_only(entry):
+            assert not entry.squashed, entry.describe(0)
+            calls.append(entry.seq)
+            return resolve(entry)
+
+        m = Pipeline(trace, config, resolver=live_only).run()
+        assert m == run(trace, config), (trace.name, str(config.policy))
+        assert m.squashes > 0 and len(calls) > m.squashes, (trace.name, str(config.policy))
+
+
+@pytest.mark.parametrize("scenario", [build_serial(3, 2), build_nested(3, 2)],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("policy", list(PolicyKind), ids=str)
+def test_a_class_level_resolver_wrapper_sees_every_live_resolution_once(
+        monkeypatch, scenario, policy):
+    # the pipeline binds the resolver's __call__ when it is built, so a
+    # wrapper set on the class before then (as the benchmark's tracer sets
+    # one) is the one it calls; serial's E handles resolve in commit and
+    # nested's C handles in tick
+    config = MachineConfig(policy=policy)
+    unwrapped = run_scenario(scenario, config)
+    seen, acted = [], []
+    call, mark_resolved, squash_from = (
+        ScenarioResolver.__call__, HandleQueue.mark_resolved, Pipeline.squash_from)
+
+    def wrapped_call(self, entry):
         assert not entry.squashed, entry.describe(0)
-        calls.append(entry.seq)
-        return resolve(entry)
+        seen.append(entry.seq)
+        return call(self, entry)
 
-    m = Pipeline(trace, config, resolver=live_only).run()
-    assert m == run(trace, config)
-    assert m.squashes > 0 and len(calls) > m.squashes
+    def wrapped_mark_resolved(self, entry):
+        acted.append(entry.seq)
+        mark_resolved(self, entry)
+
+    def wrapped_squash_from(self, cause):
+        acted.append(cause.seq)
+        squash_from(self, cause)
+
+    monkeypatch.setattr(ScenarioResolver, "__call__", wrapped_call)
+    monkeypatch.setattr(HandleQueue, "mark_resolved", wrapped_mark_resolved)
+    monkeypatch.setattr(Pipeline, "squash_from", wrapped_squash_from)
+    assert run_scenario(scenario, config) == unwrapped
+    # each resolution the pipeline acted on was asked once, in the same order
+    assert seen == acted
+    assert unwrapped.metrics.squashes > 0 and len(seen) > unwrapped.metrics.squashes
 
 
 def test_squash_completeness():
@@ -588,7 +632,7 @@ class _AskEveryCycle(Pipeline):
             instr = e.instr
             e.done_at = cycle + instr.exec_latency
             if instr.shadow_class not in (None, ShadowKind.E):  # an E resolves at the head
-                self._resolutions[cycle + instr.resolve_latency].append((e.seq, e))
+                self._resolutions[cycle + instr.resolve_latency].append(e)
             m.dynamic_executed += 1
             self.counted_issues[instr.pc] = self.counted_issues.get(instr.pc, 0) + 1
             speculative = self.hq.shadows(e.seq)
@@ -888,7 +932,7 @@ def test_long_latencies_cost_ticks_per_event_not_per_cycle(policy):
 # global, so the per-cycle methods compare with module aliases and policy facts.
 _HOT_METHODS = [
     *(getattr(Pipeline, name)
-      for name in ("run", "tick", "commit", "try_issue", "dispatch", "squash_from", "_resolve")),
+      for name in ("run", "tick", "commit", "try_issue", "dispatch", "squash_from")),
     *(getattr(PolicyState, name)
       for name in ("issue_decision", "on_squash", "on_handle_safe", "on_dispatch")),
 ]
@@ -906,6 +950,21 @@ def test_per_cycle_path_reads_no_enum_member_through_its_class(method):
             or isinstance(node.value, ast.Attribute) and node.value.attr in _ENUMS)
     ]
     assert not reads, reads
+
+
+@pytest.mark.parametrize("method", [Pipeline.tick, Pipeline.commit], ids=lambda m: m.__qualname__)
+def test_resolutions_call_the_resolver_bound_at_construction(method):
+    # self.resolver(e) on a callable instance takes the call slot's lookup
+    # on every resolution; the phases call the callable bound in __init__
+    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+    calls = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "resolver"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"
+    ]
+    assert not calls, calls
 
 
 def test_issue_phase_reads_no_per_pc_count():
