@@ -19,8 +19,9 @@ instructions S, and an extra-path instruction Y:
 
 Assertions are on membership decisions and queue state, never on concrete
 bit positions, so they hold for any hash seed that is collision-free for
-this small PC set (checked and pinned at setup: the working example has
-no false positive on Y and fills the 8-bit filter past its threshold).
+this small PC set.  The walkthrough runs at seed 0, and steps 2 and 3
+check that it is one: step 2 fills the 8-bit filter to its threshold, and
+step 3 finds no false positive on Y.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import MachineConfig, PolicyKind
-from .filters import compute_hashes, derive_hash_seeds, indices_to_mask
+from .filters import compute_hashes, indices_to_mask
 from .policy import DELAY_BLOOM_HIT, PolicyState
 from .shadows import HandleEntry
 
 _M = 8
 _K = 2
-_SEED_SEARCH_LIMIT = 10_000  # hash seeds find_golden_seed tries, from 0 up
 
 PC_H1 = 0x4100
 PC_X = 0x4200
@@ -65,28 +65,11 @@ class _Check:
             self.failures.append(what)
 
 
-def find_golden_seed() -> int:
-    """Pin a hash seed that reproduces the example without collisions."""
-    for seed in range(_SEED_SEARCH_LIMIT):
-        seeds = derive_hash_seeds(seed, _K)
-        mask = {
-            pc: indices_to_mask(compute_hashes(pc, seeds, _M))
-            for pc in (PC_H1, PC_X, PC_H2, PC_S, PC_H3, PC_Y)
-        }
-        step2 = mask[PC_S] | mask[PC_H3] | mask[PC_X]
-        if step2.bit_count() < _M // 2:
-            continue  # must reach the half-full rotation point
-        if (step2 & mask[PC_Y]) == mask[PC_Y]:
-            continue  # Y must not be a false positive
-        return seed
-    raise RuntimeError(f"no collision-free golden seed in the first {_SEED_SEARCH_LIMIT}")
-
-
 def golden_config() -> MachineConfig:
     # window_len 0 makes the final clears land exactly at the drain step
     return MachineConfig(
         policy=PolicyKind.DOS_BLOOM, bits=_M, hashes=_K, filters=2,
-        window_len=0, seed=find_golden_seed(),
+        window_len=0, seed=0,
     )
 
 

@@ -23,11 +23,14 @@ empty value for what the policy does not read.
 
 The ``RobEntry`` is the one handle on an in-flight instruction: the
 reorder buffer, the not-yet-issued list, the resolution buckets and the
-handle queue all hold entries.  A shadow-casting entry is its own
-handle-queue entry: dispatch pushes it, and its ``seq``, ``resolved`` and
-``squashed`` are what the queue reads.  After a squash the victims' entries
-stay queued as placeholders until they reach the queue head.  A fact of
-the instruction, such as its shadow kind or a latency, is read from ``instr``.
+handle queue all hold entries.  The queue is the policy's: each phase
+reads ``policy.handle_queue``, which a context switch replaces along with
+the policy, and the pipeline keeps no copy of it.  A shadow-casting entry
+is its own handle-queue entry: dispatch pushes it, and its ``seq``,
+``resolved`` and ``squashed`` are what the queue reads.  After a squash
+the victims' entries stay queued as placeholders until they reach the
+queue head.  A fact of the instruction, such as its shadow kind or a
+latency, is read from ``instr``.
 
 An entry's ``seq`` is new on every dispatch; its ``pos`` is the trace
 position of its instruction, the record index, and stays the same for
@@ -55,8 +58,9 @@ at least 1, so every event lands in a bucket the run has not reached yet.
 A resolution asks the resolver whether the entry misspeculates, then
 squashes from it or marks it resolved (``HandleQueue.mark_resolved``);
 ``tick`` does that for its due buckets and ``commit`` for a due E head,
-each inline.  ``__init__`` binds the resolver's ``__call__`` once, since
-calling a callable instance looks the method up through its type on
+each inline, and ``squash_from`` counts the squash.  The pipeline holds
+the resolver only as its bound ``__call__``, taken once in ``__init__``,
+since calling a callable instance looks the method up through its type on
 every call (several times the cost of calling the bound method, on
 Python 3.11 to 3.13 alike).  So a wrapper of a resolver class's
 ``__call__`` must be set on the class before the pipeline is built.
@@ -87,12 +91,15 @@ each seq with it.  Delay-all's rule is that same bound
 non-head entry younger than ``oldest``, and every entry from there on is
 held, so no delay-all issue is speculative.  ``pending`` is in seq order
 and the ROB head, when pending, is ``pending[0]``, so the held entries are
-all non-head entries.  Under dos-perfect (the filter policy without Bloom
-filters) a non-head entry is held while its PC is in
-``PerfectFilter.live``.  Under dos-bloom the phase walks the window in seq
-order, decides each non-head entry, fresh or cached, and holds the delayed
-ones.  Each held entry adds one ``delayed_issues``, and the entries let
-through issue in seq order.
+all non-head entries.  A live handle is always in the ROB, since commit
+retires a handle only once it is resolved and a squash flags every handle
+it drains, so the head is never younger than ``oldest``: when
+``pending[0]`` is, the whole window is held.  Under dos-perfect (the
+filter policy without Bloom filters) a non-head entry is held while its
+PC is in ``PerfectFilter.live``.  Under dos-bloom the phase walks the
+window in seq order, decides each non-head entry, fresh or cached, and
+holds the delayed ones.  Each held entry adds one ``delayed_issues``, and
+the entries let through issue in seq order.
 
 Dos-bloom's decision is cached: a delayed entry is asked about again every
 cycle, but the answer can only change when the policy state it reads
@@ -264,9 +271,8 @@ class Pipeline:
         self.trace = trace
         self.records = trace.instructions
         self.policy = policy if policy is not None else PolicyState(config)
-        self.hq = self.policy.handle_queue
-        self.resolver = resolver if resolver is not None else TraceResolver()
-        self._misspeculates = self.resolver.__call__  # skips the type's lookup per call
+        # the resolver's bound __call__ skips the type's lookup per call
+        self._misspeculates = (resolver if resolver is not None else TraceResolver()).__call__
         self.observer = observer
 
         self.metrics = Metrics(trace_id=trace.trace_id, policy=str(config.policy))
@@ -310,9 +316,9 @@ class Pipeline:
             cycle = self.cycle
             if cycle - self._last_commit_cycle > budget:
                 self._finalize()
-                head = f" (head={rob[0].describe(cycle)})" if rob else ""
                 raise LivelockError(
-                    f"no commit for {budget} cycles at cycle {cycle}{head}",
+                    f"no commit for {budget} cycles at cycle {cycle}"
+                    f" (head={rob[0].describe(cycle)})",
                     m,
                 )
             if self._idle:
@@ -347,7 +353,6 @@ class Pipeline:
             raise ValueError("cannot switch a context with instructions in flight")
         old = self.policy
         self.policy = new = restore_context(save_context(old), self.config, old.context_id)
-        self.hq = new.handle_queue
         new.perfect_only_count = old.perfect_only_count
         if new.filters is not None:
             new.filters.rotations, new.filters.clears = old.filters.rotations, old.filters.clears
@@ -385,7 +390,7 @@ class Pipeline:
         handles; issue; dispatch.  Marks the tick idle when none of them
         changed anything but the delay counters."""
         m = self.metrics
-        hq = self.hq
+        hq = self.policy.handle_queue
         work = m.dynamic_executed + m.squashes  # issues and squashes (commit may squash)
         due = self._resolutions.pop(self.cycle, None)
         if due is not None:
@@ -395,7 +400,6 @@ class Pipeline:
             for e in due:
                 if not e.squashed:  # else squashed since the event was scheduled
                     if misspeculates(e):
-                        m.squashes += 1
                         self.squash_from(e)
                     else:
                         hq.mark_resolved(e)
@@ -436,10 +440,9 @@ class Pipeline:
             if kind is not _E or cycle < head.done_at - instr.exec_latency + instr.resolve_latency:
                 break  # only an E head resolves here (fault handling), once due
             if self._misspeculates(head):
-                self.metrics.squashes += 1
                 self.squash_from(head)
                 break  # the head re-executes
-            self.hq.mark_resolved(head)
+            self.policy.handle_queue.mark_resolved(head)
             del rob[0]
             retired += 1
         if retired:
@@ -456,19 +459,19 @@ class Pipeline:
         width = self.config.width
         m = self.metrics
         policy = self.policy
-        hq = self.hq
+        hq = policy.handle_queue
         # pop_safe has just left a live head, so hq.shadows(seq) is oldest < seq;
         # with no queued handle, nothing issuing is younger
         oldest = hq[0].seq if hq else policy.next_seq
         delay_all = policy.delay_covers_younger
         if delay_all:
             # delay-all: the window prefix up to the first non-head entry
-            # younger than oldest; only pending[0] can be the ROB head
+            # younger than oldest; only pending[0] can be the ROB head, which
+            # is never younger than oldest (module docstring)
             n = len(pending)
             if n > width:
                 n = width
-            first = pending[0]
-            if first.seq > oldest and first is not self.rob[0]:
+            if pending[0].seq > oldest:
                 m.delayed_issues += n
                 return
             k = bisect_right(pending, oldest, 1, n, key=_SEQ)
@@ -543,9 +546,9 @@ class Pipeline:
         if room <= 0:
             return 0
         pending = self.pending
-        hq = self.hq
         masks = self._pc_masks
         policy = self.policy
+        hq = policy.handle_queue
         seq = policy.next_seq
         pos = cursor
         for rec in self.records[cursor:cursor + room]:
@@ -586,18 +589,20 @@ class Pipeline:
         pending = self.pending
         del pending[len(pending) - (len(victims) - len(issued)):]
 
-        self.hq.mark_squashed_after(cause.seq)  # their due resolutions are stale now
-        youngest = self.hq.youngest_handle()  # never None: the cause is queued
+        policy = self.policy
+        hq = policy.handle_queue
+        hq.mark_squashed_after(cause.seq)  # their due resolutions are stale now
+        youngest = hq.youngest_handle()  # never None: the cause is queued
         # build only what the policy (its reads_squash_* facts) or the observer
         # reads, and pass an empty value in place of the rest
         issued_pcs = [v.instr.pc for v in issued]
-        policy = self.policy
         observer = self.observer
         pcs = (frozenset(issued_pcs)
                if policy.reads_squash_pcs or observer is not None else _NO_PCS)
         policy.on_squash(pcs, [v.mask for v in issued] if policy.reads_squash_masks else (),
                          youngest)
 
+        self.metrics.squashes += 1
         # the misspeculated execution of the cause itself is discarded too
         self.metrics.squashed_executions += len(issued) + 1
         discarded = self._discarded_issues

@@ -128,15 +128,16 @@ def test_nested_dos_policies_block_replay():
         assert rep.hot_spec_issues == 0
 
 
-def _reverse_chain(handles):
-    """h C handles whose resolve latencies grow inward (3 + 4i), each forced
-    once, then gap 2, one transmit instruction and 4 pad instructions: the
-    nested pattern's latency order turned around."""
+def _reverse_chain(handles, step=4):
+    """h C handles whose resolve latencies grow inward (3 + step·i), each
+    forced once, then gap 2, one transmit instruction and 4 pad instructions.
+    Step 4 gives the reverse chain, the nested pattern's latency order turned
+    around; step 0 gives the equal-latency chain, every handle of latency 3."""
     ins, force = [], {}
     for i in range(handles):
         force[len(ins)] = ForceMisspeculate(1)
         ins.append(instruction(0x4000 + 0x100 * i, InstructionKind.BRANCH, ShadowKind.C,
-                               1, 3 + 4 * i, False))
+                               1, 3 + step * i, False))
 
     def pad(n):
         ins.extend(instruction(0x70000 + 4 * len(ins), InstructionKind.PLAIN, None, 1, 1, False)
@@ -145,16 +146,18 @@ def _reverse_chain(handles):
     pad(2)
     ins.append(instruction(0x5000, InstructionKind.TRANSMIT, None, 1, 1, False))
     pad(4)
-    name = f"reverse-h{handles}"
+    name = f"chain-h{handles}-step{step}"
     return Scenario(name, ScenarioPattern.NESTED, Trace(name, 0, ins), force, (0x5000,))
 
 
-@pytest.mark.parametrize("handles", [2, 4, 6])
-def test_reverse_chain_leaks_once_per_handle_without_a_clear_window(handles):
+@pytest.mark.parametrize("handles, step", [(2, 4), (4, 4), (6, 4), (2, 0), (4, 0), (6, 0)],
+                         ids=["2", "4", "6", "equal-2", "equal-4", "equal-6"])
+def test_reverse_chain_leaks_once_per_handle_without_a_clear_window(handles, step):
     # the exact rule, and dos-bloom with a clear window of 0, let every
     # forced handle buy one more transmit issue; a window from 1 up holds the
-    # chain to 2, as criterion 2's grid holds every pattern there
-    scenario = _reverse_chain(handles)
+    # chain to 2, as criterion 2's grid holds every pattern there.  The
+    # equal-latency chain (step 0) reads the same table as the reverse one
+    scenario = _reverse_chain(handles, step)
     expected = [
         (MachineConfig(policy=PolicyKind.BASELINE), handles + 1),
         (MachineConfig(policy=PolicyKind.DELAY_ALL), 1),
@@ -417,11 +420,11 @@ class _QueueToObserver(Pipeline):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.observer.hq = self.hq
+        self.observer.hq = self.policy.handle_queue
 
     def switch_context(self):
         super().switch_context()
-        self.observer.hq = self.hq
+        self.observer.hq = self.policy.handle_queue
 
 
 def _reference(scenario, config):

@@ -49,7 +49,7 @@ def test_dispatch_pushes_handles_on_queue():
     p.cycle = 1
     p.dispatch()
     assert len(p.rob) == 2
-    assert [e.seq for e in p.hq.entries()] == [0]
+    assert [e.seq for e in p.policy.handle_queue.entries()] == [0]
     assert p.rob[0].mask == 0  # only the Bloom filters read masks
     p = Pipeline(t, MachineConfig(policy=PolicyKind.DOS_BLOOM))
     p.cycle = 1
@@ -617,6 +617,10 @@ class _AskEveryCycle(Pipeline):
         if not self.pending:
             return
         head = self.rob[0]
+        hq = self.policy.handle_queue
+        # a live handle is in the ROB, so pop_safe leaves no queue head older
+        # than the ROB head: the issue phase's delay-all rule relies on it
+        assert not hq or head.seq <= hq[0].seq, (head.seq, hq[0].seq)
         m = self.metrics
         cycle = self.cycle
         for e in self.pending[:self.config.width]:
@@ -635,7 +639,7 @@ class _AskEveryCycle(Pipeline):
                 self._resolutions[cycle + instr.resolve_latency].append(e)
             m.dynamic_executed += 1
             self.counted_issues[instr.pc] = self.counted_issues.get(instr.pc, 0) + 1
-            speculative = self.hq.shadows(e.seq)
+            speculative = hq.shadows(e.seq)
             if speculative:
                 spec = self.counted_spec_issues
                 spec[instr.pc] = spec.get(instr.pc, 0) + 1
@@ -661,12 +665,13 @@ class _IssueStream:
 
 
 def _outcome(cls, trace, config):
+    """Metrics, or a livelock's text and metrics, and the issue stream."""
     observer = _IssueStream()
     try:
-        metrics = cls(trace, config, observer=observer).run()
+        result = cls(trace, config, observer=observer).run()
     except LivelockError as exc:
-        metrics = ("livelock", exc.metrics)
-    return metrics, observer.issues
+        result = (str(exc), exc.metrics)
+    return result, observer.issues
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.BASELINE, PolicyKind.DELAY_ALL,
@@ -836,16 +841,6 @@ class _CountTicks(Pipeline):
         self.ticks += 1
 
 
-def _run_outcome(cls, trace, config):
-    """Metrics, or a livelock's text and metrics, and the issue stream."""
-    observer = _IssueStream()
-    try:
-        result = cls(trace, config, observer=observer).run()
-    except LivelockError as exc:
-        result = (str(exc), exc.metrics)
-    return result, observer.issues
-
-
 _SHADOW_ROWS = [row for row in _ROWS if row[1] is not None]
 
 
@@ -876,7 +871,7 @@ def test_idle_skip_matches_ticking_every_cycle(policy, oracle, data):
     # resolution bucket and the livelock check; the oracle case is the one
     # that counts false positives, once per cycle or once per episode
     trace, config = data.draw(_long_latency_machines(policy, oracle))
-    assert _run_outcome(Pipeline, trace, config) == _run_outcome(_TickEveryCycle, trace, config)
+    assert _outcome(Pipeline, trace, config) == _outcome(_TickEveryCycle, trace, config)
 
 
 _LONG_LOAD = _trace(
@@ -954,8 +949,9 @@ def test_per_cycle_path_reads_no_enum_member_through_its_class(method):
 
 @pytest.mark.parametrize("method", [Pipeline.tick, Pipeline.commit], ids=lambda m: m.__qualname__)
 def test_resolutions_call_the_resolver_bound_at_construction(method):
-    # self.resolver(e) on a callable instance takes the call slot's lookup
-    # on every resolution; the phases call the callable bound in __init__
+    # the pipeline keeps only the resolver's __call__, bound in __init__: a
+    # self.resolver(e) on a callable instance would take the call slot's
+    # lookup on every resolution
     tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
     calls = [
         f"line {node.lineno}: {ast.unparse(node)}"
